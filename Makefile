@@ -1,10 +1,11 @@
 GO ?= go
 
-.PHONY: verify ci build test race vet bench bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 bench-check cover-stats golden fuzz fuzz-smoke chaos chaos-serve persist-check sweep-stray
+.PHONY: verify ci build test race vet bench-vet bench-record bench-check cover-stats golden fuzz fuzz-smoke chaos chaos-serve persist-check sweep-stray
 
 ## verify: the tier-1 gate — vet, build, race-test everything, pin the
-## golden outputs, smoke the fuzz targets on their seed corpora, and
-## hold the sketch files to their coverage floor. The stray-baseline
+## golden outputs, smoke the fuzz targets on their seed corpora, hold
+## the sketch files to their coverage floor, and vet and test the
+## separate benchmark module against this tree. The stray-baseline
 ## sweep runs first so a leftover benchjson scratch file can never be
 ## mistaken for (or sorted above) a committed BENCH_PR* baseline.
 ## The stages run as sequential sub-makes (not parallel prerequisites)
@@ -18,6 +19,7 @@ verify:
 	$(MAKE) golden
 	$(MAKE) fuzz-smoke
 	$(MAKE) cover-stats
+	$(MAKE) bench-vet
 
 ## sweep-stray: remove benchjson scratch output wherever it landed.
 ## BENCH_BASELINE below globs BENCH_PR*.json, which cannot match
@@ -41,6 +43,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+## bench-vet: bench/ is its own module (it replaces pblparallel with
+## this checkout), so `./...` above never builds it; vet and test it
+## here so an API change it depends on fails the gate, not the
+## benchmark run.
+bench-vet:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 ## golden: byte-compare `pblstudy run -json` and `pblstudy cohort
 ## -json` against testdata/golden. Regenerate a deliberately changed
 ## baseline with:
@@ -51,7 +60,7 @@ golden:
 ## fuzz-smoke: 2s of coverage-guided fuzzing per target — enough to
 ## exercise the corpora plus a few thousand mutations in CI.
 fuzz-smoke:
-	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzHistogramQuantile -fuzztime 2s
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzHistQuantile -fuzztime 2s
 	$(GO) test ./internal/armsim -run '^$$' -fuzz FuzzAsmParse -fuzztime 2s
 	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzSurveyScores -fuzztime 2s
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime 2s
@@ -62,7 +71,7 @@ fuzz-smoke:
 ## nightly workflow with FUZZTIME=5m.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzHistogramQuantile -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzHistQuantile -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/armsim -run '^$$' -fuzz FuzzAsmParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzSurveyScores -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime $(FUZZTIME)
@@ -110,46 +119,6 @@ chaos-serve:
 persist-check:
 	./scripts/cache_persistence.sh
 
-## bench: sweep + tracer benchmarks (PR2 baseline) and the
-## fault-injection overhead benchmarks (disabled-path must stay at
-## 0 allocs/op), recorded via benchjson.
-bench:
-	{ $(GO) test ./internal/engine/ -bench 'Sweep200' -benchtime 2x -run '^$$' && \
-	  $(GO) test ./internal/obs/ -bench 'Span' -benchmem -run '^$$'; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR2.json
-	$(GO) test ./internal/fault/ -bench . -benchmem -run '^$$' \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR3.json
-
-## bench-pr4: the PR4 perf surface — the disabled-path hooks that must
-## stay at 0 allocs/op (fault hits, obs spans) plus the serve cache and
-## server load benchmarks — recorded via benchjson for the CI compare
-## gate and the EXPERIMENTS.md latency numbers.
-bench-pr4:
-	{ $(GO) test ./internal/fault/ -bench . -benchmem -run '^$$' && \
-	  $(GO) test ./internal/obs/ -bench 'Span' -benchmem -run '^$$' && \
-	  $(GO) test ./internal/serve/ -bench . -benchmem -run '^$$'; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR4.json
-
-## bench-pr5: the PR5 perf surface — the flight recorder's incident
-## hook, disabled (must stay 0 allocs/op — every shed/retry/fault site
-## pays it) and enabled (one ring write under a sharded lock) — the
-## numbers EXPERIMENTS.md quotes for recorder overhead.
-bench-pr5:
-	$(GO) test ./internal/obs/flightrec/ -bench Event -benchmem -run '^$$' \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR5.json
-
-## bench-pr6: the PR6 perf surface — the scheduler runtime's hot paths
-## (deque push/pop, index-pool claims, spawn-or-inline at 0 allocs,
-## steal overhead on imbalanced regions, padded-vs-shared counters)
-## plus the serve cache hit and cached-run load benchmarks and the
-## flight-recorder Event hook, so BENCH_PR6.json is a superset of the
-## PR5 baseline and compares cleanly against it.
-bench-pr6:
-	{ $(GO) test ./internal/sched/ -bench . -benchmem -run '^$$' && \
-	  $(GO) test ./internal/obs/flightrec/ -bench Event -benchmem -run '^$$' && \
-	  $(GO) test ./internal/serve/ -bench 'CacheHitDo|ServeCachedRun' -benchmem -run '^$$'; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR6.json
-
 ## GATED_BENCH is the union perf surface the bench-check gate re-runs:
 ## every deterministic micro benchmark pinned by a committed baseline —
 ## fault hooks, obs spans and histogram observations, the flight
@@ -168,42 +137,15 @@ GATED_BENCH = { $(GO) test ./internal/fault/ -bench . -benchmem -count $(BENCH_C
   $(GO) test ./internal/serve/ -bench 'CacheHitDo' -benchmem -count $(BENCH_COUNT) -run '^$$'; }
 BENCH_COUNT ?= 3
 
-## bench-pr7: record the PR7 perf surface (the full gated union above,
-## single-count) as the newest committed baseline.
-bench-pr7: BENCH_COUNT = 1
-bench-pr7:
-	$(GATED_BENCH) | $(GO) run ./cmd/benchjson -o BENCH_PR7.json
-
-## bench-pr8: the PR8 baseline — the gated union plus the sketch hot
-## paths (Moments.Add on the per-student path must stay 0 allocs/op;
-## Merge folds 64 partials, the shape of a chunk-ordered reduction).
-bench-pr8: BENCH_COUNT = 1
-bench-pr8:
-	$(GATED_BENCH) | $(GO) run ./cmd/benchjson -o BENCH_PR8.json
-
-## bench-pr9: the PR9 baseline — the gated union plus the persistent
-## tier's hot paths: the per-miss disk probe (read + verify + inflate)
-## and the codec halves join the gated union; the write-behind spill
-## (DiskPut) is recorded here for EXPERIMENTS.md but stays out of the
-## gate — it creates and renames real files, which is as
-## machine-sensitive as the HTTP load benchmarks the gate already
-## excludes. The memory-hit path (CacheHitDo) stays in the union at
-## 0 allocs/op — attaching the disk tier must not add a byte to the
-## hit path.
-bench-pr9: BENCH_COUNT = 1
-bench-pr9:
-	{ $(GATED_BENCH) && \
-	  $(GO) test ./internal/store/ -bench 'DiskPut' -benchmem -count $(BENCH_COUNT) -run '^$$'; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR9.json
-
-## bench-pr10: the PR10 baseline — the gated union plus the embedded
-## TSDB's hot paths: the per-sample Gorilla chunk append (the sampler
-## pays it for every series on every tick — gated at 0 allocs/op) and
-## a rate() range query over an hour of 5s samples (the /debug/tsdb
-## read path).
-bench-pr10: BENCH_COUNT = 1
-bench-pr10:
-	$(GATED_BENCH) | $(GO) run ./cmd/benchjson -o BENCH_PR10.json
+## bench-record: record the gated union above, single-count, as the
+## newest committed baseline BENCH_PR$(N).json, e.g.
+##   make bench-record N=12
+## Committed baselines are never regenerated; a PR that changes the
+## perf surface records a new one.
+bench-record: BENCH_COUNT = 1
+bench-record:
+	@test -n "$(N)" || { echo "usage: make bench-record N=<pr>"; exit 1; }
+	$(GATED_BENCH) | $(GO) run ./cmd/benchjson -o BENCH_PR$(N).json
 
 ## bench-check: re-run the gated perf surface and fail if it regressed
 ## against the NEWEST committed BENCH_PR*.json baseline — more than 20%

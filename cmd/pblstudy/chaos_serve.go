@@ -64,13 +64,8 @@ func runServeChaos(o serveChaosOpts) bool {
 			obs.Install(obs.NewTracer(obs.DefaultCapacity))
 			defer obs.Install(nil)
 		}
-		rec := flightrec.New(flightrec.Config{Dir: o.flightrecDir, Window: 5 * time.Minute})
-		rec.Start()
-		flightrec.Install(rec)
-		defer func() {
-			flightrec.Install(nil)
-			rec.Stop()
-		}()
+		flightrec.Install(flightrec.New(flightrec.Config{Dir: o.flightrecDir, Window: 5 * time.Minute}))
+		defer flightrec.Install(nil)
 		// The continuous profiler runs across the sweep on a tight
 		// cadence, so the byte-invariance assertion also proves that CPU
 		// sampling, heap snapshots, and mutex/block sampling never change

@@ -216,8 +216,8 @@ func TestMetrics(t *testing.T) {
 	if s.Started != n || s.Completed != n || s.Failed != 0 {
 		t.Fatalf("counters started=%d completed=%d failed=%d", s.Started, s.Completed, s.Failed)
 	}
-	if s.Run.N != n || s.Run.Mean() <= 0 || s.Run.Max < s.Run.Min {
-		t.Fatalf("run histogram %+v", s.Run)
+	if s.Run.Count() != n || s.Run.Sum() <= 0 || s.Run.Max() < s.Run.Min() {
+		t.Fatalf("run histogram count=%d sum=%v min=%v max=%v", s.Run.Count(), s.Run.Sum(), s.Run.Min(), s.Run.Max())
 	}
 	if s.Throughput <= 0 {
 		t.Fatalf("throughput %v", s.Throughput)
@@ -227,11 +227,11 @@ func TestMetrics(t *testing.T) {
 		if !ok {
 			t.Fatalf("stage %q not observed", stage)
 		}
-		if h.N != n {
-			t.Fatalf("stage %q observed %d times, want %d", stage, h.N, n)
+		if h.Count() != n {
+			t.Fatalf("stage %q observed %d times, want %d", stage, h.Count(), n)
 		}
-		if q := h.Quantile(0.5); q < h.Min {
-			t.Fatalf("stage %q median %v below min %v", stage, q, h.Min)
+		if q := h.Quantile(0.5); q < h.Min() {
+			t.Fatalf("stage %q median %v below min %v", stage, q, h.Min())
 		}
 	}
 	var sb strings.Builder

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -12,136 +11,6 @@ import (
 	"pblparallel/internal/obs"
 	"pblparallel/internal/sched"
 )
-
-// histBounds are the wall-time histogram bucket upper bounds; a final
-// overflow bucket catches everything above the last bound.
-var histBounds = []time.Duration{
-	100 * time.Microsecond,
-	250 * time.Microsecond,
-	500 * time.Microsecond,
-	1 * time.Millisecond,
-	2500 * time.Microsecond,
-	5 * time.Millisecond,
-	10 * time.Millisecond,
-	25 * time.Millisecond,
-	50 * time.Millisecond,
-	100 * time.Millisecond,
-	250 * time.Millisecond,
-	500 * time.Millisecond,
-	1 * time.Second,
-	2500 * time.Millisecond,
-	5 * time.Second,
-	10 * time.Second,
-}
-
-// Histogram is a fixed-bucket wall-time histogram. It records exact
-// count/sum/min/max alongside the buckets, so means are exact and only
-// quantiles are bucket-resolution estimates.
-type Histogram struct {
-	Counts   []int64 // len(histBounds)+1; last bucket is overflow
-	N        int64
-	Sum      time.Duration
-	Min, Max time.Duration
-}
-
-func newHistogram() *Histogram {
-	return &Histogram{Counts: make([]int64, len(histBounds)+1)}
-}
-
-// observe records one duration.
-func (h *Histogram) observe(d time.Duration) {
-	i := sort.Search(len(histBounds), func(i int) bool { return d <= histBounds[i] })
-	h.Counts[i]++
-	h.N++
-	h.Sum += d
-	if h.N == 1 || d < h.Min {
-		h.Min = d
-	}
-	if d > h.Max {
-		h.Max = d
-	}
-}
-
-// Mean is the exact average of the observed durations.
-func (h *Histogram) Mean() time.Duration {
-	if h.N == 0 {
-		return 0
-	}
-	return h.Sum / time.Duration(h.N)
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) by linear
-// interpolation within the bucket containing it, clamped to the exact
-// observed [Min, Max]. The clamp makes degenerate cases exact: a
-// single-observation histogram returns that observation for every q.
-// The unbounded overflow bucket interpolates over [last bound, Max] —
-// the exact Max substitutes for the missing upper edge, so a
-// single-observation overflow bucket is also exact.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h.N == 0 {
-		return 0
-	}
-	if q >= 1 {
-		return h.Max
-	}
-	rank := q * float64(h.N)
-	var cum int64
-	for i, c := range h.Counts {
-		prev := cum
-		cum += c
-		if c == 0 || float64(cum) < rank {
-			continue
-		}
-		var lower, upper time.Duration
-		if i >= len(histBounds) {
-			lower, upper = histBounds[len(histBounds)-1], h.Max
-			if h.Min > lower {
-				lower = h.Min
-			}
-		} else {
-			if i > 0 {
-				lower = histBounds[i-1]
-			}
-			upper = histBounds[i]
-		}
-		frac := (rank - float64(prev)) / float64(c)
-		v := lower + time.Duration(frac*float64(upper-lower))
-		return clampDuration(v, h.Min, h.Max)
-	}
-	return h.Max
-}
-
-// clampDuration bounds v to [lo, hi].
-func clampDuration(v, lo, hi time.Duration) time.Duration {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// QuantileSummary is the standard latency triple.
-type QuantileSummary struct {
-	P50, P95, P99 time.Duration
-}
-
-// Quantiles exports the bucket-interpolated p50/p95/p99 estimates.
-func (h *Histogram) Quantiles() QuantileSummary {
-	return QuantileSummary{
-		P50: h.Quantile(0.50),
-		P95: h.Quantile(0.95),
-		P99: h.Quantile(0.99),
-	}
-}
-
-// clone deep-copies the histogram.
-func (h *Histogram) clone() *Histogram {
-	cp := *h
-	cp.Counts = append([]int64(nil), h.Counts...)
-	return &cp
-}
 
 // Metrics is the engine's observability surface: started / completed /
 // failed run counters, per-stage and whole-run wall-time histograms,
@@ -159,13 +28,13 @@ type Metrics struct {
 	mu     sync.Mutex
 	begin  time.Time // first run start
 	end    time.Time // last run finish
-	stages map[string]*Histogram
-	run    *Histogram
+	stages map[string]*obs.Hist
+	run    *obs.Hist
 }
 
 // NewMetrics builds an empty sink.
 func NewMetrics() *Metrics {
-	return &Metrics{stages: make(map[string]*Histogram), run: newHistogram()}
+	return &Metrics{stages: make(map[string]*obs.Hist), run: obs.NewHist()}
 }
 
 // ObserveStage records one pipeline stage's wall time. It has the
@@ -176,13 +45,13 @@ func (m *Metrics) ObserveStage(stage string, d time.Duration) {
 		return
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	h, ok := m.stages[stage]
 	if !ok {
-		h = newHistogram()
+		h = obs.NewHist()
 		m.stages[stage] = h
 	}
-	h.observe(d)
+	m.mu.Unlock()
+	h.Observe(d.Seconds())
 }
 
 func (m *Metrics) runStarted() {
@@ -206,8 +75,8 @@ func (m *Metrics) runFinished(d time.Duration, failed bool) {
 	} else {
 		m.completed.Add(1)
 	}
+	m.run.Observe(d.Seconds())
 	m.mu.Lock()
-	m.run.observe(d)
 	m.end = time.Now()
 	m.mu.Unlock()
 }
@@ -225,21 +94,22 @@ func (m *Metrics) runRetried() {
 	m.retried.Add(1)
 }
 
-// Snapshot is a consistent point-in-time copy of the metrics.
+// Snapshot is a point-in-time copy of the counters. Run and Stages
+// are the live wall-time histograms (seconds), which read lock-free.
 type Snapshot struct {
 	Started, Completed, Failed, Retried int64
 	// Window is the wall time from the first run start to the last run
 	// finish; Throughput is completed runs per second over it.
 	Window     time.Duration
 	Throughput float64
-	Run        *Histogram
-	Stages     map[string]*Histogram
+	Run        *obs.Hist
+	Stages     map[string]*obs.Hist
 }
 
 // Snapshot copies the current state.
 func (m *Metrics) Snapshot() Snapshot {
 	if m == nil {
-		return Snapshot{Run: newHistogram(), Stages: map[string]*Histogram{}}
+		return Snapshot{Run: obs.NewHist(), Stages: map[string]*obs.Hist{}}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -248,11 +118,11 @@ func (m *Metrics) Snapshot() Snapshot {
 		Completed: m.completed.Load(),
 		Failed:    m.failed.Load(),
 		Retried:   m.retried.Load(),
-		Run:       m.run.clone(),
-		Stages:    make(map[string]*Histogram, len(m.stages)),
+		Run:       m.run,
+		Stages:    make(map[string]*obs.Hist, len(m.stages)),
 	}
 	for k, h := range m.stages {
-		s.Stages[k] = h.clone()
+		s.Stages[k] = h
 	}
 	if !m.begin.IsZero() && m.end.After(m.begin) {
 		s.Window = m.end.Sub(m.begin)
@@ -276,9 +146,13 @@ func (m *Metrics) Render(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "  %-13s %6s %10s %10s %10s %10s\n", "stage", "count", "mean", "p50", "p95", "max"); err != nil {
 		return err
 	}
-	line := func(name string, h *Histogram) error {
+	line := func(name string, h *obs.Hist) error {
+		var mean float64
+		if n := h.Count(); n > 0 {
+			mean = h.Sum() / float64(n)
+		}
 		_, err := fmt.Fprintf(w, "  %-13s %6d %10s %10s %10s %10s\n",
-			name, h.N, round(h.Mean()), round(h.Quantile(0.50)), round(h.Quantile(0.95)), round(h.Max))
+			name, h.Count(), round(mean), round(h.Quantile(0.50)), round(h.Quantile(0.95)), round(h.Max()))
 		return err
 	}
 	seen := map[string]bool{}
@@ -305,25 +179,6 @@ func (m *Metrics) Render(w io.Writer) error {
 	return line("run", s.Run)
 }
 
-// histFamilyPoint converts one engine Histogram into an obs histogram
-// point (bounds in seconds, cumulative bucket counts).
-func histFamilyPoint(h *Histogram, labels ...obs.Label) obs.Point {
-	p := obs.Point{
-		Labels:  labels,
-		Sum:     h.Sum.Seconds(),
-		Count:   uint64(h.N),
-		Buckets: make([]obs.Bucket, 0, len(histBounds)+1),
-	}
-	var cum uint64
-	for i, b := range histBounds {
-		cum += uint64(h.Counts[i])
-		p.Buckets = append(p.Buckets, obs.Bucket{UpperBound: b.Seconds(), CumulativeCount: cum})
-	}
-	cum += uint64(h.Counts[len(histBounds)])
-	p.Buckets = append(p.Buckets, obs.Bucket{UpperBound: math.Inf(1), CumulativeCount: cum})
-	return p
-}
-
 // GatherMetrics implements obs.Gatherer: the engine's counters and
 // histograms unify into the obs registry's Prometheus/expvar renderers
 // without duplicating state — the registry snapshots this sink at
@@ -335,7 +190,7 @@ func (m *Metrics) GatherMetrics() []obs.Family {
 	for _, st := range core.Stages {
 		if h, ok := s.Stages[st]; ok {
 			seen[st] = true
-			stagePoints = append(stagePoints, histFamilyPoint(h, obs.Label{Key: "stage", Value: st}))
+			stagePoints = append(stagePoints, h.Point(obs.Label{Key: "stage", Value: st}))
 		}
 	}
 	var extra []string
@@ -346,7 +201,7 @@ func (m *Metrics) GatherMetrics() []obs.Family {
 	}
 	sort.Strings(extra)
 	for _, st := range extra {
-		stagePoints = append(stagePoints, histFamilyPoint(s.Stages[st], obs.Label{Key: "stage", Value: st}))
+		stagePoints = append(stagePoints, s.Stages[st].Point(obs.Label{Key: "stage", Value: st}))
 	}
 	return []obs.Family{
 		{Name: "engine_runs_started_total", Help: "Study runs started.", Type: "counter",
@@ -360,14 +215,16 @@ func (m *Metrics) GatherMetrics() []obs.Family {
 		{Name: "engine_throughput_runs_per_second", Help: "Completed runs per second over the observation window.", Type: "gauge",
 			Points: []obs.Point{{Value: s.Throughput}}},
 		{Name: "engine_run_duration_seconds", Help: "Whole-run wall time.", Type: "histogram",
-			Points: []obs.Point{histFamilyPoint(s.Run)}},
+			Points: []obs.Point{s.Run.Point()}},
 		{Name: "engine_stage_duration_seconds", Help: "Per-stage wall time of the study pipeline.", Type: "histogram",
 			Points: stagePoints},
 	}
 }
 
-// round trims histogram durations to a readable resolution.
-func round(d time.Duration) time.Duration {
+// round converts histogram seconds to a duration trimmed to a readable
+// resolution.
+func round(secs float64) time.Duration {
+	d := time.Duration(secs * float64(time.Second))
 	switch {
 	case d >= time.Second:
 		return d.Round(10 * time.Millisecond)

@@ -38,22 +38,6 @@ func TestPoolRunsEveryJob(t *testing.T) {
 	}
 }
 
-// TestPoolDeprecatedConstructor keeps the NewPoolSized shim honest:
-// it must behave exactly like the options form it expands to.
-func TestPoolDeprecatedConstructor(t *testing.T) {
-	p := NewPoolSized(2, 5)
-	defer p.Close()
-	s := p.Stats()
-	if s.Workers != 2 || s.QueueCap != 5 {
-		t.Fatalf("shim built %+v, want workers=2 queue=5", s)
-	}
-	done := make(chan struct{})
-	if err := p.Submit(func() { close(done) }); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-}
-
 func TestPoolShedsWhenFull(t *testing.T) {
 	p := NewPool(WithPoolWorkers(1), WithQueueDepth(0))
 	defer p.Close()

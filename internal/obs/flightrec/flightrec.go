@@ -1,9 +1,9 @@
 // Package flightrec is the black-box flight recorder: a fixed-size
 // lock-sharded ring that continuously captures the last N seconds of
 // structured incidents (sheds, retries, injected faults, corruption
-// heals, poisoned barriers) plus periodic metric samples, and dumps a
-// self-contained JSON postmortem bundle when something goes wrong — a
-// 5xx response, a shed burst, SIGQUIT, or an operator asking.
+// heals, poisoned barriers), and dumps a self-contained JSON postmortem
+// bundle when something goes wrong — a 5xx response, a shed burst,
+// SIGQUIT, or an operator asking.
 //
 // It obeys the same contract as the tracer: recording never changes
 // what the system computes, and the disabled path (no recorder
@@ -76,13 +76,6 @@ type shard struct {
 	_    [40]byte
 }
 
-// sample is one periodic scalar metric observation.
-type sample struct {
-	at    int64
-	name  string
-	value float64
-}
-
 // Config sizes and wires a Recorder.
 type Config struct {
 	// Capacity is the total event-ring size (slots); <1 selects 4096.
@@ -90,16 +83,14 @@ type Config struct {
 	// Window bounds how far back events and spans reach in a bundle;
 	// <=0 selects 30s.
 	Window time.Duration
-	// Registry supplies the metrics snapshot and samples (process
-	// registry when nil) and receives the recorder's own counters.
+	// Registry supplies the metrics snapshot (process registry when nil)
+	// and receives the recorder's own counters.
 	Registry *obs.Registry
 	// Dir, when non-empty, receives one JSON file per triggered dump.
 	Dir string
 	// MinGap rate-limits triggered dumps; <=0 selects 5s. On-demand
 	// WriteBundle calls are never limited.
 	MinGap time.Duration
-	// SampleInterval paces the background metric sampler; <=0 selects 1s.
-	SampleInterval time.Duration
 	// TSDB, when non-nil, is the embedded time-series store whose
 	// Window-sized history every bundle embeds (see Bundle.TSDB). It
 	// can also be attached after construction with AttachTSDB.
@@ -115,17 +106,10 @@ type Recorder struct {
 	reg      *obs.Registry
 	lastDump atomic.Int64 // unix nanos of the last triggered dump
 
-	smu     sync.Mutex
-	samples []sample
-	snext   uint64
-
 	lmu        sync.Mutex
 	lastBundle []byte
 
 	tsdb atomic.Pointer[tsdb.DB]
-
-	stop chan struct{}
-	done chan struct{}
 
 	events     *obs.Counter
 	dumps      *obs.Counter
@@ -143,9 +127,6 @@ func New(cfg Config) *Recorder {
 	if cfg.MinGap <= 0 {
 		cfg.MinGap = 5 * time.Second
 	}
-	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = time.Second
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Metrics()
 	}
@@ -158,13 +139,12 @@ func New(cfg Config) *Recorder {
 		per = 16
 	}
 	r := &Recorder{
-		cfg:     cfg,
-		shards:  make([]shard, nshards),
-		mask:    uint32(nshards - 1),
-		reg:     cfg.Registry,
-		samples: make([]sample, 256),
-		events:  cfg.Registry.Counter("flightrec_events_total", "Incidents recorded by the flight recorder."),
-		dumps:   cfg.Registry.Counter("flightrec_dumps_total", "Postmortem bundles written by the flight recorder."),
+		cfg:    cfg,
+		shards: make([]shard, nshards),
+		mask:   uint32(nshards - 1),
+		reg:    cfg.Registry,
+		events: cfg.Registry.Counter("flightrec_events_total", "Incidents recorded by the flight recorder."),
+		dumps:  cfg.Registry.Counter("flightrec_dumps_total", "Postmortem bundles written by the flight recorder."),
 		suppressed: cfg.Registry.Counter("flightrec_dumps_suppressed_total",
 			"Triggered dumps suppressed by the MinGap rate limit."),
 	}
@@ -189,59 +169,6 @@ func (r *Recorder) AttachTSDB(db *tsdb.DB) {
 		return
 	}
 	r.tsdb.Store(db)
-}
-
-// Start launches the background metric sampler (idempotent per
-// recorder; Stop it before discarding the recorder).
-func (r *Recorder) Start() {
-	if r == nil || r.stop != nil {
-		return
-	}
-	r.stop = make(chan struct{})
-	r.done = make(chan struct{})
-	go func() {
-		defer close(r.done)
-		tick := time.NewTicker(r.cfg.SampleInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-r.stop:
-				return
-			case <-tick.C:
-				r.sampleOnce()
-			}
-		}
-	}()
-}
-
-// Stop halts the sampler and waits for it to exit.
-func (r *Recorder) Stop() {
-	if r == nil || r.stop == nil {
-		return
-	}
-	close(r.stop)
-	<-r.done
-	r.stop, r.done = nil, nil
-}
-
-// sampleOnce records the current value of every scalar family.
-func (r *Recorder) sampleOnce() {
-	now := time.Now().UnixNano()
-	for _, f := range r.reg.Gather() {
-		if f.Type == "histogram" {
-			continue
-		}
-		for _, p := range f.Points {
-			name := f.Name
-			for _, l := range p.Labels {
-				name += "," + l.Key + "=" + l.Value
-			}
-			r.smu.Lock()
-			r.samples[r.snext%uint64(len(r.samples))] = sample{at: now, name: name, value: p.Value}
-			r.snext++
-			r.smu.Unlock()
-		}
-	}
 }
 
 // Event records one incident. Nil-safe and allocation-free: the event
@@ -310,33 +237,6 @@ func sortEvents(evs []EventRecord) {
 	}
 }
 
-// SampleRecord is one exported metric sample.
-type SampleRecord struct {
-	At    time.Time `json:"at"`
-	Name  string    `json:"name"`
-	Value float64   `json:"value"`
-}
-
-// samplesWindow copies the sample ring inside the window.
-func (r *Recorder) samplesWindow() []SampleRecord {
-	cut := time.Now().Add(-r.cfg.Window).UnixNano()
-	r.smu.Lock()
-	defer r.smu.Unlock()
-	n := r.snext
-	if n > uint64(len(r.samples)) {
-		n = uint64(len(r.samples))
-	}
-	var out []SampleRecord
-	for j := uint64(0); j < n; j++ {
-		s := r.samples[j]
-		if s.at < cut {
-			continue
-		}
-		out = append(out, SampleRecord{At: time.Unix(0, s.at), Name: s.name, Value: s.value})
-	}
-	return out
-}
-
 // SpanRecord is the bundle view of one tracer record.
 type SpanRecord struct {
 	Subsys  string         `json:"subsys"`
@@ -373,7 +273,6 @@ type Bundle struct {
 	WindowNS int64           `json:"window_ns"`
 	Build    map[string]any  `json:"build"`
 	Events   []EventRecord   `json:"events"`
-	Samples  []SampleRecord  `json:"metric_samples"`
 	Metrics  []obs.Family    `json:"metrics"`
 	Spans    []SpanRecord    `json:"spans,omitempty"`
 	Profiles []ProfileRecord `json:"profiles,omitempty"`
@@ -398,14 +297,10 @@ func (r *Recorder) buildBundle(reason string, trace obs.TraceID) Bundle {
 			"goroutines": runtime.NumGoroutine(),
 		},
 		Events:  r.Events(),
-		Samples: r.samplesWindow(),
 		Metrics: r.reg.Gather(),
 	}
 	if b.Events == nil {
 		b.Events = []EventRecord{}
-	}
-	if b.Samples == nil {
-		b.Samples = []SampleRecord{}
 	}
 	if t := obs.Default(); t != nil {
 		recs := obs.WindowRecords(t.Records(), time.Since(t.Epoch()), r.cfg.Window)

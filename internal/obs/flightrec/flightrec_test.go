@@ -180,9 +180,9 @@ func TestWriteBundleIncludesWindowedSpans(t *testing.T) {
 // the bundle's JSON round trip (encoding/json rejects raw infinities).
 func TestBundleWithHistogramFamilies(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := reg.Histogram("test_latency_seconds", "latency", []float64{0.001, 0.01})
+	h := reg.Histogram("test_latency_seconds", "latency")
 	h.Observe(0.005)
-	h.Observe(5)
+	h.Observe(20)
 	r := newTestRecorder(Config{Registry: reg, Window: time.Minute})
 
 	var buf bytes.Buffer
@@ -212,8 +212,6 @@ func TestBundleWithHistogramFamilies(t *testing.T) {
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Event(KindShed, "x", 0, obs.TraceID{})
-	r.Start()
-	r.Stop()
 	if r.Events() != nil || r.LastBundle() != nil || r.Dumps() != 0 {
 		t.Fatal("nil recorder leaked state")
 	}
@@ -234,35 +232,6 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled Event allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func TestSamplerCapturesMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := reg.Counter("test_ticks_total", "ticks")
-	c.Inc()
-	r := newTestRecorder(Config{Registry: reg, Window: time.Minute, SampleInterval: time.Millisecond})
-	r.Start()
-	defer r.Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		var buf bytes.Buffer
-		if err := r.WriteBundle(&buf, "sampler", obs.TraceID{}); err != nil {
-			t.Fatal(err)
-		}
-		var b Bundle
-		if err := json.Unmarshal(buf.Bytes(), &b); err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range b.Samples {
-			if s.Name == "test_ticks_total" && s.Value == 1 {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sampler never captured test_ticks_total; samples = %+v", b.Samples)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

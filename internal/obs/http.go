@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -10,33 +9,22 @@ import (
 	"time"
 )
 
-// httpBounds are the latency bucket upper bounds (seconds) shared by
-// every route histogram: 1ms to 10s, roughly ×2.5 per step — wide
-// enough for a cache hit (µs–ms) and a cold 124-student study run.
-var httpBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-
-// routeStats is one route's accumulated request data. exemplars holds
-// the most recent traced observation per latency bucket, so the
-// OpenMetrics exposition can link a p99 bucket to its span tree.
-type routeStats struct {
-	byCode    map[int]uint64
-	counts    []uint64 // httpBounds buckets + overflow
-	sum       float64
-	n         uint64
-	exemplars []Exemplar
-}
-
-// HTTPMetrics instruments HTTP handlers: per-route latency histograms,
-// per-route/status request counters, and a process-wide in-flight
-// gauge, all surfaced through a Registry as labeled families
-// (http_request_duration_seconds, http_requests_total,
-// http_in_flight_requests). Construct with NewHTTPMetrics, which also
-// registers it as a Gatherer.
+// HTTPMetrics instruments HTTP handlers: per-route latency histograms
+// (http_request_duration_seconds, a registry HistVec), per-route/status
+// request counters (http_requests_total) and a process-wide in-flight
+// gauge (http_in_flight_requests). Construct with NewHTTPMetrics, which
+// also registers the counter and gauge families as a Gatherer.
 type HTTPMetrics struct {
-	mu       sync.Mutex
-	routes   map[string]*routeStats
-	inFlight atomic.Int64
+	durations *HistVec
+	inFlight  atomic.Int64
+
+	mu     sync.Mutex
+	routes map[string]*statusCounts
 }
+
+// statusCounts counts one route's responses by status code. net/http
+// only accepts codes 100–999, so the code indexes the array directly.
+type statusCounts [1000]atomic.Uint64
 
 // NewHTTPMetrics builds an HTTPMetrics and registers it on reg (the
 // process registry when nil).
@@ -44,7 +32,10 @@ func NewHTTPMetrics(reg *Registry) *HTTPMetrics {
 	if reg == nil {
 		reg = Metrics()
 	}
-	m := &HTTPMetrics{routes: make(map[string]*routeStats)}
+	m := &HTTPMetrics{
+		durations: reg.HistogramVec("http_request_duration_seconds", "HTTP request latency, by route.", "route"),
+		routes:    make(map[string]*statusCounts),
+	}
 	reg.RegisterGatherer(m)
 	return m
 }
@@ -87,6 +78,8 @@ func OnServerError(f func(route string, code int, tc TraceContext)) {
 
 // Middleware wraps next, attributing its requests to route. Nil-safe:
 // a nil receiver returns next unwrapped, so wiring is unconditional.
+// The route's histogram and status counters are resolved here, once,
+// so a request pays only atomic updates.
 //
 // Beyond metrics, the middleware is the trace ingress: it adopts the
 // caller's W3C traceparent (or mints a fresh trace ID), exposes the ID
@@ -99,6 +92,14 @@ func (m *HTTPMetrics) Middleware(route string, next http.Handler) http.Handler {
 	if m == nil {
 		return next
 	}
+	hist := m.durations.With(route)
+	m.mu.Lock()
+	codes, ok := m.routes[route]
+	if !ok {
+		codes = new(statusCounts)
+		m.routes[route] = codes
+	}
+	m.mu.Unlock()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tc, ok := ParseTraceparent(r.Header.Get("traceparent"))
 		if !ok {
@@ -127,7 +128,10 @@ func (m *HTTPMetrics) Middleware(route string, next http.Handler) http.Handler {
 			code = http.StatusOK
 		}
 		sp.Int("code", int64(code)).End()
-		m.observe(route, code, elapsed, tc.Trace)
+		hist.ObserveTrace(elapsed, tc.Trace)
+		if uint(code) < uint(len(codes)) {
+			codes[code].Add(1)
+		}
 		if code >= 500 {
 			if f := onServerError.Load(); f != nil {
 				(*f)(route, code, tc)
@@ -136,106 +140,40 @@ func (m *HTTPMetrics) Middleware(route string, next http.Handler) http.Handler {
 	})
 }
 
-// observe records one completed request; a non-zero trace becomes the
-// landing bucket's exemplar.
-func (m *HTTPMetrics) observe(route string, code int, seconds float64, trace TraceID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rs, ok := m.routes[route]
-	if !ok {
-		rs = &routeStats{byCode: make(map[int]uint64),
-			counts:    make([]uint64, len(httpBounds)+1),
-			exemplars: make([]Exemplar, len(httpBounds)+1)}
-		m.routes[route] = rs
-	}
-	rs.byCode[code]++
-	i := sort.SearchFloat64s(httpBounds, seconds)
-	rs.counts[i]++
-	if !trace.IsZero() {
-		rs.exemplars[i] = Exemplar{Value: seconds, Trace: trace, AtNS: nowUnixNano()}
-	}
-	rs.sum += seconds
-	rs.n++
-}
-
 // InFlight reports the requests currently inside instrumented handlers.
 func (m *HTTPMetrics) InFlight() int64 { return m.inFlight.Load() }
 
-// GatherMetrics implements Gatherer. Routes and codes are emitted in
-// sorted order so the exposition is deterministic.
+// GatherMetrics implements Gatherer with the counter and gauge
+// families (the latency family renders from the registry's HistVec).
+// Routes and codes are emitted in sorted order so the exposition is
+// deterministic.
 func (m *HTTPMetrics) GatherMetrics() []Family {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	routes := make([]string, 0, len(m.routes))
 	for r := range m.routes {
 		routes = append(routes, r)
 	}
 	sort.Strings(routes)
+	counts := make([]*statusCounts, len(routes))
+	for i, r := range routes {
+		counts[i] = m.routes[r]
+	}
+	m.mu.Unlock()
 
 	reqs := Family{Name: "http_requests_total", Help: "HTTP requests served, by route and status code.", Type: "counter"}
-	durs := Family{Name: "http_request_duration_seconds", Help: "HTTP request latency, by route.", Type: "histogram"}
-	for _, route := range routes {
-		rs := m.routes[route]
-		codes := make([]int, 0, len(rs.byCode))
-		for c := range rs.byCode {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			reqs.Points = append(reqs.Points, Point{
-				Labels: []Label{{Key: "route", Value: route}, {Key: "code", Value: strconv.Itoa(c)}},
-				Value:  float64(rs.byCode[c]),
-			})
-		}
-		p := Point{Labels: []Label{{Key: "route", Value: route}}, Sum: rs.sum, Count: rs.n}
-		var cum uint64
-		for i, b := range httpBounds {
-			cum += rs.counts[i]
-			p.Buckets = append(p.Buckets, Bucket{UpperBound: b, CumulativeCount: cum})
-		}
-		cum += rs.counts[len(httpBounds)]
-		p.Buckets = append(p.Buckets, Bucket{UpperBound: math.Inf(1), CumulativeCount: cum})
-		for _, e := range rs.exemplars {
-			if !e.Trace.IsZero() {
-				p.Exemplars = append([]Exemplar(nil), rs.exemplars...)
-				break
+	for i, route := range routes {
+		for c := range counts[i] {
+			if n := counts[i][c].Load(); n > 0 {
+				reqs.Points = append(reqs.Points, Point{
+					Labels: []Label{{Key: "route", Value: route}, {Key: "code", Value: strconv.Itoa(c)}},
+					Value:  float64(n),
+				})
 			}
 		}
-		durs.Points = append(durs.Points, p)
 	}
 	return []Family{
 		{Name: "http_in_flight_requests", Help: "Requests currently being served.", Type: "gauge",
 			Points: []Point{{Value: float64(m.inFlight.Load())}}},
 		reqs,
-		durs,
 	}
-}
-
-// Quantile interpolates the q-quantile (0..1) of a route's latency
-// histogram in seconds, for load reports; zero when the route has no
-// observations.
-func (m *HTTPMetrics) Quantile(route string, q float64) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rs, ok := m.routes[route]
-	if !ok || rs.n == 0 {
-		return 0
-	}
-	rank := q * float64(rs.n)
-	var cum float64
-	for i, c := range rs.counts {
-		cum += float64(c)
-		if cum >= rank {
-			if i >= len(httpBounds) {
-				return httpBounds[len(httpBounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = httpBounds[i-1]
-			}
-			frac := 1 - (cum-rank)/float64(c)
-			return lo + frac*(httpBounds[i]-lo)
-		}
-	}
-	return httpBounds[len(httpBounds)-1]
 }

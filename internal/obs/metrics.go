@@ -116,8 +116,8 @@ type Family struct {
 }
 
 // Gatherer contributes metric families at render time. It is how
-// subsystems with their own sinks (the engine's per-stage histograms)
-// unify into the registry without giving up their native types.
+// subsystems that own their instruments (the engine's per-stage
+// histograms, the HTTP status counters) unify into the registry.
 type Gatherer interface {
 	GatherMetrics() []Family
 }
@@ -163,59 +163,201 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value reads the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Hist is a fixed-bucket histogram over float64 observations (by
-// convention, seconds). Each bucket additionally keeps the most recent
-// exemplar — an observation stamped with the trace that produced it —
-// so the exposition can link latency outliers to their span trees.
+// Every Hist shares one bucket layout: upper bounds at the powers of two
+// from 2^histMinExp s (≈0.95 µs) to 2^histMaxExp s (16 s), then +Inf.
+// The ×2 step resolves a ~30 µs cache hit and a multi-second cold run
+// alike, and 0.25 s = 2^-2 is an exact bound for the latency SLO.
+const (
+	histMinExp  = -20
+	histMaxExp  = 4
+	histBuckets = histMaxExp - histMinExp + 2 // the finite bounds plus +Inf
+)
+
+// histBounds are the shared bucket upper bounds, +Inf last.
+var histBounds = func() (b [histBuckets]float64) {
+	for i := range b {
+		b[i] = math.Ldexp(1, histMinExp+i)
+	}
+	b[histBuckets-1] = math.Inf(1)
+	return b
+}()
+
+// histIndex maps v to its bucket in O(1), reading the exponent the way
+// math.Frexp does. A normal float v is 1.m·2^e: with a zero mantissa v
+// is the power of two 2^e, which its own bucket includes (le is
+// inclusive); otherwise 2^(e+1) is the nearest bound above it.
+func histIndex(v float64) int {
+	switch {
+	case v <= histBounds[0]:
+		return 0
+	case !(v <= histBounds[histBuckets-2]): // above 16 s, +Inf and NaN
+		return histBuckets - 1
+	}
+	bits := math.Float64bits(v)
+	e := int(bits>>52&0x7ff) - 1023
+	if bits&(1<<52-1) != 0 {
+		e++
+	}
+	return e - histMinExp
+}
+
+// Hist is the histogram over float64 observations (by convention,
+// seconds), on the shared power-of-two layout above. It keeps the
+// exact count, sum, min and max beside the buckets, so means are exact
+// and only quantiles are bucket-resolution estimates. Each bucket also
+// keeps its most recent exemplar — an observation stamped with the
+// trace that produced it — so the exposition can link latency outliers
+// to their span trees.
+//
+// Observations are lock-free: counts, sum, min and max live on atomics.
+// Only traced observations take the exemplar mutex.
 type Hist struct {
-	help      string
-	bounds    []float64
-	mu        sync.Mutex
-	counts    []uint64
-	sum       float64
-	n         uint64
-	exemplars []Exemplar
+	help     string
+	counts   [histBuckets]atomic.Uint64
+	sum      atomic.Uint64 // float64 bits
+	min, max atomic.Uint64 // float64 bits; ±Inf until the first observation
+
+	exMu      sync.Mutex
+	exemplars [histBuckets]Exemplar
+}
+
+// NewHist builds an empty histogram outside any registry; a subsystem
+// that renders its own families (engine.Metrics) holds these.
+func NewHist() *Hist {
+	h := &Hist{}
+	h.min.Store(math.Float64bits(math.Inf(1)))
+	h.max.Store(math.Float64bits(math.Inf(-1)))
+	return h
 }
 
 // Observe records one value with no exemplar.
 func (h *Hist) Observe(v float64) { h.ObserveTrace(v, TraceID{}) }
 
 // ObserveTrace records one value and, when trace is set, stores it as
-// the landing bucket's exemplar. The untraced path is byte-for-byte
-// Observe: no time lookup, no allocation — the call sites on hot paths
-// pass the request's TraceID, which is zero whenever no trace context
-// flowed in.
+// the landing bucket's exemplar. The untraced path takes no lock, no
+// time lookup and no allocation — the call sites on hot paths pass the
+// request's TraceID, which is zero whenever no trace context flowed in.
+// The bucket count is bumped last, so a reader that sees it also sees
+// the min, max and sum it contributed.
 func (h *Hist) ObserveTrace(v float64, trace TraceID) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.mu.Lock()
-	h.counts[i]++
-	h.sum += v
-	h.n++
-	if !trace.IsZero() {
-		h.exemplars[i] = Exemplar{Value: v, Trace: trace, AtNS: nowUnixNano()}
-	}
-	h.mu.Unlock()
-}
-
-// snapshot copies the histogram state into a Point.
-func (h *Hist) snapshot() Point {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	p := Point{Sum: h.sum, Count: h.n, Buckets: make([]Bucket, 0, len(h.bounds)+1)}
-	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.counts[i]
-		p.Buckets = append(p.Buckets, Bucket{UpperBound: b, CumulativeCount: cum})
-	}
-	cum += h.counts[len(h.bounds)]
-	p.Buckets = append(p.Buckets, Bucket{UpperBound: math.Inf(1), CumulativeCount: cum})
-	for _, e := range h.exemplars {
-		if !e.Trace.IsZero() {
-			p.Exemplars = append([]Exemplar(nil), h.exemplars...)
+	i := histIndex(v)
+	for old := h.min.Load(); v < math.Float64frombits(old); old = h.min.Load() {
+		if h.min.CompareAndSwap(old, math.Float64bits(v)) {
 			break
 		}
 	}
+	for old := h.max.Load(); v > math.Float64frombits(old); old = h.max.Load() {
+		if h.max.CompareAndSwap(old, math.Float64bits(v)) {
+			break
+		}
+	}
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			break
+		}
+	}
+	h.counts[i].Add(1)
+	if !trace.IsZero() {
+		e := Exemplar{Value: v, Trace: trace, AtNS: nowUnixNano()}
+		h.exMu.Lock()
+		h.exemplars[i] = e
+		h.exMu.Unlock()
+	}
+}
+
+// Count is the number of observations.
+func (h *Hist) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
+// Sum is the exact total of the observations.
+func (h *Hist) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
+
+// Min is the smallest observation; 0 when empty.
+func (h *Hist) Min() float64 {
+	if h.Count() == 0 {
+		return 0
+	}
+	return math.Float64frombits(h.min.Load())
+}
+
+// Max is the largest observation; 0 when empty.
+func (h *Hist) Max() float64 {
+	if h.Count() == 0 {
+		return 0
+	}
+	return math.Float64frombits(h.max.Load())
+}
+
+// Point snapshots the histogram as cumulative buckets carrying labels.
+func (h *Hist) Point(labels ...Label) Point {
+	p := Point{Labels: labels, Sum: h.Sum(), Buckets: make([]Bucket, histBuckets)}
+	for i := range h.counts {
+		p.Count += h.counts[i].Load()
+		p.Buckets[i] = Bucket{UpperBound: histBounds[i], CumulativeCount: p.Count}
+	}
+	h.exMu.Lock()
+	for _, e := range h.exemplars {
+		if !e.Trace.IsZero() {
+			p.Exemplars = append([]Exemplar(nil), h.exemplars[:]...)
+			break
+		}
+	}
+	h.exMu.Unlock()
 	return p
+}
+
+// Quantile estimates the q-quantile (0..1) with BucketQuantile, clamped
+// to the exact observed [Min, Max]. Bucket edges outside that range
+// give way to Min and Max themselves, so a single observation reads
+// exactly and a rank in the +Inf bucket interpolates toward the exact
+// Max instead of stopping at 16 s. 0 when empty.
+func (h *Hist) Quantile(q float64) float64 {
+	p := h.Point() // counts first: an observation they include has stored its min and max
+	if p.Count == 0 {
+		return 0
+	}
+	lo, hi := math.Float64frombits(h.min.Load()), math.Float64frombits(h.max.Load())
+	bs := append(make([]Bucket, 0, histBuckets+1), Bucket{UpperBound: lo})
+	for _, b := range p.Buckets {
+		if b.UpperBound > lo && b.UpperBound < hi {
+			bs = append(bs, b)
+		}
+	}
+	bs = append(bs, Bucket{UpperBound: hi, CumulativeCount: p.Count})
+	return math.Min(math.Max(BucketQuantile(q, bs), lo), hi)
+}
+
+// BucketQuantile estimates the q-quantile (0..1) of cumulative buckets
+// sorted by upper bound, the way Prometheus' histogram_quantile does:
+// linear interpolation inside the bucket the rank falls in, from the
+// previous bound (0 below the first). A rank in the +Inf bucket reads
+// as the highest finite bound; no observations read as 0.
+func BucketQuantile(q float64, bs []Bucket) float64 {
+	if len(bs) == 0 || bs[len(bs)-1].CumulativeCount == 0 {
+		return 0
+	}
+	rank := q * float64(bs[len(bs)-1].CumulativeCount)
+	lo, below := 0.0, 0.0
+	for _, b := range bs {
+		c := float64(b.CumulativeCount)
+		if c >= rank {
+			switch {
+			case math.IsInf(b.UpperBound, 1):
+				return lo
+			case c == below:
+				return b.UpperBound
+			}
+			return lo + (b.UpperBound-lo)*(rank-below)/(c-below)
+		}
+		lo, below = b.UpperBound, c
+	}
+	return lo
 }
 
 // Registry holds named instruments and render-time Gatherers. All
@@ -266,49 +408,39 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram with the given bucket upper
-// bounds (ascending; an implicit +Inf bucket is appended), creating it
-// on first use. Bounds are fixed at creation; later calls ignore the
-// argument.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Hist {
+// Histogram returns the named histogram, creating it on first use.
+func (r *Registry) Histogram(name, help string) *Hist {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = newHist(help, bounds)
+		h = NewHist()
+		h.help = help
 		r.hists[name] = h
 	}
 	return h
 }
 
-func newHist(help string, bounds []float64) *Hist {
-	return &Hist{help: help, bounds: append([]float64(nil), bounds...),
-		counts:    make([]uint64, len(bounds)+1),
-		exemplars: make([]Exemplar, len(bounds)+1)}
-}
-
 // HistVec is one histogram family fanned out over the values of a
-// single label (e.g. serve_queue_wait_seconds by route). All member
-// histograms share bounds; the family renders one labeled Point per
-// member, label values sorted, so the exposition is deterministic.
+// single label (e.g. serve_queue_wait_seconds by route). The family
+// renders one labeled Point per member, label values sorted, so the
+// exposition is deterministic.
 type HistVec struct {
 	help     string
 	labelKey string
-	bounds   []float64
 	mu       sync.Mutex
 	m        map[string]*Hist
 }
 
 // HistogramVec returns the named labeled-histogram family, creating it
-// on first use. Like Histogram, bounds and the label key are fixed at
-// creation; later calls ignore the arguments.
-func (r *Registry) HistogramVec(name, help, labelKey string, bounds []float64) *HistVec {
+// on first use. The label key is fixed at creation; later calls ignore
+// the arguments.
+func (r *Registry) HistogramVec(name, help, labelKey string) *HistVec {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	v, ok := r.histvecs[name]
 	if !ok {
-		v = &HistVec{help: help, labelKey: labelKey,
-			bounds: append([]float64(nil), bounds...), m: make(map[string]*Hist)}
+		v = &HistVec{help: help, labelKey: labelKey, m: make(map[string]*Hist)}
 		r.histvecs[name] = v
 	}
 	return v
@@ -322,7 +454,7 @@ func (v *HistVec) With(labelValue string) *Hist {
 	defer v.mu.Unlock()
 	h, ok := v.m[labelValue]
 	if !ok {
-		h = newHist(v.help, v.bounds)
+		h = NewHist()
 		v.m[labelValue] = h
 	}
 	return h
@@ -343,9 +475,7 @@ func (v *HistVec) snapshotFamily(name string) Family {
 	v.mu.Unlock()
 	f := Family{Name: name, Help: v.help, Type: "histogram"}
 	for i, h := range members {
-		p := h.snapshot()
-		p.Labels = []Label{{Key: v.labelKey, Value: vals[i]}}
-		f.Points = append(f.Points, p)
+		f.Points = append(f.Points, h.Point(Label{Key: v.labelKey, Value: vals[i]}))
 	}
 	return f
 }
@@ -375,7 +505,7 @@ func (r *Registry) Gather() []Family {
 	}
 	for name, h := range r.hists {
 		fams = append(fams, Family{Name: name, Help: h.help, Type: "histogram",
-			Points: []Point{h.snapshot()}})
+			Points: []Point{h.Point()}})
 	}
 	for name, v := range r.histvecs {
 		fams = append(fams, v.snapshotFamily(name))

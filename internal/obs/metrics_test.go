@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -25,22 +26,80 @@ func TestRegistryInstruments(t *testing.T) {
 	if g.Value() != 12.5 {
 		t.Fatalf("gauge = %v", g.Value())
 	}
-	h := r.Histogram("latency_seconds", "Latency.", []float64{0.1, 1})
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5)
-	p := h.snapshot()
-	if p.Count != 3 || p.Sum != 5.55 {
-		t.Fatalf("hist count=%d sum=%v", p.Count, p.Sum)
+	h := r.Histogram("latency_seconds", "Latency.")
+	h.Observe(0.05) // (2^-5, 2^-4]
+	h.Observe(0.5)  // exactly 2^-1
+	h.Observe(5)    // (4, 8]
+	p := h.Point()
+	if p.Count != 3 || p.Sum != 5.55 || h.Min() != 0.05 || h.Max() != 5 {
+		t.Fatalf("hist count=%d sum=%v min=%v max=%v", p.Count, p.Sum, h.Min(), h.Max())
 	}
-	want := []uint64{1, 2, 3}
-	for i, b := range p.Buckets {
-		if b.CumulativeCount != want[i] {
-			t.Fatalf("bucket %d cumulative = %d, want %d", i, b.CumulativeCount, want[i])
+	for i, want := range map[int]uint64{15: 0, 16: 1, 19: 2, 22: 2, 23: 3, histBuckets - 1: 3} {
+		if got := p.Buckets[i].CumulativeCount; got != want {
+			t.Fatalf("bucket %d (le=%v) cumulative = %d, want %d", i, p.Buckets[i].UpperBound, got, want)
 		}
 	}
-	if !math.IsInf(p.Buckets[2].UpperBound, 1) {
+	if len(p.Buckets) != histBuckets || !math.IsInf(p.Buckets[histBuckets-1].UpperBound, 1) {
 		t.Fatal("missing +Inf bucket")
+	}
+}
+
+// TestHistConcurrentObserve drives the lock-free observe path from
+// several goroutines, traced and untraced, while others snapshot and
+// read quantiles: counts, sum, min and max must come out exact (the
+// values are binary fractions, so any summation order is exact) and
+// every read in flight must stay inside the observed range.
+func TestHistConcurrentObserve(t *testing.T) {
+	h := NewHist()
+	trace := NewTraceID()
+	const workers, per = 4, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				v := float64(1+(w*per+i)%64) / 1024 // 1/1024 .. 64/1024 s
+				if i%2 == 0 {
+					h.ObserveTrace(v, trace)
+				} else {
+					h.Observe(v)
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = h.Point()
+			if q := h.Quantile(0.99); q != 0 && (q < 1.0/1024 || q > 64.0/1024) {
+				t.Errorf("in-flight p99 = %v outside the observed range", q)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-readerDone
+
+	var wantSum float64
+	for j := 0; j < workers*per; j++ {
+		wantSum += float64(1+j%64) / 1024
+	}
+	p := h.Point()
+	if p.Count != workers*per || p.Sum != wantSum || h.Min() != 1.0/1024 || h.Max() != 64.0/1024 {
+		t.Fatalf("count=%d sum=%v min=%v max=%v, want %d %v %v %v",
+			p.Count, p.Sum, h.Min(), h.Max(), workers*per, wantSum, 1.0/1024, 64.0/1024)
+	}
+	if p.Buckets[histBuckets-1].CumulativeCount != p.Count || len(p.Exemplars) != histBuckets {
+		t.Fatalf("buckets/exemplars inconsistent: %+v", p)
 	}
 }
 
@@ -48,7 +107,7 @@ func TestWritePrometheusParsesCleanly(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("pbl_runs_total", "Total study runs.").Add(3)
 	r.Gauge("pbl_throughput", "Runs per second.").Set(1.5)
-	r.Histogram("pbl_latency_seconds", "Run latency.", []float64{0.01, 0.1}).Observe(0.02)
+	r.Histogram("pbl_latency_seconds", "Run latency.").Observe(0.02)
 	r.RegisterGatherer(GathererFunc(func() []Family {
 		return []Family{{
 			Name: "external_stage_seconds", Help: "From a gatherer.", Type: "histogram",
@@ -82,7 +141,8 @@ func TestWritePrometheusParsesCleanly(t *testing.T) {
 	for _, want := range []string{
 		`pbl_runs_total 3`,
 		`pbl_throughput 1.5`,
-		`pbl_latency_seconds_bucket{le="0.01"} 0`,
+		`pbl_latency_seconds_bucket{le="0.015625"} 0`,
+		`pbl_latency_seconds_bucket{le="0.03125"} 1`,
 		`pbl_latency_seconds_bucket{le="+Inf"} 1`,
 		`pbl_latency_seconds_count 1`,
 		`external_stage_seconds_bucket{stage="co\"hort",le="1"} 2`,
@@ -125,7 +185,7 @@ func TestHistogramSumLineCarriesLabels(t *testing.T) {
 func TestExpvarRendererEmitsValidJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "").Add(2)
-	r.Histogram("b_seconds", "", []float64{1}).Observe(0.5)
+	r.Histogram("b_seconds", "").Observe(0.5)
 	s := r.ExpvarFunc().String()
 	var decoded map[string]any
 	if err := json.Unmarshal([]byte(s), &decoded); err != nil {

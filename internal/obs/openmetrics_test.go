@@ -86,10 +86,10 @@ func buildTestRegistry(t *testing.T) (*Registry, TraceID) {
 	reg.Counter("test_requests_total", "Requests.").Add(7)
 	reg.Gauge("test_depth", "Queue depth.").Set(3.5)
 	trace, _ := ParseTraceID("4bf92f3577b34da6a3ce929d0e0e4736")
-	h := reg.Histogram("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
+	h := reg.Histogram("test_latency_seconds", "Latency.")
 	h.Observe(0.004)
 	h.ObserveTrace(0.05, trace)
-	v := reg.HistogramVec("test_wait_seconds", "Wait by route.", "route", []float64{0.001, 0.25})
+	v := reg.HistogramVec("test_wait_seconds", "Wait by route.", "route")
 	v.With("/v1/run").ObserveTrace(0.002, trace)
 	v.With("/v1/sweep").Observe(0.3)
 	return reg, trace
@@ -110,7 +110,7 @@ func TestOpenMetricsGrammar(t *testing.T) {
 	if sawEOF {
 		t.Fatal("Prometheus 0.0.4 exposition must not emit # EOF")
 	}
-	if samples["test_requests_total"] != 1 || samples["test_latency_seconds_bucket"] != 4 {
+	if samples["test_requests_total"] != 1 || samples["test_latency_seconds_bucket"] != histBuckets {
 		t.Fatalf("unexpected prometheus samples: %v", samples)
 	}
 
@@ -158,13 +158,14 @@ func TestHistogramExemplarBuckets(t *testing.T) {
 	defer func() { nowUnixNano = old }()
 
 	reg := NewRegistry()
-	h := reg.Histogram("x_seconds", "", []float64{0.01, 0.1})
+	h := reg.Histogram("x_seconds", "")
 	t1, _ := ParseTraceID("0af7651916cd43dd8448eb211c80319c")
 	t2, _ := ParseTraceID("4bf92f3577b34da6a3ce929d0e0e4736")
-	h.ObserveTrace(0.005, t1) // bucket 0
-	h.ObserveTrace(0.004, t2) // bucket 0 again: latest wins
-	h.Observe(0.003)          // untraced: must not clear the exemplar
-	h.ObserveTrace(5, t1)     // overflow (+Inf) bucket
+	const b, inf = 13, histBuckets - 1 // (2^-8 s, 2^-7 s] and +Inf
+	h.ObserveTrace(0.005, t1)          // bucket b
+	h.ObserveTrace(0.006, t2)          // bucket b again: latest wins
+	h.Observe(0.007)                   // untraced: must not clear the exemplar
+	h.ObserveTrace(20, t1)             // overflow (+Inf) bucket
 
 	var fam *Family
 	for _, f := range reg.Gather() {
@@ -177,23 +178,26 @@ func TestHistogramExemplarBuckets(t *testing.T) {
 		t.Fatal("family not gathered")
 	}
 	p := fam.Points[0]
-	if len(p.Exemplars) != 3 {
-		t.Fatalf("exemplar slots = %d, want 3", len(p.Exemplars))
+	if len(p.Exemplars) != histBuckets {
+		t.Fatalf("exemplar slots = %d, want %d", len(p.Exemplars), histBuckets)
 	}
-	if p.Exemplars[0].Trace != t2 || p.Exemplars[0].Value != 0.004 {
-		t.Fatalf("bucket 0 exemplar = %+v, want latest traced (t2, 0.004)", p.Exemplars[0])
+	if p.Buckets[b].UpperBound != 0.0078125 {
+		t.Fatalf("bucket %d bound = %v, want 2^-7", b, p.Buckets[b].UpperBound)
 	}
-	if p.Exemplars[1].Trace != (TraceID{}) {
-		t.Fatalf("bucket 1 exemplar = %+v, want empty", p.Exemplars[1])
+	if p.Exemplars[b].Trace != t2 || p.Exemplars[b].Value != 0.006 {
+		t.Fatalf("bucket %d exemplar = %+v, want latest traced (t2, 0.006)", b, p.Exemplars[b])
 	}
-	if p.Exemplars[2].Trace != t1 || p.Exemplars[2].Value != 5 {
-		t.Fatalf("+Inf exemplar = %+v, want (t1, 5)", p.Exemplars[2])
+	if p.Exemplars[b+1].Trace != (TraceID{}) {
+		t.Fatalf("bucket %d exemplar = %+v, want empty", b+1, p.Exemplars[b+1])
 	}
-	if p.Exemplars[2].AtNS != 1_700_000_000_000_000_000 {
-		t.Fatalf("exemplar timestamp = %d, want pinned clock", p.Exemplars[2].AtNS)
+	if p.Exemplars[inf].Trace != t1 || p.Exemplars[inf].Value != 20 {
+		t.Fatalf("+Inf exemplar = %+v, want (t1, 20)", p.Exemplars[inf])
+	}
+	if p.Exemplars[inf].AtNS != 1_700_000_000_000_000_000 {
+		t.Fatalf("exemplar timestamp = %d, want pinned clock", p.Exemplars[inf].AtNS)
 	}
 	// Counts must be unaffected by exemplar bookkeeping.
-	if p.Count != 4 || p.Buckets[0].CumulativeCount != 3 {
+	if p.Count != 4 || p.Buckets[b].CumulativeCount != 3 {
 		t.Fatalf("counts perturbed: %+v", p)
 	}
 }
@@ -253,22 +257,36 @@ func TestSchedGathererNil(t *testing.T) {
 	}
 }
 
-// quantileSanity guards the httpBounds invariants the exemplar code
-// indexes by.
-func TestHTTPBoundsSorted(t *testing.T) {
-	for i := 1; i < len(httpBounds); i++ {
-		if httpBounds[i] <= httpBounds[i-1] {
-			t.Fatalf("httpBounds unsorted at %d", i)
+// TestHistBoundsSorted guards the shared bucket layout the exemplar
+// slots and histIndex index by: ascending powers of two ending in +Inf,
+// each finite bound in its own (inclusive) bucket and the next float
+// up in the following one, and 0.25 s exact for the latency SLO.
+func TestHistBoundsSorted(t *testing.T) {
+	for i := 1; i < histBuckets; i++ {
+		if histBounds[i] <= histBounds[i-1] {
+			t.Fatalf("histBounds unsorted at %d", i)
 		}
 	}
-	if math.IsInf(httpBounds[len(httpBounds)-1], 1) {
-		t.Fatal("httpBounds must not include +Inf; the overflow bucket is implicit")
+	if !math.IsInf(histBounds[histBuckets-1], 1) || math.IsInf(histBounds[histBuckets-2], 1) {
+		t.Fatal("histBounds must end in exactly one +Inf bucket")
 	}
-	// formatBound must round-trip every bound (exemplar/bucket labels
-	// rely on exact rendering).
-	for _, b := range httpBounds {
+	for i, b := range histBounds[:histBuckets-1] {
+		if got := histIndex(b); got != i {
+			t.Fatalf("histIndex(%v) = %d, want %d (le is inclusive)", b, got, i)
+		}
+		if got := histIndex(math.Nextafter(b, math.Inf(1))); got != i+1 {
+			t.Fatalf("histIndex just above %v = %d, want %d", b, got, i+1)
+		}
+		// formatBound must round-trip every bound (exemplar/bucket labels
+		// rely on exact rendering).
 		if got, err := strconv.ParseFloat(formatBound(b), 64); err != nil || got != b {
 			t.Fatalf("formatBound(%v) = %q does not round-trip", b, formatBound(b))
+		}
+	}
+	for v, want := range map[float64]int{0: 0, -1: 0, 1e-9: 0, 0.25: 18, 1e9: histBuckets - 1,
+		math.Inf(1): histBuckets - 1, math.NaN(): histBuckets - 1} {
+		if got := histIndex(v); got != want {
+			t.Errorf("histIndex(%v) = %d, want %d", v, got, want)
 		}
 	}
 }
@@ -280,14 +298,20 @@ func ExampleRegistry_WriteOpenMetrics() {
 	defer func() { nowUnixNano = old }()
 	reg := NewRegistry()
 	trace, _ := ParseTraceID("4bf92f3577b34da6a3ce929d0e0e4736")
-	reg.Histogram("demo_seconds", "Demo.", []float64{0.1}).ObserveTrace(0.05, trace)
+	reg.Histogram("demo_seconds", "Demo.").ObserveTrace(0.05, trace)
 	var b strings.Builder
 	_ = reg.WriteOpenMetrics(&b)
-	fmt.Print(b.String())
+	// Print the exemplared bucket and the +Inf bucket; the other 24
+	// bucket lines carry no exemplar.
+	for _, line := range strings.SplitAfter(b.String(), "\n") {
+		if !strings.Contains(line, "_bucket") || strings.Contains(line, "trace_id") || strings.Contains(line, "+Inf") {
+			fmt.Print(line)
+		}
+	}
 	// Output:
 	// # HELP demo_seconds Demo.
 	// # TYPE demo_seconds histogram
-	// demo_seconds_bucket{le="0.1"} 1 # {trace_id="4bf92f3577b34da6a3ce929d0e0e4736"} 0.05 1700000000.500
+	// demo_seconds_bucket{le="0.0625"} 1 # {trace_id="4bf92f3577b34da6a3ce929d0e0e4736"} 0.05 1700000000.500
 	// demo_seconds_bucket{le="+Inf"} 1
 	// demo_seconds_sum 0.05
 	// demo_seconds_count 1

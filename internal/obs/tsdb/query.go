@@ -99,74 +99,30 @@ func (db *DB) RangeQuery(name, fn string, from, to int64) []SeriesData {
 // bucket's increase over the window, and interpolates inside the
 // winning bucket the way Prometheus' histogram_quantile does.
 func (db *DB) QuantileOverTime(name string, q float64, from, to int64) []SeriesData {
-	infos := db.Select(name+"_bucket", nil)
-	type group struct {
-		key    string
-		bounds []float64
-		incs   []float64
-	}
-	groups := map[string]*group{}
-	order := []string{}
-	for _, info := range infos {
+	groups := map[string][]obs.Bucket{}
+	for _, info := range db.Select(name+"_bucket", nil) {
 		le := LabelValue(info.Labels, "le")
 		bound, err := parseLE(le)
 		if err != nil {
 			continue
 		}
 		gkey := keyWithoutLE(info.Key, le)
-		g := groups[gkey]
-		if g == nil {
-			g = &group{key: gkey}
-			groups[gkey] = g
-			order = append(order, gkey)
-		}
-		g.bounds = append(g.bounds, bound)
-		g.incs = append(g.incs, IncreaseSamples(db.SamplesBetween(info.Key, from, to)))
+		inc := IncreaseSamples(db.SamplesBetween(info.Key, from, to))
+		groups[gkey] = append(groups[gkey], obs.Bucket{UpperBound: bound, CumulativeCount: uint64(inc)})
+	}
+	order := make([]string, 0, len(groups))
+	for gkey := range groups {
+		order = append(order, gkey)
 	}
 	sort.Strings(order)
 	out := make([]SeriesData, 0, len(order))
 	for _, gkey := range order {
-		g := groups[gkey]
-		v := bucketQuantile(q, g.bounds, g.incs)
+		bs := groups[gkey]
+		sort.Slice(bs, func(i, j int) bool { return bs[i].UpperBound < bs[j].UpperBound })
+		v := obs.BucketQuantile(q, bs)
 		out = append(out, SeriesData{Series: gkey, Type: "histogram", Value: &v})
 	}
 	return out
-}
-
-// bucketQuantile interpolates a quantile from cumulative bucket
-// increases. bounds and incs are parallel and already cumulative, but
-// possibly unsorted; 0 when the window saw no observations.
-func bucketQuantile(q float64, bounds, incs []float64) float64 {
-	idx := make([]int, len(bounds))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return bounds[idx[a]] < bounds[idx[b]] })
-	total := 0.0
-	for _, i := range idx {
-		if incs[i] > total {
-			total = incs[i]
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * total
-	prevBound, prevCount := 0.0, 0.0
-	for _, i := range idx {
-		b, c := bounds[i], incs[i]
-		if c >= rank {
-			if math.IsInf(b, 1) { // +Inf bucket: report the highest finite bound
-				return prevBound
-			}
-			if c == prevCount {
-				return b
-			}
-			return prevBound + (b-prevBound)*(rank-prevCount)/(c-prevCount)
-		}
-		prevBound, prevCount = b, c
-	}
-	return prevBound
 }
 
 // parseLE reverses formatLE.

@@ -20,7 +20,7 @@ func TestDBSamplesRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("demo_total", "demo counter")
 	g := reg.Gauge("demo_depth", "demo gauge")
-	h := reg.Histogram("demo_seconds", "demo histogram", []float64{0.1, 1})
+	h := reg.Histogram("demo_seconds", "demo histogram")
 	db := testDB(t, reg)
 
 	base := time.UnixMilli(1_700_000_000_000)
@@ -53,7 +53,7 @@ func TestDBSamplesRegistry(t *testing.T) {
 	if got := db.SamplesBetween("demo_seconds_count", 0, math.MaxInt64); len(got) != 5 || got[4].V != 10 {
 		t.Fatalf("demo_seconds_count: got %v", got)
 	}
-	for _, key := range []string{`demo_seconds_bucket{le="0.1"}`, `demo_seconds_bucket{le="1"}`, `demo_seconds_bucket{le="+Inf"}`} {
+	for _, key := range []string{`demo_seconds_bucket{le="0.0625"}`, `demo_seconds_bucket{le="2"}`, `demo_seconds_bucket{le="+Inf"}`} {
 		if got := db.SamplesBetween(key, 0, math.MaxInt64); len(got) != 5 {
 			t.Fatalf("%s: %d samples, want 5", key, len(got))
 		}
@@ -159,12 +159,12 @@ func TestDBNonMonotonicDropped(t *testing.T) {
 
 func TestQuantileOverTime(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := reg.Histogram("lat_seconds", "latency", []float64{0.1, 0.5, 1})
+	h := reg.Histogram("lat_seconds", "latency")
 	db := testDB(t, reg)
 	base := time.UnixMilli(1_700_000_000_000)
 	db.SampleOnce(base)
 	for i := 0; i < 90; i++ {
-		h.Observe(0.05) // le=0.1
+		h.Observe(0.05) // le=0.0625
 	}
 	for i := 0; i < 10; i++ {
 		h.Observe(0.3) // le=0.5
@@ -175,14 +175,14 @@ func TestQuantileOverTime(t *testing.T) {
 	if len(res) != 1 {
 		t.Fatalf("quantile returned %d groups, want 1", len(res))
 	}
-	// rank 90 lands exactly on the le=0.1 bucket boundary.
-	if got := *res[0].Value; math.Abs(got-0.1) > 1e-9 {
-		t.Fatalf("p90 = %v, want 0.1", got)
+	// rank 90 lands exactly on the le=0.0625 bucket boundary.
+	if got := *res[0].Value; math.Abs(got-0.0625) > 1e-9 {
+		t.Fatalf("p90 = %v, want 0.0625", got)
 	}
-	// p99: rank 99 interpolates inside (0.1, 0.5].
+	// p99: rank 99 interpolates inside (0.25, 0.5].
 	res = db.QuantileOverTime("lat_seconds", 0.99, 0, math.MaxInt64)
-	if got := *res[0].Value; got <= 0.1 || got > 0.5 {
-		t.Fatalf("p99 = %v, want in (0.1, 0.5]", got)
+	if got := *res[0].Value; got <= 0.25 || got > 0.5 {
+		t.Fatalf("p99 = %v, want in (0.25, 0.5]", got)
 	}
 	// Zero-observation window → 0, not NaN.
 	res = db.QuantileOverTime("lat_seconds", 0.9, base.Add(time.Hour).UnixMilli(), math.MaxInt64)

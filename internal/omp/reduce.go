@@ -8,8 +8,13 @@ import (
 // ForReduce is the reduction-clause loop ("when loops have
 // dependencies"): iterations are distributed per the schedule, each
 // thread folds its share into a private accumulator seeded with
-// identity, and the per-thread partials are combined in thread order —
-// so the final combine sequence is deterministic for any team size.
+// identity, and the per-thread partials are combined in thread order.
+// The combine order is therefore fixed for a given team size, but each
+// partial's contents are only as reproducible as the schedule. A
+// static schedule (Static, StaticChunk) hands every thread the same
+// iterations on every run, so a non-associative fold (floating-point
+// addition) reproduces bitwise; under Dynamic or Guided, which thread
+// claims which chunk varies run to run, and so do the float partials.
 //
 // combine must be associative with identity as its neutral element;
 // body(i, acc) returns the new private accumulator after iteration i.

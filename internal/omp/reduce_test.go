@@ -44,16 +44,19 @@ func TestForReduceMax(t *testing.T) {
 }
 
 func TestForReduceDeterministicFloatOrder(t *testing.T) {
-	// The serial tid-order combine makes float results reproducible run
-	// to run for a fixed team size, even with a dynamic schedule.
+	// A static schedule gives every thread the same iterations on every
+	// run, and the serial tid-order combine fixes how the partials meet,
+	// so a float sum reproduces bitwise for a fixed team size. (Under a
+	// dynamic schedule only the combine order is fixed: chunk ownership,
+	// and with it each float partial, changes run to run.)
 	body := func(i int, acc float64) float64 { return acc + 1.0/float64(i+1) }
 	comb := func(a, b float64) float64 { return a + b }
-	first, err := ForReduce(0, 5000, Dynamic{Chunk: 7}, 0.0, comb, body, WithNumThreads(4))
+	first, err := ForReduce(0, 5000, StaticChunk{Chunk: 7}, 0.0, comb, body, WithNumThreads(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 5; k++ {
-		again, err := ForReduce(0, 5000, Dynamic{Chunk: 7}, 0.0, comb, body, WithNumThreads(4))
+		again, err := ForReduce(0, 5000, StaticChunk{Chunk: 7}, 0.0, comb, body, WithNumThreads(4))
 		if err != nil {
 			t.Fatal(err)
 		}

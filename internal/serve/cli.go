@@ -111,12 +111,8 @@ func Command(name string, args []string) error {
 
 	if *frec {
 		rec := flightrec.New(flightrec.Config{Window: *frecWindow, Dir: *frecDir})
-		rec.Start()
 		flightrec.Install(rec)
-		defer func() {
-			flightrec.Install(nil)
-			rec.Stop()
-		}()
+		defer flightrec.Install(nil)
 		// SIGQUIT dumps a postmortem and keeps serving — the operator's
 		// "what just happened" button. (Catching it replaces Go's
 		// stack-dump-and-exit default while the daemon runs.)

@@ -219,11 +219,6 @@ type Server struct {
 	queueWait                                                   *obs.HistVec
 }
 
-// queueWaitBounds are the admission-wait bucket bounds (seconds): an
-// uncontended Submit is handed to a worker in microseconds, a saturated
-// queue can hold a request for seconds.
-var queueWaitBounds = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
-
 // New builds a Server from cfg.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -247,7 +242,7 @@ func New(cfg Config) *Server {
 	s.shed = reg.Counter("serve_shed_total", "Requests shed with 429 at admission.")
 	s.corruptHealed = reg.Counter("serve_cache_corruption_healed_total", "Cache integrity failures healed by recompute.")
 	s.queueWait = reg.HistogramVec("serve_queue_wait_seconds",
-		"Admission queue wait from Submit to job start, by route.", "route", queueWaitBounds)
+		"Admission queue wait from Submit to job start, by route.", "route")
 	reg.RegisterGatherer(obs.GathererFunc(s.gatherPool))
 	// The pool's scheduler exposes its work-stealing internals (deque
 	// depths, steal/park ledgers, grain claims) through the same registry.
