@@ -7,6 +7,7 @@ package pblparallel
 // bench_test.go, which report reproduced quantities.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -216,7 +217,7 @@ func BenchmarkStudyEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := core.PaperStudy()
 		cfg.Seed = int64(i + 1)
-		if _, err := core.Run(cfg); err != nil {
+		if _, err := core.NewStudy(core.WithConfig(cfg)).Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

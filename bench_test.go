@@ -9,6 +9,7 @@ package pblparallel
 // log; EXPERIMENTS.md interprets the numbers against the paper.
 
 import (
+	"context"
 	"io"
 	"math"
 	"sync"
@@ -38,7 +39,7 @@ var (
 func paperOutcome(b *testing.B) *core.Outcome {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchOut, benchErr = core.Run(core.PaperStudy())
+		benchOut, benchErr = core.NewStudy().Run(context.Background())
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)

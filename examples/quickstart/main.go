@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +18,7 @@ func main() {
 
 	// 2. Run it: cohort → team formation → semester activity → two
 	//    survey waves → full analysis.
-	outcome, err := core.Run(cfg)
+	outcome, err := core.NewStudy(core.WithConfig(cfg)).Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package pblparallel
 // peer ratings to course grades, and the study/what-if coherence.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestModuleProgramsResolve(t *testing.T) {
 // of the paper study: activity → peer ratings → cooperation → module
 // scores → course grades.
 func TestSemesterGradeFlow(t *testing.T) {
-	o, err := core.Run(core.PaperStudy())
+	o, err := core.NewStudy().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestSemesterGradeFlow(t *testing.T) {
 // TestStudyAndProjectionCoherence verifies the what-if projection's
 // baseline agrees in shape with the study's own Table 4 Teamwork row.
 func TestStudyAndProjectionCoherence(t *testing.T) {
-	o, err := core.Run(core.PaperStudy())
+	o, err := core.NewStudy().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestScalingCurveMatchesAmdahlEstimate(t *testing.T) {
 // CSV, re-imports it, and verifies the entire analysis reproduces
 // identically — the interchange path for external tools.
 func TestCSVRoundTripPreservesAnalysis(t *testing.T) {
-	o, err := core.Run(core.PaperStudy())
+	o, err := core.NewStudy().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestCSVRoundTripPreservesAnalysis(t *testing.T) {
 // TestInstrumentReliability confirms the synthesized responses have the
 // internal consistency real Beyerlein administrations report.
 func TestInstrumentReliability(t *testing.T) {
-	o, err := core.Run(core.PaperStudy())
+	o, err := core.NewStudy().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestInstrumentReliability(t *testing.T) {
 // TestRenderedStudyMentionsEverySkill is an end-to-end smoke test of
 // the full report text.
 func TestRenderedStudyMentionsEverySkill(t *testing.T) {
-	o, err := core.Run(core.PaperStudy())
+	o, err := core.NewStudy().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -74,13 +73,6 @@ type Outcome struct {
 	Robustness analysis.Robustness
 	// Sections verifies the two-section design introduced no confound.
 	Sections analysis.SectionComparison
-}
-
-// Run executes the full study. It is the compatibility wrapper over the
-// Study API: Run(cfg) is NewStudy(WithConfig(cfg)).Run(ctx) with a
-// background context.
-func Run(cfg StudyConfig) (*Outcome, error) {
-	return NewStudy(WithConfig(cfg)).Run(context.Background())
 }
 
 // Render writes the full study report: the Fig.-1 timeline, the Fig.-2

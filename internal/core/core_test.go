@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +19,7 @@ var (
 func paperOutcome(t testing.TB) *Outcome {
 	t.Helper()
 	outcomeOnce.Do(func() {
-		outcome, outcomeErr = Run(PaperStudy())
+		outcome, outcomeErr = NewStudy().Run(context.Background())
 	})
 	if outcomeErr != nil {
 		t.Fatal(outcomeErr)
@@ -48,11 +49,11 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(PaperStudy())
+	a, err := NewStudy().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(PaperStudy())
+	b, err := NewStudy().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestShapeChecksMostlyHoldAtPaperN(t *testing.T) {
 func TestUncalibratedAblationRuns(t *testing.T) {
 	cfg := PaperStudy()
 	cfg.Calibrate = false
-	o, err := Run(cfg)
+	o, err := NewStudy(WithConfig(cfg)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +123,12 @@ func TestUncalibratedAblationRuns(t *testing.T) {
 func TestRunRejectsBadConfig(t *testing.T) {
 	cfg := PaperStudy()
 	cfg.Cohort.NStudents = 0
-	if _, err := Run(cfg); err == nil {
+	if _, err := NewStudy(WithConfig(cfg)).Run(context.Background()); err == nil {
 		t.Fatal("bad cohort accepted")
 	}
 	cfg = PaperStudy()
 	cfg.Teams.MinSize = 0
-	if _, err := Run(cfg); err == nil {
+	if _, err := NewStudy(WithConfig(cfg)).Run(context.Background()); err == nil {
 		t.Fatal("bad team config accepted")
 	}
 }

@@ -56,26 +56,6 @@ func TestWithCohortSizeRejectsDegenerateSizes(t *testing.T) {
 	}
 }
 
-func TestCompatWrapperMatchesStudyRun(t *testing.T) {
-	cfg := PaperStudy()
-	cfg.Calibrate = false
-	cfg.Cohort.NStudents = 40
-	cfg.Cohort.NFemale = 8
-	cfg.Cohort.Section1Females = 4
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewStudy(WithConfig(cfg)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Report.Table2.D != b.Report.Table2.D || a.Report.Table3.D != b.Report.Table3.D ||
-		a.Balance.AbilitySpread != b.Balance.AbilitySpread {
-		t.Fatal("core.Run and Study.Run disagree on the same config")
-	}
-}
-
 func TestStudyRunCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -18,7 +18,7 @@ var warmOnce sync.Once
 func warmCalibration(tb testing.TB) {
 	tb.Helper()
 	warmOnce.Do(func() {
-		if _, err := core.Run(core.PaperStudy()); err != nil {
+		if _, err := core.NewStudy().Run(context.Background()); err != nil {
 			tb.Fatal(err)
 		}
 	})

@@ -1,5 +1,5 @@
 // Package engine is the parallel study-execution engine: it fans
-// core.Run out over a bounded worker pool with deterministic seed
+// core.Study runs out over a bounded worker pool with deterministic seed
 // streams, context cancellation with partial-result collection, a
 // per-run timeout, and an observability surface (Metrics).
 //
@@ -9,7 +9,7 @@
 // output no matter how many workers execute it or how the scheduler
 // interleaves them. The engine guarantees that by construction: run i
 // draws its seed from a pure function of (stream, i), each run's
-// randomness is fully internal to core.Run, and results are collected
+// randomness is fully internal to its core.Study, and results are collected
 // into a slice indexed by i — completion order never influences the
 // output. This mirrors the course's own OpenMP patternlets, where the
 // parallel loop owns per-iteration state and the reduction is

@@ -3,7 +3,7 @@
 // fixed set of worker goroutines; work reaches them three ways:
 //
 //   - Submit: fire-and-forget jobs through a bounded admission queue
-//     (the Pool facade in internal/engine fronts this).
+//     (the HTTP daemon admits every computation this way).
 //   - ParallelIndexed: data-parallel regions over an index range,
 //     distributed through a range-stealing IndexPool. The caller
 //     always participates, so a region finishes even when every
@@ -26,9 +26,7 @@ import (
 	"sync/atomic"
 )
 
-// The admission errors. The engine re-exports these so existing
-// errors.Is checks against engine.ErrQueueFull / ErrPoolClosed keep
-// working unchanged.
+// The admission errors Submit returns; match them with errors.Is.
 var (
 	// ErrQueueFull rejects a Submit because the bounded queue is at
 	// capacity — shedding at admission instead of queueing unboundedly.

@@ -63,6 +63,71 @@ func TestSubmitShedsWhenFull(t *testing.T) {
 	}
 }
 
+// TestSubmitZeroQueueHandoff: with no queue capacity a Submit lands
+// only through the handoff lane to a parked worker, and sheds (and
+// counts the shed) once the only worker is busy.
+func TestSubmitZeroQueueHandoff(t *testing.T) {
+	r := New(WithWorkers(1), WithQueueDepth(0))
+	defer r.Close()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	// The worker may not be parked in receive yet, so the first job can
+	// need a beat to find it.
+	for {
+		err := r.Submit(func() { close(started); <-release })
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("first Submit: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	<-started // the only worker is busy; there is no queue to fall back on
+	pre := r.Stats().Shed
+	if err := r.Submit(func() {}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Submit with the worker busy = %v, want ErrQueueFull", err)
+	}
+	if st := r.Stats(); st.Shed != pre+1 || st.InFlight != 1 || st.Queued != 0 {
+		t.Fatalf("stats: %+v (shed before: %d)", st, pre)
+	}
+	close(release)
+}
+
+// TestCloseDrainsQueuedJobs: Close blocks while a job is in flight,
+// then runs every queued job before returning; later Submits are
+// rejected with ErrClosed.
+func TestCloseDrainsQueuedJobs(t *testing.T) {
+	r := New(WithWorkers(1), WithQueueDepth(8))
+	started := make(chan struct{})
+	release := make(chan struct{})
+	if err := r.Submit(func() { close(started); <-release }); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	var ran atomic.Int64
+	for i := 0; i < 8; i++ {
+		if err := r.Submit(func() { ran.Add(1) }); err != nil {
+			t.Fatalf("queued Submit %d: %v", i, err)
+		}
+	}
+	done := make(chan struct{})
+	go func() { r.Close(); close(done) }()
+	select {
+	case <-done:
+		t.Fatal("Close returned while a job was still in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-done
+	if got := ran.Load(); got != 8 {
+		t.Fatalf("drained %d queued jobs, want 8", got)
+	}
+	if err := r.Submit(func() {}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
+	}
+}
+
 // TestStatsConsistentUnderHammer is the shed-accounting regression
 // guard: while submitters and workers race, every snapshot must obey
 // InFlight <= Workers and Queued <= QueueCap — the pair comes from

@@ -88,10 +88,11 @@ func BenchmarkServeCachedRun(b *testing.B) {
 
 // BenchmarkServeCachedRunHandler isolates the server side of a cached
 // /v1/run: the handler invoked directly (no sockets, no client), so
-// the number is the per-request cost of routing + decode + the cache
-// fast path. This is the figure the scheduler redesign's clean-hit
-// fast path targets (the full-HTTP benchmark above is dominated by
-// client and loopback cost).
+// the number is the per-request cost of routing, decode, the cache
+// span and Cache.Do (the full-HTTP benchmark above is dominated by
+// client and loopback cost). The timed loop runs under an in-memory
+// tracer, installed the way serve.Command installs one, so it measures
+// the path pbld serves.
 func BenchmarkServeCachedRunHandler(b *testing.B) {
 	reg := obs.NewRegistry()
 	s := New(Config{Workers: 2, Registry: reg})
@@ -105,6 +106,11 @@ func BenchmarkServeCachedRunHandler(b *testing.B) {
 	if wrec.Code != http.StatusOK {
 		b.Fatalf("warmup status %d", wrec.Code)
 	}
+
+	tr := obs.NewTracer(obs.DefaultCapacity)
+	reg.RegisterGatherer(tr)
+	defer obs.Install(obs.Default())
+	obs.Install(tr)
 
 	body := `{"seed": 321}`
 	b.ReportAllocs()

@@ -269,32 +269,6 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func() ([]byte, error)) (
 	return body, status, err
 }
 
-// Get is the injection-free fast path: a plain verified cache hit, or
-// (false) anything that needs Do — miss, in-flight computation, or an
-// integrity failure that wants healing. Callers use it to skip the
-// per-request context and span plumbing on clean hits; it must not be
-// used while a fault injector is armed, because it bypasses the
-// corruption site (and its hit-sequence keying).
-func (c *Cache) Get(k Key) ([]byte, bool) {
-	c.mu.Lock()
-	el, ok := c.entries[k.hex]
-	if !ok {
-		c.mu.Unlock()
-		return nil, false
-	}
-	e := el.Value.(*entry)
-	if sha256.Sum256(e.body) != e.sum {
-		// Real bit rot: fall back to Do, which heals by recompute.
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.stats.Hits++
-	body := e.body
-	c.mu.Unlock()
-	return body, true
-}
-
 // Stats snapshots the cache ledger.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()

@@ -50,9 +50,9 @@ func TestCacheDiskReadThrough(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// The disk hit was promoted into memory: the next read is a plain
-	// hit on the fast path.
-	if _, ok := cold.Get(k); !ok {
-		t.Fatal("disk hit not promoted to the memory tier")
+	// memory hit.
+	if _, status, _ := cold.Do(context.Background(), k, nil); status != CacheHit {
+		t.Fatalf("disk hit not promoted to the memory tier: status %v", status)
 	}
 }
 

@@ -21,11 +21,11 @@ import (
 // retry attempts under the service.
 const retryBackoff = 100 * time.Microsecond
 
-// decodeParams fills dst from the request: a JSON body on POST, query
-// parameters on GET (the query names match the JSON field tags via
-// queryGet below). Unknown JSON fields are rejected so typos cannot
-// silently select defaults — a mistyped "students" must not hash to the
-// paper's cohort.
+// decodeParams fills dst from a POST's JSON body; on GET it leaves dst
+// alone and each handler overlays its query parameters inline (the
+// query names match the JSON field tags). Unknown JSON fields are
+// rejected so typos cannot silently select defaults — a mistyped
+// "students" must not hash to the paper's cohort.
 func decodeParams(r *http.Request, dst any) error {
 	switch r.Method {
 	case http.MethodPost:

@@ -24,7 +24,8 @@
 // coalescing so N concurrent identical requests compute once, and an
 // optional persistent tier below the LRU (-cache-dir; internal/store)
 // so the warm set survives restarts. An admission layer feeds
-// computations through a bounded engine.Pool, sheds overload with 429 +
+// computations through the bounded queue of one sched.Runtime, whose
+// workers also run each request's engine, sheds overload with 429 +
 // Retry-After, bounds each request's wait by its Request-Timeout
 // header, and drains gracefully on SIGTERM.
 //
@@ -53,13 +54,13 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"pblparallel/internal/engine"
 	"pblparallel/internal/fault"
 	"pblparallel/internal/obs"
 	"pblparallel/internal/obs/flightrec"
@@ -83,8 +84,9 @@ func init() {
 // Config tunes a Server. The zero value is usable: every field has a
 // serving default.
 type Config struct {
-	// Workers bounds the admission pool and each run's engine; 0
-	// selects runtime.NumCPU(). Never part of a cache key.
+	// Workers sizes the scheduler that admits requests and runs each
+	// request's engine; 0 selects runtime.NumCPU(). Never part of a
+	// cache key.
 	Workers int
 	// Queue is the admission queue depth in front of the pool; waiting
 	// requests beyond it are shed with 429. Defaults to 32.
@@ -135,8 +137,8 @@ type Config struct {
 	// SLOInterval is the evaluation cadence; <=0 selects 15s.
 	SLOInterval time.Duration
 	// WatchdogInterval, when >0, arms the runtime watchdog:
-	// goroutine-leak growth and scheduler stalls (read from the pool's
-	// scheduler introspection) trigger flight-recorder postmortems.
+	// goroutine-leak growth and scheduler stalls (read from the
+	// scheduler's introspection) trigger flight-recorder postmortems.
 	WatchdogInterval time.Duration
 }
 
@@ -152,6 +154,10 @@ func DefaultSLOs() []slo.Objective {
 
 // withDefaults resolves the zero values.
 func (c Config) withDefaults() Config {
+	if c.Workers <= 0 {
+		// sched.WithWorkers clamps n <= 0 to one worker, not NumCPU.
+		c.Workers = runtime.NumCPU()
+	}
 	if c.Queue <= 0 {
 		c.Queue = 32
 	}
@@ -184,8 +190,7 @@ func (c Config) withDefaults() Config {
 // graceful drain, Close drains without a listener (tests).
 type Server struct {
 	cfg   Config
-	pool  *engine.Pool
-	rt    *sched.Runtime // the pool's scheduler, shared with every request engine
+	rt    *sched.Runtime // admission queue and workers, shared with every request engine
 	cache *Cache
 	httpm *obs.HTTPMetrics
 	mux   *http.ServeMux
@@ -222,11 +227,9 @@ type Server struct {
 // New builds a Server from cfg.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	pool := engine.NewPool(engine.WithPoolWorkers(cfg.Workers), engine.WithQueueDepth(cfg.Queue))
 	s := &Server{
 		cfg:   cfg,
-		pool:  pool,
-		rt:    pool.Runtime(),
+		rt:    sched.New(sched.WithWorkers(cfg.Workers), sched.WithQueueDepth(cfg.Queue)),
 		cache: NewCache(cfg.CacheEntries, cfg.Injector),
 		httpm: obs.NewHTTPMetrics(cfg.Registry),
 		mux:   http.NewServeMux(),
@@ -244,7 +247,7 @@ func New(cfg Config) *Server {
 	s.queueWait = reg.HistogramVec("serve_queue_wait_seconds",
 		"Admission queue wait from Submit to job start, by route.", "route")
 	reg.RegisterGatherer(obs.GathererFunc(s.gatherPool))
-	// The pool's scheduler exposes its work-stealing internals (deque
+	// The scheduler exposes its work-stealing internals (deque
 	// depths, steal/park ledgers, grain claims) through the same registry.
 	reg.RegisterGatherer(obs.SchedGatherer(s.rt))
 
@@ -257,7 +260,7 @@ func New(cfg Config) *Server {
 	}
 
 	// The judgment layer: SLO burn-rate evaluation over the attached
-	// TSDB, and the runtime watchdog over the pool's scheduler. Both
+	// TSDB, and the runtime watchdog over the scheduler. Both
 	// close their loop through the flight recorder, so a tripped
 	// budget or a stalled scheduler produces a postmortem bundle with
 	// the TSDB window embedded.
@@ -339,7 +342,7 @@ func (s *Server) routes() []route {
 
 // gatherPool surfaces admission state in the metrics exposition.
 func (s *Server) gatherPool() []obs.Family {
-	ps := s.pool.Stats()
+	ps := s.rt.Stats()
 	gauge := func(name, help string, v float64) obs.Family {
 		return obs.Family{Name: name, Help: help, Type: "gauge",
 			Points: []obs.Point{{Value: v}}}
@@ -356,7 +359,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Stats bundles the server's ledgers for tests and the chaos report.
 type Stats struct {
-	Pool  engine.PoolStats
+	Pool  sched.Stats
 	Cache CacheStats
 	Store store.StatsSnapshot
 	Shed  int64
@@ -364,7 +367,7 @@ type Stats struct {
 
 // Stats snapshots the server.
 func (s *Server) Stats() Stats {
-	st := Stats{Pool: s.pool.Stats(), Cache: s.cache.Stats(), Shed: s.shed.Value()}
+	st := Stats{Pool: s.rt.Stats(), Cache: s.cache.Stats(), Shed: s.shed.Value()}
 	if s.cfg.DiskStore != nil {
 		st.Store = s.cfg.DiskStore.Stats()
 	}
@@ -401,7 +404,7 @@ func (s *Server) Close() {
 		s.draining.Store(true)
 		s.sloEval.Stop()
 		s.wdog.Stop()
-		s.pool.Close()
+		s.rt.Close()
 		if s.cfg.DiskStore != nil {
 			s.cfg.DiskStore.Close()
 		}
@@ -446,7 +449,7 @@ func (s *Server) retryAfter() int {
 	if est <= 0 {
 		est = time.Second
 	}
-	ps := s.pool.Stats()
+	ps := s.rt.Stats()
 	backlog := float64(ps.Queued+ps.InFlight+1) / float64(ps.Workers)
 	secs := int(math.Ceil(est.Seconds() * backlog))
 	if secs < 1 {
@@ -504,22 +507,6 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, k Key, build fu
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	// Clean-hit fast path: with no injector armed and no tracer
-	// installed, a verified cache hit needs none of the per-request
-	// context/span plumbing below. This is the embedded/untraced
-	// shape (the pbld CLI always keeps an in-memory tracer for
-	// /debug/trace, so it takes the instrumented path); measured by
-	// BenchmarkServeCachedRunHandler.
-	if s.cfg.Injector == nil && obs.Default() == nil {
-		if body, ok := s.cache.Get(k); ok {
-			s.cacheHits.Inc()
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Cache", string(CacheHit))
-			w.Header().Set("X-Study-Key", k.Hex())
-			w.Write(body)
-			return
-		}
-	}
 	ctx, cancel := context.WithTimeout(r.Context(), wait)
 	defer cancel()
 
@@ -548,7 +535,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, k Key, build fu
 			s.noteShed(obs.TraceIDFromContext(ctx))
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
 			writeError(w, http.StatusTooManyRequests, "admission queue full; retry after the advertised backoff")
-		case errors.Is(err, engine.ErrPoolClosed):
+		case errors.Is(err, sched.ErrClosed):
 			writeError(w, http.StatusServiceUnavailable, "draining")
 		case errors.Is(err, context.DeadlineExceeded):
 			writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
@@ -626,8 +613,8 @@ func (s *Server) compute(ctx context.Context, route string, k Key, build func(ct
 		}
 		done <- result{append(b, '\n'), nil}
 	}
-	if err := s.pool.Submit(job); err != nil {
-		if errors.Is(err, engine.ErrQueueFull) {
+	if err := s.rt.Submit(job); err != nil {
+		if errors.Is(err, sched.ErrQueueFull) {
 			asp.Str("outcome", "shed").End()
 			return nil, errShed
 		}

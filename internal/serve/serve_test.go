@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -33,6 +34,24 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 		s.Close()
 	})
 	return s, ts
+}
+
+// TestWorkersDefaultToNumCPU pins the zero-value worker count: the
+// scheduler clamps WithWorkers(0) to a single worker, so Config must
+// resolve Workers <= 0 to runtime.NumCPU() before building it (pbld's
+// default -workers is 0).
+func TestWorkersDefaultToNumCPU(t *testing.T) {
+	for _, tc := range []struct{ workers, want int }{
+		{0, runtime.NumCPU()},
+		{3, 3},
+	} {
+		s := New(Config{Workers: tc.workers, Registry: obs.NewRegistry()})
+		got := s.Stats().Pool.Workers
+		s.Close()
+		if got != tc.want {
+			t.Errorf("Workers %d: scheduler has %d workers, want %d", tc.workers, got, tc.want)
+		}
+	}
 }
 
 func post(t testing.TB, ts *httptest.Server, path, body string, header map[string]string) (*http.Response, []byte) {

@@ -163,7 +163,7 @@ func TestCoalescedFollowersLinkLeaderTrace(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if err := s.pool.Submit(func() { close(started); <-release }); err != nil {
+	if err := s.rt.Submit(func() { close(started); <-release }); err != nil {
 		t.Fatal(err)
 	}
 	<-started // the only worker is now parked; the leader's job must queue
