@@ -61,6 +61,7 @@ golden:
 ## exercise the corpora plus a few thousand mutations in CI.
 fuzz-smoke:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzHistQuantile -fuzztime 2s
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzTraceparent -fuzztime 2s
 	$(GO) test ./internal/armsim -run '^$$' -fuzz FuzzAsmParse -fuzztime 2s
 	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzSurveyScores -fuzztime 2s
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime 2s
@@ -72,6 +73,7 @@ fuzz-smoke:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzHistQuantile -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzTraceparent -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/armsim -run '^$$' -fuzz FuzzAsmParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzSurveyScores -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime $(FUZZTIME)

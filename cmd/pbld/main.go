@@ -14,19 +14,21 @@
 //	     [-timeout D] [-drain D] [-retries N]
 //	     [-fault-qfull P] [-fault-slow P] [-fault-corrupt P]
 //	     [-fault-store-corrupt P] [-fault-store-read P] [-fault-store-write P]
-//	     [-tsdb-interval D] [-tsdb-retention D] [-slo-interval D]
-//	     [-watchdog-interval D]
+//	     [-tsdb-interval D] [-tsdb-retention D] [-prof-interval D]
 //	     [-trace FILE] [-metrics-out FILE] [-pprof ADDR]
 //
 // Endpoints: POST /v1/run, POST /v1/sweep, POST /v1/cohort,
 // GET /v1/spring2019, plus /healthz, /readyz, the Prometheus
 // exposition on /metrics, and the /debug family — trace/{id},
 // flightrec, sched, prof, tsdb (metrics history range queries), and
-// slo (burn rates and error budgets). The embedded TSDB, the SLO
-// burn-rate engine, and the runtime watchdog run by default (-tsdb,
-// -slo, -watchdog to disable); a tripped error budget or a runtime
-// anomaly triggers a flight-recorder postmortem with the metrics
-// window embedded. `pblstudy serve` runs the identical server.
+// slo (burn rates and error budgets). The embedded TSDB and the rule
+// engine run by default (-tsdb, -slo to disable), on one clock that
+// ticks every -tsdb-interval: each tick samples the TSDB, then
+// evaluates the SLO burn-rate rules and the goroutine-leak and
+// scheduler-stall checks over that sample, and every -prof-interval it
+// also runs the continuous profiler's cycle. A tripped error budget or
+// a runtime anomaly triggers a flight-recorder postmortem with the
+// metrics window embedded. `pblstudy serve` runs the identical server.
 package main
 
 import (

@@ -16,6 +16,7 @@ import (
 	"pblparallel/internal/obs"
 	"pblparallel/internal/obs/flightrec"
 	"pblparallel/internal/obs/prof"
+	"pblparallel/internal/obs/slo"
 	"pblparallel/internal/obs/tsdb"
 	"pblparallel/internal/serve"
 	"pblparallel/internal/store"
@@ -67,16 +68,15 @@ func runServeChaos(o serveChaosOpts) bool {
 		flightrec.Install(flightrec.New(flightrec.Config{Dir: o.flightrecDir, Window: 5 * time.Minute}))
 		defer flightrec.Install(nil)
 		// The continuous profiler runs across the sweep on a tight
-		// cadence, so the byte-invariance assertion also proves that CPU
-		// sampling, heap snapshots, and mutex/block sampling never change
-		// response bytes — and a drift postmortem ships real profiles.
+		// cadence (each server's clock drives its cycle), so the
+		// byte-invariance assertion also proves that CPU sampling, heap
+		// snapshots, and mutex/block sampling never change response
+		// bytes — and a drift postmortem ships real profiles.
 		p := prof.New(prof.Config{
-			Interval:      2 * time.Second,
 			CPUDuration:   500 * time.Millisecond,
 			MutexFraction: 100,
 			BlockRate:     1_000_000,
 		})
-		p.Start()
 		prof.Install(p)
 		defer func() {
 			prof.Install(nil)
@@ -301,24 +301,35 @@ type chaosServer struct {
 // phase spins up several servers in one process, and sharing the
 // process registry would merge their ledgers.
 //
-// Every server runs with the full judgment layer armed — a
-// fast-cadence TSDB sampling its registry, the default SLOs over it,
-// and the runtime watchdog — so the byte-invariance assertion also
-// proves that history sampling, burn-rate evaluation, and anomaly
-// checks never change response bytes. The TSDB attaches to the active
-// flight recorder while the server runs: any postmortem the sweep
-// triggers embeds the metrics window.
+// Every server runs with the full judgment layer armed — one clock
+// ticking every 250ms that samples a TSDB over its registry, evaluates
+// the default SLOs and the runtime rules over it, and cycles the
+// active profiler every 2s — so the byte-invariance assertion also
+// proves that history sampling, rule evaluation, and profiling never
+// change response bytes. The TSDB attaches to the active flight
+// recorder while the server runs: any postmortem the sweep triggers
+// embeds the metrics window.
 func startChaosServer(cfg serve.Config) *chaosServer {
+	const tick = 250 * time.Millisecond
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
+		cfg.Registry.RegisterGatherer(obs.BuildInfoGatherer()) // go_goroutines for the leak rule
 	}
-	db := tsdb.New(tsdb.Config{Registry: cfg.Registry, Interval: 250 * time.Millisecond})
-	db.Start()
+	db := tsdb.New(tsdb.Config{Registry: cfg.Registry, Interval: tick})
 	flightrec.Active().AttachTSDB(db)
 	cfg.TSDB = db
-	cfg.SLOs = serve.DefaultSLOs()
-	cfg.SLOInterval = 250 * time.Millisecond
-	cfg.WatchdogInterval = 250 * time.Millisecond
+	cfg.SLO = slo.New(slo.Config{
+		Objectives: slo.DefaultSLOs(),
+		Source:     slo.TSDBSource{DB: db},
+		Registry:   cfg.Registry,
+		OnTrip: func(t slo.Trip) {
+			flightrec.Active().Trigger(t.Reason, obs.TraceID{})
+		},
+	})
+	clock := obs.NewClock(tick)
+	clock.Every(tick, db.SampleOnce)
+	clock.Every(tick, func(now time.Time) { cfg.SLO.Eval(now) })
+	clock.Every(2*time.Second, prof.Active().Cycle)
 	srv := serve.New(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -330,6 +341,7 @@ func startChaosServer(cfg serve.Config) *chaosServer {
 		defer close(done)
 		_ = srv.Serve(ctx, ln)
 	}()
+	clock.Start()
 	return &chaosServer{
 		srv:  srv,
 		db:   db,
@@ -337,8 +349,8 @@ func startChaosServer(cfg serve.Config) *chaosServer {
 		stop: func() {
 			cancel()
 			<-done
+			clock.Stop()
 			flightrec.Active().AttachTSDB(nil)
-			db.Stop()
 		},
 	}
 }

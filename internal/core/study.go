@@ -39,6 +39,14 @@ const (
 	StageAnalysis    = "analysis"
 )
 
+// ConfigError reports a study configuration the pipeline cannot run,
+// such as a cohort whose sections cannot form teams of the configured
+// sizes: the caller's mistake, not a failure of the run.
+type ConfigError struct{ Err error }
+
+func (e *ConfigError) Error() string { return e.Err.Error() }
+func (e *ConfigError) Unwrap() error { return e.Err }
+
 // StageObserver receives the wall-time of each completed pipeline stage.
 // Implementations must be safe for concurrent use when the same observer
 // is shared across parallel studies (the engine's Metrics is).
@@ -189,7 +197,7 @@ func (s *Study) Run(ctx context.Context) (*Outcome, error) {
 	start, sp := stageBegin(StageCohort)
 	coh, err := cohort.Generate(cfg.Cohort, cfg.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("core: cohort: %w", err)
+		return nil, &ConfigError{fmt.Errorf("core: cohort: %w", err)}
 	}
 	stageEnd(StageCohort, start, sp)
 
@@ -199,7 +207,7 @@ func (s *Study) Run(ctx context.Context) (*Outcome, error) {
 	start, sp = stageBegin(StageTeams)
 	formation, err := teams.FormBalanced(coh, cfg.Teams, cfg.Seed+1)
 	if err != nil {
-		return nil, fmt.Errorf("core: teams: %w", err)
+		return nil, &ConfigError{fmt.Errorf("core: teams: %w", err)}
 	}
 	balance, err := formation.Report()
 	if err != nil {

@@ -43,7 +43,8 @@ func buildInfoLabels() []Label {
 
 // BuildInfoGatherer contributes build_info and
 // process_start_time_seconds — the identity block every exposition
-// should lead with so scraped numbers can be tied to a binary.
+// should lead with so scraped numbers can be tied to a binary — plus
+// the go_goroutines gauge the goroutine-leak rule reads.
 func BuildInfoGatherer() Gatherer {
 	labels := buildInfoLabels()
 	start := float64(processStart.UnixNano()) / 1e9
@@ -60,6 +61,12 @@ func BuildInfoGatherer() Gatherer {
 				Help:   "Start time of the process since unix epoch in seconds.",
 				Type:   "gauge",
 				Points: []Point{{Value: start}},
+			},
+			{
+				Name:   "go_goroutines",
+				Help:   "Goroutines that currently exist.",
+				Type:   "gauge",
+				Points: []Point{{Value: float64(runtime.NumGoroutine())}},
 			},
 		}
 	})

@@ -91,10 +91,6 @@ type Config struct {
 	// MinGap rate-limits triggered dumps; <=0 selects 5s. On-demand
 	// WriteBundle calls are never limited.
 	MinGap time.Duration
-	// TSDB, when non-nil, is the embedded time-series store whose
-	// Window-sized history every bundle embeds (see Bundle.TSDB). It
-	// can also be attached after construction with AttachTSDB.
-	TSDB *tsdb.DB
 }
 
 // Recorder is the flight recorder. All methods are safe for concurrent
@@ -151,9 +147,6 @@ func New(cfg Config) *Recorder {
 	for i := range r.shards {
 		r.shards[i].buf = make([]event, per)
 	}
-	if cfg.TSDB != nil {
-		r.tsdb.Store(cfg.TSDB)
-	}
 	return r
 }
 
@@ -161,14 +154,9 @@ func New(cfg Config) *Recorder {
 // next bundle embeds that store's window. Nil detaches; nil-safe on a
 // nil recorder.
 func (r *Recorder) AttachTSDB(db *tsdb.DB) {
-	if r == nil {
-		return
+	if r != nil {
+		r.tsdb.Store(db)
 	}
-	if db == nil {
-		r.tsdb.Store(nil)
-		return
-	}
-	r.tsdb.Store(db)
 }
 
 // Event records one incident. Nil-safe and allocation-free: the event

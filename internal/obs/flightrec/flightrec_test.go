@@ -271,13 +271,14 @@ func BenchmarkEventEnabled(b *testing.B) {
 func TestBundleEmbedsTSDBWindow(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("demo_total", "demo").Add(5)
-	db := tsdb.New(tsdb.Config{Registry: reg, Interval: time.Hour})
+	db := tsdb.New(tsdb.Config{Registry: reg})
 	now := time.Now()
 	db.SampleOnce(now.Add(-2 * time.Second))
 	reg.Counter("demo_total", "demo").Add(5)
 	db.SampleOnce(now.Add(-1 * time.Second))
 
-	r := newTestRecorder(Config{Window: time.Minute, Registry: reg, TSDB: db})
+	r := newTestRecorder(Config{Window: time.Minute, Registry: reg})
+	r.AttachTSDB(db)
 	var buf bytes.Buffer
 	if err := r.WriteBundle(&buf, "test", obs.TraceID{}); err != nil {
 		t.Fatalf("WriteBundle: %v", err)

@@ -113,6 +113,10 @@ func (m *HTTPMetrics) Middleware(route string, next http.Handler) http.Handler {
 			// Children should parent under the request span, and the
 			// response should advertise it as the remote parent.
 			tc = sp.TraceCtx()
+		} else if tc.Parent == 0 {
+			// Untraced and minted: no request span exists, but a valid
+			// traceparent names a non-zero parent.
+			tc.Parent = newSpanID()
 		}
 		w.Header().Set("X-Trace-Id", tc.Trace.String())
 		w.Header().Set("traceparent", tc.Traceparent())

@@ -1,8 +1,9 @@
-// Package prof is the continuous profiler: a background loop that
-// captures CPU, heap, goroutine, mutex, and block pprof profiles into
-// a bounded in-memory ring of compressed snapshots, plus a
-// trigger-driven capture path so every flight-recorder postmortem
-// bundle ships with the profiles that explain it.
+// Package prof is the continuous profiler: a cycle, run on the
+// daemon's obs.Clock, that captures CPU, heap, goroutine, mutex, and
+// block pprof profiles into a bounded in-memory ring of compressed
+// snapshots, plus a trigger-driven capture path so every
+// flight-recorder postmortem bundle ships with the profiles that
+// explain it.
 //
 // It obeys the observability contract of the tracer and the flight
 // recorder: capturing never changes what the system computes, and the
@@ -53,10 +54,10 @@ type Snapshot struct {
 type Config struct {
 	// Capacity is the snapshot-ring size (slots); <1 selects 64.
 	Capacity int
-	// Interval paces the background capture cycle; <=0 selects 30s.
-	Interval time.Duration
 	// CPUDuration is the CPU sampling window per cycle; <=0 selects
-	// 1s, and it is clamped below Interval so cycles never overlap.
+	// 1s. It should be shorter than the cycle period: a cycle that
+	// finds the previous window still open counts a capture error and
+	// skips its CPU profile.
 	CPUDuration time.Duration
 	// MutexFraction is passed to runtime.SetMutexProfileFraction when
 	// >0 (sample 1/n of contention events); 0 leaves the rate alone.
@@ -80,8 +81,8 @@ type Profiler struct {
 	next uint64
 	seq  uint64
 
-	stop chan struct{}
-	done chan struct{}
+	cpuMu sync.Mutex // held while a CPU window opens or closes
+	cpu   *cpuWindow // the open CPU sampling window, if any
 
 	captures *obs.Counter
 	errors   *obs.Counter
@@ -93,14 +94,8 @@ func New(cfg Config) *Profiler {
 	if cfg.Capacity < 1 {
 		cfg.Capacity = 64
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 30 * time.Second
-	}
 	if cfg.CPUDuration <= 0 {
 		cfg.CPUDuration = time.Second
-	}
-	if cfg.CPUDuration >= cfg.Interval {
-		cfg.CPUDuration = cfg.Interval / 2
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Metrics()
@@ -121,47 +116,31 @@ func New(cfg Config) *Profiler {
 	}
 }
 
-// Start launches the background capture loop (idempotent per profiler;
-// Stop it before discarding the profiler). Each cycle samples CPU for
-// CPUDuration, then takes instant heap/goroutine/mutex/block snapshots.
-func (p *Profiler) Start() {
-	if p == nil || p.stop != nil {
+// Cycle is one continuous-profiling step, run by the daemon's clock:
+// it opens a CPU sampling window that a timer closes CPUDuration later,
+// then takes the instant heap/goroutine/mutex/block snapshots. It never
+// waits for the window, so the clock's other jobs keep their cadence.
+func (p *Profiler) Cycle(time.Time) {
+	if p == nil {
 		return
 	}
-	p.stop = make(chan struct{})
-	p.done = make(chan struct{})
-	go func() {
-		defer close(p.done)
-		tick := time.NewTicker(p.cfg.Interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-p.stop:
-				return
-			case <-tick.C:
-				p.captureCycle()
-			}
-		}
-	}()
-}
-
-// Stop halts the capture loop and waits for it to exit.
-func (p *Profiler) Stop() {
-	if p == nil || p.stop == nil {
-		return
-	}
-	close(p.stop)
-	<-p.done
-	p.stop, p.done = nil, nil
-}
-
-// captureCycle is one background iteration: a CPU sampling window
-// followed by the instant profiles.
-func (p *Profiler) captureCycle() {
-	p.captureCPU("interval")
+	p.startCPU("interval")
 	for _, kind := range instantKinds {
 		p.captureInstant(kind, "interval")
 	}
+}
+
+// Stop closes an open CPU window now, keeping what it sampled, and
+// cancels its timer; it returns once the runtime's CPU profiler is
+// released. Call it after the clock stops driving Cycle.
+func (p *Profiler) Stop() {
+	if p == nil {
+		return
+	}
+	p.cpuMu.Lock()
+	w := p.cpu
+	p.cpuMu.Unlock()
+	p.closeCPU(w)
 }
 
 // cpuActive serializes CPU profiling process-wide: the runtime allows
@@ -169,25 +148,46 @@ func (p *Profiler) captureCycle() {
 // /debug/pprof/profile open.
 var cpuActive atomic.Bool
 
-// captureCPU samples the CPU profile for the configured window,
-// aborting early when the profiler stops.
-func (p *Profiler) captureCPU(reason string) {
+// cpuWindow is one open CPU profile: the buffer the runtime writes
+// into and the timer that closes it.
+type cpuWindow struct {
+	reason string
+	buf    bytes.Buffer
+	timer  *time.Timer
+}
+
+// startCPU opens a CPU sampling window that closes itself after
+// CPUDuration.
+func (p *Profiler) startCPU(reason string) {
 	if !cpuActive.CompareAndSwap(false, true) {
 		p.errors.Inc()
 		return
 	}
-	defer cpuActive.Store(false)
-	var buf bytes.Buffer
-	if err := pprof.StartCPUProfile(&buf); err != nil {
+	w := &cpuWindow{reason: reason}
+	if err := pprof.StartCPUProfile(&w.buf); err != nil {
+		cpuActive.Store(false)
 		p.errors.Inc()
 		return
 	}
-	select {
-	case <-time.After(p.cfg.CPUDuration):
-	case <-p.stop:
+	p.cpuMu.Lock()
+	p.cpu = w
+	w.timer = time.AfterFunc(p.cfg.CPUDuration, func() { p.closeCPU(w) })
+	p.cpuMu.Unlock()
+}
+
+// closeCPU stops window w's profile and stores it, unless the timer or
+// Stop closed it first.
+func (p *Profiler) closeCPU(w *cpuWindow) {
+	p.cpuMu.Lock()
+	defer p.cpuMu.Unlock()
+	if w == nil || p.cpu != w {
+		return
 	}
+	p.cpu = nil
+	w.timer.Stop()
 	pprof.StopCPUProfile()
-	p.store(KindCPU, reason, buf.Bytes())
+	cpuActive.Store(false)
+	p.store(KindCPU, w.reason, w.buf.Bytes())
 }
 
 // captureInstant snapshots one point-in-time profile by name.
@@ -221,7 +221,7 @@ func (p *Profiler) store(kind, reason string, data []byte) {
 // CaptureTrigger takes instant heap/goroutine/mutex/block snapshots
 // tagged with reason, pairs them with the most recent CPU snapshot
 // from the continuous ring (a CPU profile needs a sampling window, so
-// a trigger can only ship what the background loop already has), and
+// a trigger can only ship what the clock-driven cycle already has), and
 // returns the set. The new snapshots also enter the ring. Nil-safe:
 // the disabled profiler returns nil.
 func (p *Profiler) CaptureTrigger(reason string) []Snapshot {
@@ -264,41 +264,25 @@ func (p *Profiler) Snapshots() []Snapshot {
 
 // Latest returns the most recent snapshot of kind, if any.
 func (p *Profiler) Latest(kind string) (Snapshot, bool) {
-	if p == nil {
-		return Snapshot{}, false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := p.next
-	cap64 := uint64(len(p.ring))
-	lo := uint64(0)
-	if n > cap64 {
-		lo = n - cap64
-	}
-	for j := n; j > lo; j-- {
-		if s := p.ring[(j-1)%cap64]; s.Kind == kind {
-			return s, true
-		}
-	}
-	return Snapshot{}, false
+	return p.newest(func(s Snapshot) bool { return s.Kind == kind })
 }
 
 // Get returns the snapshot with the given sequence number, if still in
 // the ring.
 func (p *Profiler) Get(seq uint64) (Snapshot, bool) {
+	return p.newest(func(s Snapshot) bool { return s.Seq == seq })
+}
+
+// newest returns the most recent buffered snapshot that match accepts.
+func (p *Profiler) newest(match func(Snapshot) bool) (Snapshot, bool) {
 	if p == nil {
 		return Snapshot{}, false
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := p.next
 	cap64 := uint64(len(p.ring))
-	lo := uint64(0)
-	if n > cap64 {
-		lo = n - cap64
-	}
-	for j := lo; j < n; j++ {
-		if s := p.ring[j%cap64]; s.Seq == seq {
+	for j := p.next; j > 0 && p.next-j < cap64; j-- {
+		if s := p.ring[(j-1)%cap64]; match(s) {
 			return s, true
 		}
 	}

@@ -61,14 +61,14 @@ func TestNilProfiler(t *testing.T) {
 	if p.Captures() != 0 {
 		t.Error("nil Captures != 0")
 	}
-	p.Start() // must not panic
+	p.Cycle(time.Now()) // must not panic
 	p.Stop()
 }
 
 func TestCaptureTriggerShipsAllInstantKinds(t *testing.T) {
 	p := newTestProfiler(t, 16)
 	snaps := p.CaptureTrigger("test-trigger")
-	// No background loop has run, so there is no CPU snapshot; every
+	// No cycle has run, so there is no CPU snapshot; every
 	// instant kind must be present and well-formed.
 	if len(snaps) != len(instantKinds) {
 		t.Fatalf("got %d snapshots, want %d (kinds: %v)", len(snaps), len(instantKinds), kinds(snaps))
@@ -177,38 +177,42 @@ func TestDumpRing(t *testing.T) {
 	}
 }
 
-func TestBackgroundLoopCapturesCPU(t *testing.T) {
-	p := New(Config{
-		Capacity:    16,
-		Interval:    30 * time.Millisecond,
-		CPUDuration: 10 * time.Millisecond,
-		Registry:    obs.NewRegistry(),
-	})
-	p.Start()
-	p.Start() // idempotent
+// waitFor polls cond for up to 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := p.Latest(KindCPU); ok {
-			break
-		}
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatal("background loop produced no CPU snapshot within 5s")
+			t.Fatalf("%s within 5s", what)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestCycleCapturesCPU drives the profiler from an obs.Clock, the way
+// the daemon does: the CPU window closes on its own timer, so the clock
+// is never blocked for it, and a trigger then ships that CPU snapshot
+// with fresh instant profiles.
+func TestCycleCapturesCPU(t *testing.T) {
+	p := New(Config{Capacity: 16, CPUDuration: 10 * time.Millisecond, Registry: obs.NewRegistry()})
+	clock := obs.NewClock(30 * time.Millisecond)
+	clock.Every(30*time.Millisecond, p.Cycle)
+	clock.Start()
+	waitFor(t, "clock-driven cycle produced no CPU snapshot", func() bool {
+		_, ok := p.Latest(KindCPU)
+		return ok
+	})
+	clock.Stop()
 	p.Stop()
-	p.Stop() // idempotent
 	cpu, _ := p.Latest(KindCPU)
 	if cpu.Reason != "interval" {
 		t.Errorf("cpu reason = %q, want interval", cpu.Reason)
 	}
 	assertPprofGzip(t, KindCPU, cpu.Data)
 	if _, ok := p.Latest(KindHeap); !ok {
-		t.Error("background cycle captured no heap snapshot")
+		t.Error("cycle captured no heap snapshot")
 	}
-	// A trigger now ships the background CPU snapshot alongside the
-	// fresh instant profiles.
-	snaps := p.CaptureTrigger("after-loop")
+	snaps := p.CaptureTrigger("after-cycle")
 	if len(snaps) != len(instantKinds)+1 {
 		t.Fatalf("trigger shipped %d snapshots, want %d (kinds: %v)",
 			len(snaps), len(instantKinds)+1, kinds(snaps))
@@ -216,6 +220,38 @@ func TestBackgroundLoopCapturesCPU(t *testing.T) {
 	if snaps[0].Kind != KindCPU {
 		t.Errorf("first trigger snapshot kind = %s, want cpu", snaps[0].Kind)
 	}
+}
+
+// TestStopCancelsOpenCPUWindow: a cycle returns while its hour-long CPU
+// window is still open, and Stop closes it at once, keeping the
+// partial profile and releasing the runtime's one CPU profiler.
+func TestStopCancelsOpenCPUWindow(t *testing.T) {
+	p := New(Config{Capacity: 16, CPUDuration: time.Hour, Registry: obs.NewRegistry()})
+	clock := obs.NewClock(time.Millisecond)
+	clock.Every(time.Millisecond, p.Cycle)
+	clock.Start()
+	waitFor(t, "no CPU window opened", cpuActive.Load)
+	// Further cycles find the window open and skip their CPU profile,
+	// but keep ticking: the instant profiles keep arriving.
+	waitFor(t, "the clock stalled behind the open window", func() bool {
+		return p.Captures() >= int64(3*len(instantKinds))
+	})
+	clock.Stop()
+	p.Stop()
+	p.Stop() // idempotent
+	if cpuActive.Load() {
+		t.Fatal("Stop left the CPU window open")
+	}
+	cpu, ok := p.Latest(KindCPU)
+	if !ok {
+		t.Fatal("Stop discarded the partial CPU window")
+	}
+	assertPprofGzip(t, KindCPU, cpu.Data)
+	var buf bytes.Buffer
+	if err := pprof.StartCPUProfile(&buf); err != nil {
+		t.Fatalf("runtime CPU profiler still held after Stop: %v", err)
+	}
+	pprof.StopCPUProfile()
 }
 
 func TestCPUCaptureYieldsWhenBusy(t *testing.T) {
@@ -231,7 +267,7 @@ func TestCPUCaptureYieldsWhenBusy(t *testing.T) {
 	p := New(Config{Capacity: 4, Registry: reg})
 	cpuActive.Store(true) // reflect the external session
 	defer cpuActive.Store(false)
-	p.captureCPU("contended")
+	p.startCPU("contended")
 	if _, ok := p.Latest(KindCPU); ok {
 		t.Error("captured a CPU profile while one was already active")
 	}

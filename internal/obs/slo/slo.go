@@ -8,18 +8,28 @@
 // catches sharp outages in minutes; the slow pair (6h/3d at 1×)
 // catches slow leaks without paging on noise.
 //
+// Two runtime rules, the watchdog checks, ride the same firing and
+// trip ledger, over raw series the sampler records: goroutine-leak
+// (go_goroutines grows more than LeakGrowth past its value at the
+// first evaluation) and sched-stall (the serve scheduler holds queued
+// or in-flight work with serve_jobs_completed_total flat across the
+// last StallSamples samples). The evaluator reads only the store: the
+// daemon's clock samples the registry, then calls Eval with the same
+// instant.
+//
 // Results surface three ways: GET /debug/slo (the evaluator's Status
 // snapshot), slo_* metric families on the registry (burn rates,
 // firing states, trip counts — which the TSDB then samples, giving
-// burn-rate history for free), and an OnTrip hook the serve layer
-// points at the flight recorder, so every budget trip ships a
-// postmortem bundle with the surrounding TSDB window embedded.
+// burn-rate history for free), and an OnTrip hook the daemon points
+// at the flight recorder, so every budget trip or runtime anomaly
+// ships a postmortem bundle with the surrounding TSDB window embedded.
 package slo
 
 import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -62,8 +72,28 @@ func DefaultWindows() []WindowRule {
 	}
 }
 
-// Source supplies windowed event counts. The production implementation
-// is TSDBSource; tests substitute hand-built tables.
+// DefaultSLOs are the serving objectives the daemon arms by default:
+// 99.9% availability and 99% of requests faster than 250ms, across
+// every route.
+func DefaultSLOs() []Objective {
+	return []Objective{
+		{Name: "availability", Kind: "availability", Target: 0.999},
+		{Name: "latency", Kind: "latency", Target: 0.99, LatencyThreshold: 0.25},
+	}
+}
+
+// The runtime rules' bounds.
+const (
+	// LeakGrowth: goroutine-leak fires while go_goroutines exceeds its
+	// value at the first evaluation by more than this.
+	LeakGrowth = 512
+	// StallSamples: sched-stall fires when this many consecutive
+	// samples show queued or in-flight work and no completions.
+	StallSamples = 3
+)
+
+// Source supplies windowed event counts and raw series. The production
+// implementation is TSDBSource; tests substitute hand-built tables.
 type Source interface {
 	// RouteCounts returns (total, errors) request counts for the route
 	// ("" = all routes) across [from, to] in unix milliseconds.
@@ -71,6 +101,9 @@ type Source interface {
 	// RouteSlow returns (total, slow) counts, where slow is requests
 	// at or above the threshold in seconds.
 	RouteSlow(route string, threshold float64, from, to int64) (total, slow float64)
+	// Recent returns up to the last n samples of the unlabeled series
+	// name at or before to, oldest first.
+	Recent(name string, n int, to int64) []tsdb.Sample
 }
 
 // TSDBSource reads windowed counts from the embedded store's
@@ -142,6 +175,16 @@ func (s TSDBSource) RouteSlow(route string, threshold float64, from, to int64) (
 	return total, slow
 }
 
+// Recent implements Source over the store's raw samples, looking back
+// at most one default retention.
+func (s TSDBSource) Recent(name string, n int, to int64) []tsdb.Sample {
+	sm := s.DB.SamplesBetween(name, to-time.Hour.Milliseconds(), to)
+	if len(sm) > n {
+		sm = sm[len(sm)-n:]
+	}
+	return sm
+}
+
 // formatBound matches tsdb's le rendering for finite bounds.
 func formatBound(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
@@ -173,133 +216,92 @@ type Status struct {
 	Windows         []WindowStatus `json:"windows"`
 }
 
-// Trip is one rising-edge alert: a window pair crossed its threshold.
+// Trip is one rising-edge alert: a window pair crossed its threshold,
+// or a runtime rule started firing.
 type Trip struct {
-	Objective string    `json:"objective"`
-	Window    string    `json:"window"`
-	Threshold float64   `json:"threshold"`
-	ShortBurn float64   `json:"short_burn"`
-	LongBurn  float64   `json:"long_burn"`
-	At        time.Time `json:"at"`
-}
-
-// Reason renders the flight-recorder trigger reason.
-func (t Trip) Reason() string {
-	return fmt.Sprintf("slo-burn:%s:%s (short %.2fx, long %.2fx >= %.2fx)",
-		t.Objective, t.Window, t.ShortBurn, t.LongBurn, t.Threshold)
+	// Rule is "<objective>/<window>" or "watchdog/<check>".
+	Rule string `json:"rule"`
+	// Reason is the flight-recorder trigger reason:
+	// "slo-burn:<objective>:<window> (…)" or "watchdog:<check> (…)".
+	Reason string    `json:"reason"`
+	At     time.Time `json:"at"`
 }
 
 // Config wires an Evaluator.
 type Config struct {
 	// Objectives to evaluate (required).
 	Objectives []Objective
-	// Windows are the burn-rate pairs; nil selects DefaultWindows.
-	Windows []WindowRule
-	// Source supplies windowed counts (required).
+	// Source supplies windowed counts and raw series (required).
 	Source Source
-	// Interval is the evaluation cadence; <=0 selects 15s.
-	Interval time.Duration
 	// Registry receives the slo_* families; nil selects the process
 	// registry.
 	Registry *obs.Registry
 	// OnTrip, when non-nil, runs on each rising edge (synchronously,
-	// on the evaluation goroutine).
+	// on the goroutine calling Eval).
 	OnTrip func(Trip)
 }
 
-// Evaluator runs the burn-rate rules. Construct with New; Start/Stop
-// bound the background loop; EvalNow evaluates synchronously.
+// Evaluator runs the burn-rate and runtime rules. Construct with New;
+// Eval evaluates at a given instant.
 type Evaluator struct {
 	cfg Config
-	now func() time.Time // test hook
 
 	mu       sync.Mutex
 	statuses []Status
 	firing   map[string]bool
 	trips    map[string]int64
-
-	stop chan struct{}
-	done chan struct{}
+	// goroutineBase is go_goroutines at the first evaluation that saw
+	// it; -1 until then.
+	goroutineBase float64
 }
 
 // New builds an Evaluator and registers its slo_* gatherer.
 func New(cfg Config) *Evaluator {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 15 * time.Second
-	}
-	if cfg.Windows == nil {
-		cfg.Windows = DefaultWindows()
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Metrics()
 	}
 	e := &Evaluator{
-		cfg:    cfg,
-		now:    time.Now,
-		firing: make(map[string]bool),
-		trips:  make(map[string]int64),
+		cfg:           cfg,
+		firing:        make(map[string]bool),
+		trips:         make(map[string]int64),
+		goroutineBase: -1,
 	}
 	cfg.Registry.RegisterGatherer(e)
 	return e
 }
 
-// Start launches the evaluation loop (idempotent; nil-safe).
-func (e *Evaluator) Start() {
-	if e == nil || e.stop != nil {
-		return
+// Eval evaluates every objective over every window pair and the
+// runtime rules as of now, updates the firing state (calling OnTrip on
+// rising edges), and returns the objective statuses. Trips fire
+// outside the evaluator lock. Nil-safe: the disabled engine returns nil.
+func (e *Evaluator) Eval(now time.Time) []Status {
+	if e == nil {
+		return nil
 	}
-	e.stop = make(chan struct{})
-	e.done = make(chan struct{})
-	go func() {
-		defer close(e.done)
-		tick := time.NewTicker(e.cfg.Interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-e.stop:
-				return
-			case <-tick.C:
-				e.EvalNow()
-			}
-		}
-	}()
-}
-
-// Stop halts the loop and waits for it.
-func (e *Evaluator) Stop() {
-	if e == nil || e.stop == nil {
-		return
-	}
-	close(e.stop)
-	<-e.done
-	e.stop, e.done = nil, nil
-}
-
-// EvalNow evaluates every objective over every window pair, updates
-// the firing state (calling OnTrip on rising edges), and returns the
-// statuses. Trips fire outside the evaluator lock.
-func (e *Evaluator) EvalNow() []Status {
-	now := e.now()
 	nowMS := now.UnixMilli()
 	statuses := make([]Status, 0, len(e.cfg.Objectives))
 	var tripped []Trip
 
 	e.mu.Lock()
+	edge := func(rule string, firing bool, reason func() string) {
+		if firing && !e.firing[rule] {
+			e.trips[rule]++
+			tripped = append(tripped, Trip{Rule: rule, Reason: reason(), At: now})
+		}
+		e.firing[rule] = firing
+	}
 	for _, obj := range e.cfg.Objectives {
 		st := Status{Objective: obj, BudgetRemaining: 1}
-		for _, w := range e.cfg.Windows {
+		for _, w := range DefaultWindows() {
 			ws := WindowStatus{Name: w.Name, Threshold: w.Threshold,
 				ShortBurn: e.burnOver(obj, nowMS, w.Short),
 				LongBurn:  e.burnOver(obj, nowMS, w.Long),
 			}
 			ws.Firing = ws.ShortBurn >= w.Threshold && ws.LongBurn >= w.Threshold
-			key := obj.Name + "/" + w.Name
-			if ws.Firing && !e.firing[key] {
-				e.trips[key]++
-				tripped = append(tripped, Trip{Objective: obj.Name, Window: w.Name,
-					Threshold: w.Threshold, ShortBurn: ws.ShortBurn, LongBurn: ws.LongBurn, At: now})
-			}
-			e.firing[key] = ws.Firing
+			edge(obj.Name+"/"+w.Name, ws.Firing, func() string {
+				return fmt.Sprintf("slo-burn:%s:%s (short %.2fx, long %.2fx >= %.2fx)",
+					obj.Name, w.Name, ws.ShortBurn, ws.LongBurn, w.Threshold)
+			})
 			st.Windows = append(st.Windows, ws)
 		}
 		if n := len(st.Windows); n > 0 {
@@ -307,6 +309,7 @@ func (e *Evaluator) EvalNow() []Status {
 		}
 		statuses = append(statuses, st)
 	}
+	e.evalRuntime(nowMS, edge)
 	e.statuses = statuses
 	e.mu.Unlock()
 
@@ -316,6 +319,34 @@ func (e *Evaluator) EvalNow() []Status {
 		}
 	}
 	return statuses
+}
+
+// evalRuntime runs the two runtime rules under e.mu.
+func (e *Evaluator) evalRuntime(nowMS int64, edge func(rule string, firing bool, reason func() string)) {
+	var n, grown float64
+	if g := e.cfg.Source.Recent("go_goroutines", 1, nowMS); len(g) == 1 {
+		if e.goroutineBase < 0 {
+			e.goroutineBase = g[0].V
+		}
+		n, grown = g[0].V, g[0].V-e.goroutineBase
+	}
+	edge("watchdog/goroutine-leak", grown > LeakGrowth, func() string {
+		return fmt.Sprintf("watchdog:goroutine-leak (%.0f goroutines, %.0f over the %.0f baseline)",
+			n, grown, e.goroutineBase)
+	})
+
+	queued := e.cfg.Source.Recent("serve_queue_depth", StallSamples, nowMS)
+	inFlight := e.cfg.Source.Recent("serve_in_flight_jobs", StallSamples, nowMS)
+	done := e.cfg.Source.Recent("serve_jobs_completed_total", StallSamples, nowMS)
+	stalled := len(queued) == StallSamples && len(inFlight) == StallSamples && len(done) == StallSamples
+	for i := 0; stalled && i < StallSamples; i++ {
+		stalled = queued[i].V+inFlight[i].V > 0 && done[i].V == done[0].V
+	}
+	edge("watchdog/sched-stall", stalled, func() string {
+		last := StallSamples - 1
+		return fmt.Sprintf("watchdog:sched-stall (%.0f queued, %.0f in flight, no completions across %d samples)",
+			queued[last].V, inFlight[last].V, StallSamples)
+	})
 }
 
 // burnOver computes one objective's burn over [now-window, now].
@@ -347,7 +378,7 @@ func (e *Evaluator) GatherMetrics() []obs.Family {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	burn := obs.Family{Name: "slo_burn_rate", Help: "Error-budget burn rate, by objective, window pair, and span.", Type: "gauge"}
-	firing := obs.Family{Name: "slo_window_firing", Help: "Whether a window pair's burn rule currently fires (1) or not (0).", Type: "gauge"}
+	firing := obs.Family{Name: "slo_window_firing", Help: "Whether a window pair's burn rule or a watchdog check currently fires (1) or not (0).", Type: "gauge"}
 	budget := obs.Family{Name: "slo_error_budget_remaining", Help: "Error budget fraction left over the slowest long window.", Type: "gauge"}
 	for _, st := range e.statuses {
 		objLabel := obs.Label{Key: "objective", Value: st.Objective.Name}
@@ -356,22 +387,25 @@ func (e *Evaluator) GatherMetrics() []obs.Family {
 			burn.Points = append(burn.Points,
 				obs.Point{Labels: []obs.Label{objLabel, winLabel, {Key: "span", Value: "short"}}, Value: w.ShortBurn},
 				obs.Point{Labels: []obs.Label{objLabel, winLabel, {Key: "span", Value: "long"}}, Value: w.LongBurn})
-			var f float64
-			if w.Firing {
-				f = 1
-			}
-			firing.Points = append(firing.Points,
-				obs.Point{Labels: []obs.Label{objLabel, winLabel}, Value: f})
 		}
 		budget.Points = append(budget.Points, obs.Point{Labels: []obs.Label{objLabel}, Value: st.BudgetRemaining})
 	}
-	trips := obs.Family{Name: "slo_trips_total", Help: "Rising-edge burn-rate alerts, by objective/window key.", Type: "counter"}
-	keys := make([]string, 0, len(e.trips))
-	for k := range e.trips {
-		keys = append(keys, k)
+	// Every rule, burn pair or runtime check, reports its firing state
+	// and trip count under its "<objective>/<window>" key.
+	trips := obs.Family{Name: "slo_trips_total", Help: "Rising-edge alerts, by objective/window or watchdog/check rule.", Type: "counter"}
+	rules := make([]string, 0, len(e.firing))
+	for k := range e.firing {
+		rules = append(rules, k)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	sort.Strings(rules)
+	for _, k := range rules {
+		obj, win, _ := strings.Cut(k, "/")
+		var f float64
+		if e.firing[k] {
+			f = 1
+		}
+		firing.Points = append(firing.Points, obs.Point{
+			Labels: []obs.Label{{Key: "objective", Value: obj}, {Key: "window", Value: win}}, Value: f})
 		trips.Points = append(trips.Points, obs.Point{Labels: []obs.Label{{Key: "rule", Value: k}}, Value: float64(e.trips[k])})
 	}
 	return []obs.Family{burn, firing, budget, trips}

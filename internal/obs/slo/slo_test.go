@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -29,13 +30,16 @@ func (s tableSource) RouteSlow(route string, threshold float64, from, to int64) 
 	return c[0], c[1]
 }
 
+func (tableSource) Recent(string, int, int64) []tsdb.Sample { return nil }
+
+// evalAt is a fixed evaluation instant, far past 3d so window starts
+// stay positive.
+var evalAt = time.UnixMilli(1_700_000_000_000_000)
+
 func TestBurnRateTable(t *testing.T) {
-	// Hand-computed burns for a 99.9% objective: budget is 0.001, so
-	// burn = errRatio / 0.001.
-	windows := []WindowRule{
-		{Name: "fast", Short: 5 * time.Minute, Long: time.Hour, Threshold: 14.4},
-		{Name: "slow", Short: 6 * time.Hour, Long: 72 * time.Hour, Threshold: 1},
-	}
+	// Hand-computed burns for a 99.9% objective over the default
+	// windows (fast 5m/1h at 14.4x, slow 6h/3d at 1x): budget is 0.001,
+	// so burn = errRatio / 0.001.
 	cases := []struct {
 		name   string
 		counts map[time.Duration][2]float64
@@ -101,13 +105,11 @@ func TestBurnRateTable(t *testing.T) {
 			var trips []Trip
 			e := New(Config{
 				Objectives: []Objective{{Name: "avail", Kind: "availability", Target: 0.999}},
-				Windows:    windows,
 				Source:     tableSource{counts: tc.counts},
 				Registry:   obs.NewRegistry(),
 				OnTrip:     func(tr Trip) { trips = append(trips, tr) },
 			})
-			e.now = func() time.Time { return time.UnixMilli(1_700_000_000_000_000) } // >> 3d so from stays positive
-			sts := e.EvalNow()
+			sts := e.Eval(evalAt)
 			if len(sts) != 1 || len(sts[0].Windows) != 2 {
 				t.Fatalf("statuses: %+v", sts)
 			}
@@ -122,7 +124,7 @@ func TestBurnRateTable(t *testing.T) {
 			}
 			var fires []string
 			for _, tr := range trips {
-				fires = append(fires, tr.Objective+"/"+tr.Window)
+				fires = append(fires, tr.Rule)
 			}
 			if len(fires) != len(tc.wantFires) {
 				t.Fatalf("fired %v, want %v", fires, tc.wantFires)
@@ -152,17 +154,16 @@ func TestTripRisingEdgeOnly(t *testing.T) {
 		Registry:   obs.NewRegistry(),
 		OnTrip:     func(Trip) { trips++ },
 	})
-	e.now = func() time.Time { return time.UnixMilli(1_700_000_000_000_000) }
-	e.EvalNow()
-	e.EvalNow()
-	e.EvalNow()
+	e.Eval(evalAt)
+	e.Eval(evalAt)
+	e.Eval(evalAt)
 	if trips != 2 { // both window pairs trip once, then stay firing
 		t.Fatalf("trips = %d, want 2 (one rising edge per window pair)", trips)
 	}
 }
 
 func TestTSDBSourceCounts(t *testing.T) {
-	db := tsdb.New(tsdb.Config{Registry: obs.NewRegistry(), Interval: time.Hour})
+	db := tsdb.New(tsdb.Config{Registry: obs.NewRegistry()})
 	lbl := func(route, code string) []obs.Label {
 		return []obs.Label{{Key: "route", Value: route}, {Key: "code", Value: code}}
 	}
@@ -191,7 +192,7 @@ func TestTSDBSourceCounts(t *testing.T) {
 }
 
 func TestTSDBSourceSlow(t *testing.T) {
-	db := tsdb.New(tsdb.Config{Registry: obs.NewRegistry(), Interval: time.Hour})
+	db := tsdb.New(tsdb.Config{Registry: obs.NewRegistry()})
 	route := []obs.Label{{Key: "route", Value: "/compute"}}
 	bucket := func(le string) []obs.Label {
 		return append(append([]obs.Label{}, route...), obs.Label{Key: "le", Value: le})
@@ -221,7 +222,7 @@ func TestTSDBSourceSlow(t *testing.T) {
 func TestBurnCounterResetAcrossRestart(t *testing.T) {
 	// A daemon restart zeroes http_requests_total mid-window; the
 	// increase must still count post-restart traffic, not go negative.
-	db := tsdb.New(tsdb.Config{Registry: obs.NewRegistry(), Interval: time.Hour})
+	db := tsdb.New(tsdb.Config{Registry: obs.NewRegistry()})
 	lbl := []obs.Label{{Key: "route", Value: "/compute"}, {Key: "code", Value: "200"}}
 	db.AppendSample("http_requests_total", lbl, "counter", 0, 1000)
 	db.AppendSample("http_requests_total", lbl, "counter", 30_000, 1200) // +200
@@ -245,15 +246,163 @@ func TestGatherMetrics(t *testing.T) {
 		Source:     tableSource{counts: counts},
 		Registry:   reg,
 	})
-	e.now = func() time.Time { return time.UnixMilli(1_700_000_000_000_000) }
-	e.EvalNow()
+	e.Eval(evalAt)
 	found := map[string]bool{}
 	for _, f := range reg.Gather() {
 		found[f.Name] = len(f.Points) > 0
 	}
 	for _, name := range []string{"slo_burn_rate", "slo_window_firing", "slo_error_budget_remaining", "slo_trips_total"} {
 		if !found[name] {
-			t.Fatalf("registry missing %s after EvalNow (got %v)", name, found)
+			t.Fatalf("registry missing %s after Eval (got %v)", name, found)
 		}
+	}
+	// The runtime rules report under the same firing family.
+	var checks []string
+	for _, f := range reg.Gather() {
+		if f.Name != "slo_window_firing" {
+			continue
+		}
+		for _, p := range f.Points {
+			if tsdb.LabelValue(p.Labels, "objective") == "watchdog" {
+				checks = append(checks, tsdb.LabelValue(p.Labels, "window"))
+			}
+		}
+	}
+	if fmt.Sprint(checks) != "[goroutine-leak sched-stall]" {
+		t.Fatalf("slo_window_firing watchdog checks = %v, want [goroutine-leak sched-stall]", checks)
+	}
+}
+
+// runtimeHarness evaluates the runtime rules over hand-appended
+// samples at a fixed cadence, collecting trip reasons.
+type runtimeHarness struct {
+	db    *tsdb.DB
+	reg   *obs.Registry
+	e     *Evaluator
+	at    int64
+	fired []string
+}
+
+func newRuntimeHarness() *runtimeHarness {
+	h := &runtimeHarness{db: tsdb.New(tsdb.Config{Registry: obs.NewRegistry()}), reg: obs.NewRegistry()}
+	h.e = New(Config{
+		Source:   TSDBSource{DB: h.db},
+		Registry: h.reg,
+		OnTrip:   func(tr Trip) { h.fired = append(h.fired, tr.Reason) },
+	})
+	return h
+}
+
+// step appends one sample per (name, value) pair at the next instant,
+// evaluates there, and returns the reasons that tripped.
+func (h *runtimeHarness) step(series map[string]float64) []string {
+	h.at += 5000
+	for name, v := range series {
+		h.db.AppendSample(name, nil, "gauge", h.at, v)
+	}
+	before := len(h.fired)
+	h.e.Eval(time.UnixMilli(h.at))
+	return h.fired[before:]
+}
+
+func TestGoroutineLeakRisingEdge(t *testing.T) {
+	h := newRuntimeHarness()
+	if got := h.step(nil); len(got) != 0 {
+		t.Fatalf("evaluation without a goroutine series fired %v", got)
+	}
+	goroutines := func(n float64) []string { return h.step(map[string]float64{"go_goroutines": n}) }
+	if got := goroutines(10); len(got) != 0 { // the baseline
+		t.Fatalf("baseline evaluation fired %v", got)
+	}
+	if got := goroutines(10 + LeakGrowth); len(got) != 0 {
+		t.Fatalf("growth of exactly LeakGrowth fired %v", got)
+	}
+	got := goroutines(11 + LeakGrowth)
+	want := fmt.Sprintf("watchdog:goroutine-leak (%d goroutines, %d over the 10 baseline)", 11+LeakGrowth, 1+LeakGrowth)
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("leak evaluation fired %q, want [%q]", got, want)
+	}
+	if got := goroutines(2000); len(got) != 0 {
+		t.Fatalf("still-leaking evaluation re-fired: %v", got)
+	}
+	goroutines(12) // back under the bound: rearm
+	if got := goroutines(2000); len(got) != 1 {
+		t.Fatalf("rearmed leak did not re-fire: %v", got)
+	}
+	if len(h.fired) != 2 {
+		t.Fatalf("OnTrip ran %d times, want 2", len(h.fired))
+	}
+}
+
+func TestSchedStall(t *testing.T) {
+	h := newRuntimeHarness()
+	sched := func(queued, inFlight, completed float64) []string {
+		return h.step(map[string]float64{
+			"serve_queue_depth": queued, "serve_in_flight_jobs": inFlight, "serve_jobs_completed_total": completed,
+		})
+	}
+	// Busy but completing, then idle with completions flat: healthy.
+	for i := 0; i < 4; i++ {
+		if got := sched(2, 1, float64(i)); len(got) != 0 {
+			t.Fatalf("progressing scheduler fired %v", got)
+		}
+	}
+	for i := 0; i < StallSamples; i++ {
+		if got := sched(0, 0, 3); len(got) != 0 {
+			t.Fatalf("idle scheduler fired %v", got)
+		}
+	}
+	// Wedged: work held, no completions. It fires on the StallSamples-th
+	// busy sample, once.
+	for i := 1; i < StallSamples; i++ {
+		if got := sched(1, 1, 3); len(got) != 0 {
+			t.Fatalf("stall fired after %d busy samples, want %d", i, StallSamples)
+		}
+	}
+	got := sched(1, 1, 3)
+	want := fmt.Sprintf("watchdog:sched-stall (1 queued, 1 in flight, no completions across %d samples)", StallSamples)
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("stall evaluation fired %q, want [%q]", got, want)
+	}
+	if got := sched(1, 1, 3); len(got) != 0 {
+		t.Fatalf("stall re-fired without progress: %v", got)
+	}
+	// Progress rearms; a fresh stall trips again.
+	for i := 0; i < StallSamples; i++ {
+		sched(1, 1, 4)
+	}
+	if len(h.fired) != 2 {
+		t.Fatalf("OnTrip ran %d times, want 2 (%v)", len(h.fired), h.fired)
+	}
+}
+
+// TestGatherFamilies checks that the runtime checks report through the
+// slo_* families: a goroutine leak sets its firing gauge and counts one
+// trip, while the quiet sched-stall check reads 0 on both.
+func TestGatherFamilies(t *testing.T) {
+	h := newRuntimeHarness()
+	h.step(map[string]float64{"go_goroutines": 10})
+	if got := h.step(map[string]float64{"go_goroutines": 11 + LeakGrowth}); len(got) != 1 {
+		t.Fatalf("leak evaluation fired %v, want one trip", got)
+	}
+	firing := map[string]float64{}
+	trips := map[string]float64{}
+	for _, f := range h.reg.Gather() {
+		for _, p := range f.Points {
+			switch f.Name {
+			case "slo_window_firing":
+				if tsdb.LabelValue(p.Labels, "objective") == "watchdog" {
+					firing[tsdb.LabelValue(p.Labels, "window")] = p.Value
+				}
+			case "slo_trips_total":
+				trips[tsdb.LabelValue(p.Labels, "rule")] = p.Value
+			}
+		}
+	}
+	if want := map[string]float64{"goroutine-leak": 1, "sched-stall": 0}; fmt.Sprint(firing) != fmt.Sprint(want) {
+		t.Fatalf("slo_window_firing watchdog checks = %v, want %v", firing, want)
+	}
+	if want := map[string]float64{"watchdog/goroutine-leak": 1, "watchdog/sched-stall": 0}; fmt.Sprint(trips) != fmt.Sprint(want) {
+		t.Fatalf("slo_trips_total = %v, want %v", trips, want)
 	}
 }

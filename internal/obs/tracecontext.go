@@ -92,25 +92,35 @@ func (tc TraceContext) Traceparent() string {
 }
 
 // ParseTraceparent parses a W3C traceparent header
-// ("00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>"). Unknown
-// versions are accepted per the spec as long as the 00 layout parses;
-// an all-zero trace ID is invalid.
+// ("<2 hex version>-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>")
+// as the Trace Context spec requires: lowercase hex only, version ff
+// forbidden, all-zero trace and parent IDs invalid, and version 00
+// exactly 55 bytes. A later version may append fields after another
+// dash.
 func ParseTraceparent(h string) (TraceContext, bool) {
-	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
+	if len(h) < 55 || h[:2] == "ff" || len(h) > 55 && (h[:2] == "00" || h[55] != '-') {
 		return TraceContext{}, false
 	}
-	if h[0] == 'f' && h[1] == 'f' { // version 0xff is forbidden
-		return TraceContext{}, false
+	for i := 0; i < 55; i++ {
+		switch c := h[i]; {
+		case i == 2 || i == 35 || i == 52:
+			if c != '-' {
+				return TraceContext{}, false
+			}
+		case (c < '0' || c > '9') && (c < 'a' || c > 'f'):
+			return TraceContext{}, false
+		}
 	}
-	trace, ok := ParseTraceID(h[3:35])
-	if !ok {
-		return TraceContext{}, false
-	}
+	// The loop admitted only lowercase hex, so Decode cannot fail.
+	var tc TraceContext
 	var parent [8]byte
-	if _, err := hex.Decode(parent[:], []byte(h[36:52])); err != nil {
+	hex.Decode(tc.Trace[:], []byte(h[3:35]))
+	hex.Decode(parent[:], []byte(h[36:52]))
+	tc.Parent = SpanID(binary.BigEndian.Uint64(parent[:]))
+	if tc.Trace.IsZero() || tc.Parent == 0 {
 		return TraceContext{}, false
 	}
-	return TraceContext{Trace: trace, Parent: SpanID(binary.BigEndian.Uint64(parent[:]))}, true
+	return tc, true
 }
 
 // traceCtxKey carries a TraceContext through a context.

@@ -65,15 +65,53 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 		"zero trace": "00-" + strings.Repeat("0", 32) + "-" + strings.Repeat("a", 16) + "-01",
 		"bad hex":    "00-" + strings.Repeat("z", 32) + "-" + strings.Repeat("a", 16) + "-01",
 		"bad parent": valid[:36] + strings.Repeat("z", 16) + valid[52:],
+		// W3C Trace Context strictness.
+		"zero parent":                         valid[:36] + strings.Repeat("0", 16) + valid[52:],
+		"non-hex flags":                       valid[:53] + "zz",
+		"00 with trailing":                    valid + "-extra",
+		"00 with extra byte":                  valid + "0",
+		"non-hex version":                     "zz" + valid[2:],
+		"uppercase trace":                     valid[:3] + strings.ToUpper(valid[3:35]) + valid[35:],
+		"uppercase version":                   "0A" + valid[2:],
+		"later version, no dash before extra": "cc" + valid[2:] + "x",
 	} {
 		if _, ok := ParseTraceparent(h); ok {
 			t.Errorf("%s: ParseTraceparent(%q) accepted", name, h)
 		}
 	}
-	// Unknown-but-legal versions parse as long as the 00 layout holds.
-	if _, ok := ParseTraceparent("cc" + valid[2:]); !ok {
-		t.Error("version cc should be accepted per spec")
+	// Unknown-but-legal versions parse as long as the 00 layout holds,
+	// and may carry further dash-separated fields.
+	for _, h := range []string{"cc" + valid[2:], "cc" + valid[2:] + "-extra"} {
+		if _, ok := ParseTraceparent(h); !ok {
+			t.Errorf("ParseTraceparent(%q) rejected; later versions are accepted per spec", h)
+		}
 	}
+}
+
+// FuzzTraceparent: the parser never panics, and every header it
+// accepts renders back (Traceparent) to a header that parses to the
+// same context.
+func FuzzTraceparent(f *testing.F) {
+	valid := TraceContext{Trace: TraceID{1, 2, 3}, Parent: 7}.Traceparent()
+	for _, seed := range []string{
+		valid, "", "00-abc", "ff" + valid[2:], valid + "-extra", "cc" + valid[2:] + "-extra",
+		valid[:36] + strings.Repeat("0", 16) + valid[52:], strings.ToUpper(valid),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tc, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if tc.Trace.IsZero() || tc.Parent == 0 {
+			t.Fatalf("ParseTraceparent(%q) accepted a zero ID: %+v", h, tc)
+		}
+		back, ok := ParseTraceparent(tc.Traceparent())
+		if !ok || back != tc {
+			t.Fatalf("round trip of %q: %q parsed to %+v, %v; want %+v", h, tc.Traceparent(), back, ok, tc)
+		}
+	})
 }
 
 func TestTraceContextPropagation(t *testing.T) {

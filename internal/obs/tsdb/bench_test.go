@@ -3,7 +3,6 @@ package tsdb
 import (
 	"math"
 	"testing"
-	"time"
 
 	"pblparallel/internal/obs"
 )
@@ -27,7 +26,7 @@ func BenchmarkTSDBAppend(b *testing.B) {
 // BenchmarkTSDBQuery measures a rate() range query over one hour of
 // 5s-cadence history — the /debug/tsdb serving cost.
 func BenchmarkTSDBQuery(b *testing.B) {
-	db := New(Config{Registry: obs.NewRegistry(), Interval: time.Hour})
+	db := New(Config{Registry: obs.NewRegistry()})
 	for i := int64(0); i < 720; i++ {
 		db.AppendSample("requests_total", []obs.Label{{Key: "route", Value: "/compute"}}, "counter", i*5000, float64(i*3))
 	}

@@ -1,11 +1,12 @@
-// Package tsdb is the embedded metrics time-series store: a background
-// sampler walks every family the obs registry can gather — counters,
-// gauges, histogram sums/counts/buckets — on a fixed interval and
-// appends each value to a per-series Gorilla-style compressed chunk
-// (delta-of-delta timestamps, XOR values), with bounded retention.
-// GET /debug/tsdb serves range queries with rate()/increase()/
-// quantile-over-time evaluation; the SLO engine (internal/obs/slo)
-// reads its error budgets from the same store; the flight recorder
+// Package tsdb is the embedded metrics time-series store: each
+// SampleOnce, driven by the daemon's obs.Clock on a fixed interval,
+// walks every family the obs registry can gather — counters, gauges,
+// histogram sums/counts/buckets — and appends each value to a
+// per-series Gorilla-style compressed chunk (delta-of-delta
+// timestamps, XOR values), with bounded retention. GET /debug/tsdb
+// serves range queries with rate()/increase()/quantile-over-time
+// evaluation; the rule engine (internal/obs/slo) reads its error
+// budgets and runtime checks from the same store; the flight recorder
 // embeds the relevant window in every postmortem bundle.
 //
 // The store obeys the repo's observability contract: sampling never

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pblparallel/internal/obs"
@@ -15,7 +14,8 @@ import (
 // Config sizes and wires a DB. The zero value is usable: every field
 // has a serving default.
 type Config struct {
-	// Interval is the sampling cadence; <=0 selects 5s.
+	// Interval is the sampling cadence the caller's clock drives
+	// SampleOnce at, reported by /debug/tsdb; <=0 selects 5s.
 	Interval time.Duration
 	// Retention bounds how far back samples reach; <=0 selects 1h.
 	// Sealed chunks whose newest sample falls outside the window are
@@ -127,17 +127,14 @@ func (s *series) samplesBetween(from, to int64) []Sample {
 	return out
 }
 
-// DB is the embedded store. Construct with New; Start launches the
-// background sampler, Stop halts it (the data stays queryable).
+// DB is the embedded store. Construct with New; the caller's clock
+// (obs.Clock) drives SampleOnce at the configured interval.
 type DB struct {
 	cfg Config
 	reg *obs.Registry
 
 	mu     sync.RWMutex
 	series map[string]*series
-
-	stop chan struct{}
-	done chan struct{}
 
 	samples       *obs.Counter
 	seriesDropped *obs.Counter
@@ -168,44 +165,11 @@ func (db *DB) Interval() time.Duration { return db.cfg.Interval }
 // Retention reports the configured history bound.
 func (db *DB) Retention() time.Duration { return db.cfg.Retention }
 
-// Start launches the background sampler (idempotent per DB).
-// Nil-safe: a nil DB is the disabled store.
-func (db *DB) Start() {
-	if db == nil || db.stop != nil {
-		return
-	}
-	db.stop = make(chan struct{})
-	db.done = make(chan struct{})
-	go func() {
-		defer close(db.done)
-		tick := time.NewTicker(db.cfg.Interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-db.stop:
-				return
-			case <-tick.C:
-				db.SampleOnce(time.Now())
-			}
-		}
-	}()
-}
-
-// Stop halts the sampler and waits for it; the store stays queryable.
-func (db *DB) Stop() {
-	if db == nil || db.stop == nil {
-		return
-	}
-	close(db.stop)
-	<-db.done
-	db.stop, db.done = nil, nil
-}
-
 // SampleOnce gathers the registry once and appends every scalar it can
 // see at the given instant: counters and gauges as themselves,
 // histograms exploded into _sum, _count, and per-le _bucket series.
-// Exported so tests (and the chaos harness) can sample at pinned
-// times; the background loop calls it with the wall clock.
+// The daemon's clock calls it on every tick; tests call it at pinned
+// times.
 func (db *DB) SampleOnce(now time.Time) {
 	if db == nil {
 		return
@@ -393,16 +357,6 @@ func (db *DB) Keys() []string {
 	return keys
 }
 
-// SeriesCount reports how many series the store tracks.
-func (db *DB) SeriesCount() int {
-	if db == nil {
-		return 0
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.series)
-}
-
 // Label returns the value of the named label on a series ("" when
 // absent) — the selector helper the SLO engine and quantile evaluation
 // lean on.
@@ -414,16 +368,3 @@ func LabelValue(labels []obs.Label, key string) string {
 	}
 	return ""
 }
-
-// active is the process-wide store; nil means disabled. Installed by
-// the daemon CLI so subsystems that cannot be handed a DB directly
-// (signal handlers, crash paths) can still reach the history.
-var active atomic.Pointer[DB]
-
-// Install makes db the process-wide store returned by Active; nil
-// uninstalls.
-func Install(db *DB) { active.Store(db) }
-
-// Active returns the installed store, or nil when disabled. All DB
-// methods are safe on the nil result.
-func Active() *DB { return active.Load() }

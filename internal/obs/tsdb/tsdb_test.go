@@ -13,7 +13,7 @@ func testDB(t *testing.T, reg *obs.Registry) *DB {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return New(Config{Registry: reg, Interval: time.Hour}) // manual sampling only
+	return New(Config{Registry: reg})
 }
 
 func TestDBSamplesRegistry(t *testing.T) {
@@ -109,7 +109,7 @@ func TestIncreaseCounterReset(t *testing.T) {
 }
 
 func TestDBRetention(t *testing.T) {
-	db := New(Config{Registry: obs.NewRegistry(), Interval: time.Hour, Retention: time.Minute, ChunkSamples: 10})
+	db := New(Config{Registry: obs.NewRegistry(), Retention: time.Minute, ChunkSamples: 10})
 	// 1 sample/s for 5 minutes: all but the last ~minute must age out.
 	for i := int64(0); i < 300; i++ {
 		db.AppendSample("g", nil, "gauge", i*1000, float64(i))
@@ -129,12 +129,12 @@ func TestDBRetention(t *testing.T) {
 }
 
 func TestDBMaxSeries(t *testing.T) {
-	db := New(Config{Registry: obs.NewRegistry(), Interval: time.Hour, MaxSeries: 3})
+	db := New(Config{Registry: obs.NewRegistry(), MaxSeries: 3})
 	labels := func(v string) []obs.Label { return []obs.Label{{Key: "id", Value: v}} }
 	for _, id := range []string{"a", "b", "c", "d", "e"} {
 		db.AppendSample("m", labels(id), "gauge", 1000, 1)
 	}
-	if got := db.SeriesCount(); got != 3 {
+	if got := len(db.Keys()); got != 3 {
 		t.Fatalf("series count %d, want 3 (MaxSeries bound)", got)
 	}
 	// Existing series still accept appends past the bound.
@@ -207,22 +207,4 @@ func TestDumpWindow(t *testing.T) {
 	if nilDB.DumpWindow(0, 1) != nil {
 		t.Fatal("nil DB dump")
 	}
-}
-
-func TestDBStartStop(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("x_total", "x").Add(3)
-	db := New(Config{Registry: reg, Interval: 5 * time.Millisecond})
-	db.Start()
-	defer db.Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(db.SamplesBetween("x_total", 0, math.MaxInt64)) >= 2 {
-			db.Stop()
-			db.Stop() // idempotent
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("sampler produced no samples within 2s")
 }

@@ -49,15 +49,12 @@ func Command(name string, args []string) error {
 	frecDir := fs.String("flightrec-dir", "", "also write triggered postmortem bundles to this directory (empty = in-memory only)")
 	frecWindow := fs.Duration("flightrec-window", 30*time.Second, "how far back the flight recorder's window reaches")
 	profOn := fs.Bool("prof", true, "run the continuous profiler (/debug/prof ring; postmortem bundles ship with pprof profiles)")
-	profInterval := fs.Duration("prof-interval", 30*time.Second, "continuous-profiler capture cadence")
+	profInterval := fs.Duration("prof-interval", 30*time.Second, "continuous-profiler capture cadence (rounded up to a whole number of -tsdb-interval ticks)")
 	profCPU := fs.Duration("prof-cpu", time.Second, "CPU sampling window per continuous-profiler cycle")
 	tsdbOn := fs.Bool("tsdb", true, "run the embedded metrics time-series store (/debug/tsdb range queries; postmortem bundles embed the history window)")
-	tsdbInterval := fs.Duration("tsdb-interval", 5*time.Second, "TSDB sampling cadence")
+	tsdbInterval := fs.Duration("tsdb-interval", 5*time.Second, "tick of the observability clock: TSDB sampling and rule evaluation cadence")
 	tsdbRetention := fs.Duration("tsdb-retention", time.Hour, "TSDB history bound")
-	sloOn := fs.Bool("slo", true, "evaluate the default serving SLOs (99.9% availability, 99% of requests < 250ms) with multi-window burn-rate alerts at /debug/slo (needs -tsdb)")
-	sloInterval := fs.Duration("slo-interval", 15*time.Second, "SLO burn-rate evaluation cadence")
-	wdogOn := fs.Bool("watchdog", true, "run the runtime watchdog (goroutine-leak growth and scheduler stalls trigger postmortems)")
-	wdogInterval := fs.Duration("watchdog-interval", 10*time.Second, "watchdog check cadence")
+	sloOn := fs.Bool("slo", true, "evaluate the default serving SLOs (99.9% availability, 99% of requests < 250ms) with multi-window burn-rate alerts at /debug/slo, and the goroutine-leak and scheduler-stall rules (needs -tsdb)")
 	obsCLI := obs.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,17 +88,16 @@ func Command(name string, args []string) error {
 			"store-corrupt", *storeCorrupt, "store-read", *storeRead, "store-write", *storeWrite)
 	}
 
+	var p *prof.Profiler
 	if *profOn {
 		// Mutex/block sampling is enabled alongside the profiler: the
 		// scheduler's contention only shows up in postmortems if the
 		// runtime was sampling it before the incident.
-		p := prof.New(prof.Config{
-			Interval:      *profInterval,
+		p = prof.New(prof.Config{
 			CPUDuration:   *profCPU,
 			MutexFraction: 100,
 			BlockRate:     1_000_000, // one sample per ms of blocking
 		})
-		p.Start()
 		prof.Install(p)
 		defer func() {
 			prof.Install(nil)
@@ -132,28 +128,33 @@ func Command(name string, args []string) error {
 
 	// The TSDB samples the process registry — every subsystem's
 	// instruments gain history — and attaches to the flight recorder so
-	// postmortem bundles embed the window around each trigger.
+	// postmortem bundles embed the window around each trigger. The rule
+	// engine reads only the TSDB, and each trip triggers a postmortem.
 	var db *tsdb.DB
+	var rules *slo.Evaluator
 	if *tsdbOn {
 		db = tsdb.New(tsdb.Config{Interval: *tsdbInterval, Retention: *tsdbRetention})
-		db.Start()
-		tsdb.Install(db)
 		flightrec.Active().AttachTSDB(db)
-		defer func() {
-			tsdb.Install(nil)
-			db.Stop()
-		}()
 		log.Info(context.Background(), "time-series store sampling",
 			"interval", *tsdbInterval, "retention", *tsdbRetention)
+		if *sloOn {
+			rules = slo.New(slo.Config{
+				Objectives: slo.DefaultSLOs(),
+				Source:     slo.TSDBSource{DB: db},
+				OnTrip: func(t slo.Trip) {
+					flightrec.Active().Trigger(t.Reason, obs.TraceID{})
+				},
+			})
+		}
 	}
-	var objectives []slo.Objective
-	if *sloOn && db != nil {
-		objectives = DefaultSLOs()
-	}
-	wdog := time.Duration(0)
-	if *wdogOn {
-		wdog = *wdogInterval
-	}
+
+	// One clock drives every background observability job, in order on
+	// each tick: TSDB sampling, rule evaluation over that fresh sample,
+	// and the profiler cycle. Disabled jobs are nil-safe no-ops.
+	clock := obs.NewClock(*tsdbInterval)
+	clock.Every(*tsdbInterval, db.SampleOnce)
+	clock.Every(*tsdbInterval, func(now time.Time) { rules.Eval(now) })
+	clock.Every(*profInterval, p.Cycle)
 
 	var disk *store.Store
 	if *cacheDir != "" {
@@ -172,20 +173,20 @@ func Command(name string, args []string) error {
 	}
 
 	srv := New(Config{
-		Workers:          *workers,
-		Queue:            *queue,
-		CacheEntries:     *cacheEntries,
-		DefaultTimeout:   *timeout,
-		DrainTimeout:     *drain,
-		MaxSweepSeeds:    *maxSeeds,
-		Retries:          *retries,
-		Injector:         inj,
-		DiskStore:        disk,
-		TSDB:             db,
-		SLOs:             objectives,
-		SLOInterval:      *sloInterval,
-		WatchdogInterval: wdog,
+		Workers:        *workers,
+		Queue:          *queue,
+		CacheEntries:   *cacheEntries,
+		DefaultTimeout: *timeout,
+		DrainTimeout:   *drain,
+		MaxSweepSeeds:  *maxSeeds,
+		Retries:        *retries,
+		Injector:       inj,
+		DiskStore:      disk,
+		TSDB:           db,
+		SLO:            rules,
 	})
+	clock.Start()
+	defer clock.Stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		sess.Close()

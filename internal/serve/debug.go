@@ -242,17 +242,17 @@ func (s *Server) handleDebugTSDB(w http.ResponseWriter, r *http.Request) {
 
 // handleDebugSLO serves GET /debug/slo: every objective's burn rates,
 // firing states, and remaining error budget. The response is the most
-// recent background evaluation; ?eval=1 forces a synchronous one (the
+// recent clock-driven evaluation; ?eval=1 forces a synchronous one (the
 // first request after startup also evaluates, so the endpoint never
 // answers empty). 503 while the SLO engine is disabled.
 func (s *Server) handleDebugSLO(w http.ResponseWriter, r *http.Request) {
-	if s.sloEval == nil {
+	if s.cfg.SLO == nil {
 		writeError(w, http.StatusServiceUnavailable, "SLO engine disabled; start the server with -tsdb and -slo")
 		return
 	}
-	statuses := s.sloEval.Statuses()
+	statuses := s.cfg.SLO.Statuses()
 	if statuses == nil || r.URL.Query().Get("eval") != "" {
-		statuses = s.sloEval.EvalNow()
+		statuses = s.cfg.SLO.Eval(time.Now())
 	}
 	w.Header().Set("Content-Type", "application/json")
 	b, err := json.MarshalIndent(struct {

@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,25 +21,34 @@ import (
 // retry attempts under the service.
 const retryBackoff = 100 * time.Microsecond
 
+// maxBody bounds a POST body; a larger one is refused with 413.
+const maxBody = 1 << 20
+
 // decodeParams fills dst from a POST's JSON body; on GET it leaves dst
 // alone and each handler overlays its query parameters inline (the
-// query names match the JSON field tags). Unknown JSON fields are
-// rejected so typos cannot silently select defaults — a mistyped
+// query names match the JSON field tags). An empty body keeps every
+// default. The body must be exactly one JSON value of at most maxBody
+// bytes: trailing data is refused, not ignored. Unknown JSON fields
+// are rejected so typos cannot silently select defaults — a mistyped
 // "students" must not hash to the paper's cohort.
-func decodeParams(r *http.Request, dst any) error {
+func decodeParams(w http.ResponseWriter, r *http.Request, dst any) error {
 	switch r.Method {
 	case http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			return fmt.Errorf("reading body: %w", err)
-		}
-		if len(body) == 0 {
-			return nil
-		}
-		dec := json.NewDecoder(bytes.NewReader(body))
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(dst); err != nil {
+			if err == io.EOF {
+				return nil
+			}
 			return fmt.Errorf("parsing body: %w", err)
+		}
+		// Reading on to EOF also enforces maxBody on trailing space.
+		if _, err := dec.Token(); err != io.EOF {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				return fmt.Errorf("parsing body: %w", err)
+			}
+			return errors.New("parsing body: data after the JSON value")
 		}
 		return nil
 	case http.MethodGet:
@@ -101,8 +110,8 @@ func normalizeRun(p runParams) (runParams, core.StudyConfig, error) {
 // handleRun serves one study.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var p runParams
-	if err := decodeParams(r, &p); err != nil {
-		writeError(w, statusForDecode(r), "%v", err)
+	if err := decodeParams(w, r, &p); err != nil {
+		writeError(w, statusForDecode(r, err), "%v", err)
 		return
 	}
 	if r.Method == http.MethodGet {
@@ -160,8 +169,8 @@ type sweepParams struct {
 // handleSweep serves a sensitivity sweep.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var p sweepParams
-	if err := decodeParams(r, &p); err != nil {
-		writeError(w, statusForDecode(r), "%v", err)
+	if err := decodeParams(w, r, &p); err != nil {
+		writeError(w, statusForDecode(r, err), "%v", err)
 		return
 	}
 	if r.Method == http.MethodGet {
@@ -220,8 +229,8 @@ type cohortParams struct {
 // streaming sketch reduction.
 func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 	var p cohortParams
-	if err := decodeParams(r, &p); err != nil {
-		writeError(w, statusForDecode(r), "%v", err)
+	if err := decodeParams(w, r, &p); err != nil {
+		writeError(w, statusForDecode(r, err), "%v", err)
 		return
 	}
 	if r.Method == http.MethodGet {
@@ -308,11 +317,14 @@ func (s *Server) handleSpring2019(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// statusForDecode maps a decode failure to 405 for bad methods and 400
-// otherwise.
-func statusForDecode(r *http.Request) int {
-	switch r.Method {
-	case http.MethodGet, http.MethodPost:
+// statusForDecode maps a decode failure to 413 for an oversize body,
+// 405 for bad methods, and 400 otherwise.
+func statusForDecode(r *http.Request, err error) int {
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge
+	case r.Method == http.MethodGet || r.Method == http.MethodPost:
 		return http.StatusBadRequest
 	default:
 		return http.StatusMethodNotAllowed

@@ -37,13 +37,13 @@
 // byte-identical under the full mix.
 //
 // The observability judgment layer sits on top: an attached embedded
-// TSDB (internal/obs/tsdb) gives every instrument history, the SLO
-// burn-rate engine (internal/obs/slo) evaluates availability and
-// latency budgets over that history, and the runtime watchdog
-// (internal/obs/watchdog) watches for goroutine leaks and scheduler
-// stalls. All three close their loop through the flight recorder: a
-// tripped budget or an anomaly produces a postmortem bundle with the
-// TSDB window around the incident embedded.
+// TSDB (internal/obs/tsdb) gives every instrument history, and the rule
+// engine (internal/obs/slo) evaluates availability and latency budgets
+// plus the goroutine-leak and scheduler-stall checks over that history.
+// The daemon drives both from one obs.Clock and points the engine's
+// trips at the flight recorder: a tripped budget or an anomaly produces
+// a postmortem bundle with the TSDB window around the incident
+// embedded.
 package serve
 
 import (
@@ -61,12 +61,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pblparallel/internal/core"
 	"pblparallel/internal/fault"
 	"pblparallel/internal/obs"
 	"pblparallel/internal/obs/flightrec"
 	"pblparallel/internal/obs/slo"
 	"pblparallel/internal/obs/tsdb"
-	"pblparallel/internal/obs/watchdog"
 	"pblparallel/internal/sched"
 	"pblparallel/internal/store"
 )
@@ -122,34 +122,14 @@ type Config struct {
 	// The server takes ownership — Close drains and closes it.
 	DiskStore *store.Store
 	// TSDB attaches the embedded time-series store behind GET
-	// /debug/tsdb and the SLO engine. Borrowed, not owned: the caller
-	// creates, starts, and stops it (the daemon CLI samples the
-	// process registry so every subsystem's metrics gain history).
+	// /debug/tsdb. Borrowed, not owned: the caller creates it and
+	// drives its sampling (the daemon CLI samples the process registry
+	// so every subsystem's metrics gain history).
 	TSDB *tsdb.DB
-	// SLOs arms the burn-rate engine when non-empty and TSDB is
-	// attached: statuses surface at GET /debug/slo and as slo_*
-	// families, and every rising-edge trip triggers a flight-recorder
-	// postmortem embedding the TSDB window. See DefaultSLOs.
-	SLOs []slo.Objective
-	// SLOWindows overrides the burn-rate window pairs; nil selects
-	// slo.DefaultWindows (fast 5m/1h at 14.4x, slow 6h/3d at 1x).
-	SLOWindows []slo.WindowRule
-	// SLOInterval is the evaluation cadence; <=0 selects 15s.
-	SLOInterval time.Duration
-	// WatchdogInterval, when >0, arms the runtime watchdog:
-	// goroutine-leak growth and scheduler stalls (read from the
-	// scheduler's introspection) trigger flight-recorder postmortems.
-	WatchdogInterval time.Duration
-}
-
-// DefaultSLOs are the serving objectives the daemon arms by default
-// when the TSDB is on: 99.9% availability and 99% of requests faster
-// than 250ms, across every route.
-func DefaultSLOs() []slo.Objective {
-	return []slo.Objective{
-		{Name: "availability", Kind: "availability", Target: 0.999},
-		{Name: "latency", Kind: "latency", Target: 0.99, LatencyThreshold: 0.25},
-	}
+	// SLO is the rule engine behind GET /debug/slo, evaluating over
+	// TSDB. Borrowed like TSDB: the caller builds it, drives Eval, and
+	// points its trips at the flight recorder. Nil answers 503.
+	SLO *slo.Evaluator
 }
 
 // withDefaults resolves the zero values.
@@ -212,12 +192,6 @@ type Server struct {
 	admitMu  sync.Mutex
 	admitSeq map[string]uint64 // per-key admission attempts (fault keying, armed only)
 
-	// The judgment layer, armed by Config: the SLO burn-rate evaluator
-	// and the runtime watchdog. Both are owned by the server (Close
-	// stops them); the TSDB they read is borrowed from Config.
-	sloEval *slo.Evaluator
-	wdog    *watchdog.Watchdog
-
 	closeOnce sync.Once
 
 	cacheHits, cacheMisses, cacheCoalesced, shed, corruptHealed *obs.Counter
@@ -259,35 +233,6 @@ func New(cfg Config) *Server {
 		s.mux.Handle(e.path, s.httpm.Middleware(e.path, e.handler))
 	}
 
-	// The judgment layer: SLO burn-rate evaluation over the attached
-	// TSDB, and the runtime watchdog over the scheduler. Both
-	// close their loop through the flight recorder, so a tripped
-	// budget or a stalled scheduler produces a postmortem bundle with
-	// the TSDB window embedded.
-	if cfg.TSDB != nil && len(cfg.SLOs) > 0 {
-		s.sloEval = slo.New(slo.Config{
-			Objectives: cfg.SLOs,
-			Windows:    cfg.SLOWindows,
-			Source:     slo.TSDBSource{DB: cfg.TSDB},
-			Interval:   cfg.SLOInterval,
-			Registry:   reg,
-			OnTrip: func(t slo.Trip) {
-				flightrec.Active().Trigger(t.Reason(), obs.TraceID{})
-			},
-		})
-		s.sloEval.Start()
-	}
-	if cfg.WatchdogInterval > 0 {
-		s.wdog = watchdog.New(watchdog.Config{
-			Interval: cfg.WatchdogInterval,
-			Runtime:  s.rt,
-			Registry: reg,
-			OnAnomaly: func(reason string) {
-				flightrec.Active().Trigger(reason, obs.TraceID{})
-			},
-		})
-		s.wdog.Start()
-	}
 	s.ready.Store(true)
 	return s
 }
@@ -351,6 +296,8 @@ func (s *Server) gatherPool() []obs.Family {
 		gauge("serve_queue_depth", "Jobs waiting for a pool worker.", float64(ps.Queued)),
 		gauge("serve_in_flight_jobs", "Jobs executing on pool workers.", float64(ps.InFlight)),
 		gauge("serve_queue_capacity", "Admission queue bound.", float64(ps.QueueCap)),
+		{Name: "serve_jobs_completed_total", Help: "Jobs pool workers have finished.", Type: "counter",
+			Points: []obs.Point{{Value: float64(ps.Completed)}}},
 	}
 }
 
@@ -402,8 +349,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.draining.Store(true)
-		s.sloEval.Stop()
-		s.wdog.Stop()
 		s.rt.Close()
 		if s.cfg.DiskStore != nil {
 			s.cfg.DiskStore.Close()
@@ -541,8 +486,13 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, k Key, build fu
 			writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
 		case errors.Is(err, context.Canceled):
 			writeError(w, http.StatusServiceUnavailable, "request canceled")
-		default:
+		case errors.As(err, new(*core.ConfigError)):
 			writeError(w, http.StatusBadRequest, "%v", err)
+		default:
+			// Any other build error is the server's own failure
+			// (exhausted retries, a marshal error) and counts against
+			// the availability objective.
+			writeError(w, http.StatusInternalServerError, "%v", err)
 		}
 		return
 	}

@@ -421,6 +421,7 @@ func TestRequestValidation(t *testing.T) {
 	}{
 		{"/v1/run", `{"sed": 1}`, http.StatusBadRequest},        // unknown field (typo must not hash to defaults)
 		{"/v1/run", `{"students": 13}`, http.StatusBadRequest},  // odd cohort
+		{"/v1/run", `{"students": 12}`, http.StatusBadRequest},  // sections of 6 cannot form teams of 4..5 (core.ConfigError from the build)
 		{"/v1/sweep", `{"seeds": 2}`, http.StatusBadRequest},    // below minimum
 		{"/v1/sweep", `{"seeds": 5000}`, http.StatusBadRequest}, // above MaxSweepSeeds
 	}
@@ -446,6 +447,28 @@ func TestRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("DELETE /v1/run = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestStrictBodyDecoding: a body is exactly one JSON value of at most
+// 1 MiB. Trailing data is refused rather than ignored, and an oversize
+// body answers 413 rather than being truncated or misparsed.
+func TestStrictBodyDecoding(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	cases := []struct {
+		name, body string
+		want       int
+	}{
+		{"trailing garbage", `{"seed": 7} trailing garbage`, http.StatusBadRequest},
+		{"second value", `{"seed": 7} {"seed": 8}`, http.StatusBadRequest},
+		{"value then 2 MiB of spaces", `{"seed": 7}` + strings.Repeat(" ", 2<<20), http.StatusRequestEntityTooLarge},
+		{"2 MiB number", `{"seed": ` + strings.Repeat("7", 2<<20) + `}`, http.StatusRequestEntityTooLarge},
+	}
+	for _, tc := range cases {
+		resp, body := post(t, ts, "/v1/run", tc.body, nil)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d (%.80s), want %d", tc.name, resp.StatusCode, body, tc.want)
+		}
 	}
 }
 

@@ -4,26 +4,37 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"pblparallel/internal/fault"
 	"pblparallel/internal/obs"
 	"pblparallel/internal/obs/flightrec"
 	"pblparallel/internal/obs/slo"
 	"pblparallel/internal/obs/tsdb"
 )
 
-// newTSDBServer wires a Server and a TSDB onto one private registry —
-// the daemon shape, but with the sampler driven by hand (SampleOnce)
-// so the tests control exactly when history accrues.
+// newTSDBServer wires a Server, a TSDB and the rule engine onto one
+// private registry — the daemon shape, but with sampling and
+// evaluation driven by hand (SampleOnce, Eval) so the tests control
+// exactly when history accrues.
 func newTSDBServer(t testing.TB, cfg Config) (*Server, *tsdb.DB, *httptest.Server) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	db := tsdb.New(tsdb.Config{Registry: reg})
-	cfg.Registry = reg
-	cfg.TSDB = db
+	cfg.Registry, cfg.TSDB = reg, db
+	cfg.SLO = slo.New(slo.Config{
+		Objectives: slo.DefaultSLOs(),
+		Source:     slo.TSDBSource{DB: db},
+		Registry:   reg,
+		OnTrip: func(t slo.Trip) { // as the daemon CLI wires it
+			flightrec.Active().Trigger(t.Reason, obs.TraceID{})
+		},
+	})
 	s, ts := newTestServer(t, cfg)
 	return s, db, ts
 }
@@ -155,14 +166,74 @@ func TestDebugTSDBDisabled(t *testing.T) {
 	}
 }
 
+// installRecorder installs a flight recorder writing every bundle to a
+// temporary directory, with no rate limit between triggers.
+func installRecorder(t *testing.T, db *tsdb.DB) string {
+	t.Helper()
+	dir := t.TempDir()
+	rec := flightrec.New(flightrec.Config{Registry: obs.NewRegistry(), MinGap: time.Nanosecond, Dir: dir})
+	rec.AttachTSDB(db)
+	flightrec.Install(rec)
+	t.Cleanup(func() { flightrec.Install(nil) })
+	return dir
+}
+
+// bundleFor reads the one postmortem bundle in dir whose reason starts
+// with prefix (bundle files are named after their sanitized reason).
+func bundleFor(t *testing.T, dir, prefix string) flightrec.Bundle {
+	t.Helper()
+	want := "-" + strings.Map(func(r rune) rune { // flightrec's file-name sanitizing
+		if r == '-' || r == '_' || r >= '0' && r <= '9' || r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' {
+			return r
+		}
+		return '_'
+	}, prefix)
+	paths, _ := filepath.Glob(filepath.Join(dir, "flightrec-*.json"))
+	var found []string
+	for _, p := range paths {
+		if strings.Contains(filepath.Base(p), want) {
+			found = append(found, p)
+		}
+	}
+	if len(found) != 1 {
+		t.Fatalf("%d bundles for %q in %v, want 1", len(found), prefix, paths)
+	}
+	raw, err := os.ReadFile(found[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b flightrec.Bundle
+	if err := json.Unmarshal(raw, &b); err != nil {
+		t.Fatalf("postmortem bundle not valid JSON: %v", err)
+	}
+	if !strings.HasPrefix(b.Reason, prefix) {
+		t.Fatalf("bundle reason %q, want prefix %q", b.Reason, prefix)
+	}
+	return b
+}
+
+// embeds reports whether b's TSDB window holds samples of a series
+// whose key starts with series and contains every label fragment.
+func embeds(b flightrec.Bundle, series string, labels ...string) bool {
+	for _, sd := range b.TSDB {
+		if !strings.HasPrefix(sd.Series, series) || len(sd.Samples) == 0 {
+			continue
+		}
+		ok := true
+		for _, l := range labels {
+			ok = ok && strings.Contains(sd.Series, l)
+		}
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
 // TestDebugSLOEndpoint: an armed engine reports every objective's burn
 // windows and budget over HTTP.
 func TestDebugSLOEndpoint(t *testing.T) {
-	_, db, ts := newTSDBServer(t, Config{
-		Workers:     1,
-		SLOs:        DefaultSLOs(),
-		SLOInterval: time.Hour, // background cadence out of the way; the handler evaluates on demand
-	})
+	_, db, ts := newTSDBServer(t, Config{Workers: 1})
 	t0 := time.Now().Add(-time.Second) // backdated: samples must land inside [now-range, now]
 	get(t, ts, ts.URL+"/healthz")
 	db.SampleOnce(t0)
@@ -198,23 +269,13 @@ func TestDebugSLOEndpoint(t *testing.T) {
 }
 
 // TestForcedBurnTripEmbedsTSDBWindow closes the tentpole loop: forced
-// 5xx traffic burns the availability budget, the rising-edge trip
-// triggers a flight-recorder postmortem, and the bundle embeds the
-// TSDB window around the incident.
+// 5xx traffic burns the availability budget past the default fast
+// pair's 14.4x, the rising-edge trip triggers a flight-recorder
+// postmortem, and the bundle embeds the TSDB window around the
+// incident.
 func TestForcedBurnTripEmbedsTSDBWindow(t *testing.T) {
-	rec := flightrec.New(flightrec.Config{Registry: obs.NewRegistry(), MinGap: time.Nanosecond})
-	flightrec.Install(rec)
-	defer flightrec.Install(nil)
-
-	s, db, ts := newTSDBServer(t, Config{
-		Workers: 1,
-		SLOs:    []slo.Objective{{Name: "availability", Kind: "availability", Target: 0.999}},
-		// One tight pair so a tiny test window can trip it: both spans
-		// cover the sampled history, threshold 1x.
-		SLOWindows:  []slo.WindowRule{{Name: "test", Short: time.Minute, Long: time.Minute, Threshold: 1}},
-		SLOInterval: time.Hour,
-	})
-	rec.AttachTSDB(db)
+	s, db, ts := newTSDBServer(t, Config{Workers: 1})
+	dir := installRecorder(t, db)
 
 	// Force one 504 (the Request-Timeout bound expires before any
 	// compute finishes) so the error series exists, sample the
@@ -228,55 +289,105 @@ func TestForcedBurnTripEmbedsTSDBWindow(t *testing.T) {
 			t.Fatalf("forced request status %d, want 504", resp.StatusCode)
 		}
 	}
-	t0 := time.Now().Add(-time.Second) // backdated: samples must land inside [now-range, now]
+	t0 := time.Now().Add(-time.Second) // backdated: samples must land inside the recorder's window
 	get(t, ts, ts.URL+"/healthz")
 	force504(99)
 	db.SampleOnce(t0)
 	for seed := 1; seed <= 4; seed++ {
 		force504(seed)
 	}
-	db.SampleOnce(t0.Add(2 * time.Millisecond))
+	t1 := t0.Add(2 * time.Millisecond)
+	db.SampleOnce(t1)
 
-	statuses := s.sloEval.EvalNow()
-	if len(statuses) != 1 {
-		t.Fatalf("%d statuses, want 1", len(statuses))
+	statuses := s.cfg.SLO.Eval(t1)
+	if w := statuses[0].Windows[0]; statuses[0].Objective.Name != "availability" || w.Name != "fast" || !w.Firing {
+		t.Fatalf("availability fast pair not firing after forced 504s: %+v", statuses[0])
 	}
-	if w := statuses[0].Windows[0]; !w.Firing {
-		t.Fatalf("availability window not firing after forced 504s: short %gx long %gx", w.ShortBurn, w.LongBurn)
-	}
-
-	raw := rec.LastBundle()
-	if raw == nil {
-		t.Fatal("burn-rate trip did not trigger a flight-recorder bundle")
-	}
-	var b flightrec.Bundle
-	if err := json.Unmarshal(raw, &b); err != nil {
-		t.Fatalf("postmortem bundle not valid JSON: %v", err)
-	}
-	if !strings.HasPrefix(b.Reason, "slo-burn:availability:test") {
-		t.Fatalf("bundle reason %q, want slo-burn:availability:test*", b.Reason)
-	}
+	b := bundleFor(t, dir, "slo-burn:availability:fast")
 	if len(b.TSDB) == 0 {
 		t.Fatal("postmortem bundle embeds no TSDB window")
 	}
-	var sawErrors bool
-	for _, sd := range b.TSDB {
-		if strings.HasPrefix(sd.Series, "http_requests_total") && strings.Contains(sd.Series, `code="504"`) {
-			sawErrors = true
-			if len(sd.Samples) == 0 {
-				t.Fatal("embedded 504 series carries no samples")
-			}
-		}
-	}
-	if !sawErrors {
+	if !embeds(b, "http_requests_total", `code="504"`) {
 		t.Fatal("embedded TSDB window is missing the offending 504 series")
 	}
 
 	// A second evaluation over the same still-burning window must not
-	// re-trip (rising edge only): the last bundle stays the trip's.
-	before := string(raw)
-	s.sloEval.EvalNow()
-	if after := rec.LastBundle(); string(after) != before {
+	// re-trip (rising edge only).
+	dumps := flightrec.Active().Dumps()
+	s.cfg.SLO.Eval(t1)
+	if flightrec.Active().Dumps() != dumps {
 		t.Fatal("steady burn re-tripped; trips must be rising-edge only")
+	}
+}
+
+// TestInternalErrorBurnsAvailability: a permanent engine fault exhausts
+// the retry budget, the server answers 500 (an internal failure, not
+// the client's), and the availability objective counts it.
+func TestInternalErrorBurnsAvailability(t *testing.T) {
+	inj, err := fault.New(fault.Plan{Seed: 1, Rules: []fault.Rule{
+		{Site: fault.SiteEngineRun, Kind: fault.RunFail, Prob: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, db, ts := newTSDBServer(t, Config{Workers: 1, Injector: inj})
+	run := func(seed int) {
+		resp, body := post(t, ts, "/v1/run", `{"seed": `+strconv.Itoa(seed)+`}`, nil)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("permanent engine fault answered %d %s, want 500", resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "transient failure") {
+			t.Fatalf("500 body %s does not name the engine failure", body)
+		}
+	}
+	// The 500 series must exist before the first sample for its
+	// increase to count (see TestForcedBurnTripEmbedsTSDBWindow).
+	run(8)
+	t0 := time.Now().Add(-time.Second)
+	db.SampleOnce(t0)
+	run(9)
+	t1 := t0.Add(2 * time.Millisecond)
+	db.SampleOnce(t1)
+	for _, st := range s.cfg.SLO.Eval(t1) {
+		if st.Objective.Name == "availability" {
+			if burn := st.Windows[0].ShortBurn; burn <= 0 {
+				t.Fatalf("availability burn %g after a 500, want > 0", burn)
+			}
+			return
+		}
+	}
+	t.Fatal("no availability status")
+}
+
+// TestWatchdogStallPostmortem wedges a one-worker server — a job holds
+// the only worker and another waits behind it — samples at pinned
+// times, and checks that the sched-stall rule trips once with a
+// postmortem embedding the scheduler's queue series.
+func TestWatchdogStallPostmortem(t *testing.T) {
+	s, db, _ := newTSDBServer(t, Config{Workers: 1})
+	dir := installRecorder(t, db)
+	block := make(chan struct{})
+	t.Cleanup(func() { close(block) }) // runs before the server's Close
+	started := make(chan struct{})
+	if err := s.rt.Submit(func() { close(started); <-block }); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if err := s.rt.Submit(func() {}); err != nil {
+		t.Fatal(err)
+	}
+
+	t0 := time.Now().Add(-time.Second)
+	for i := 0; i < slo.StallSamples; i++ {
+		at := t0.Add(time.Duration(i) * 5 * time.Millisecond)
+		db.SampleOnce(at)
+		s.cfg.SLO.Eval(at)
+		if dumps := flightrec.Active().Dumps(); (i < slo.StallSamples-1) != (dumps == 0) {
+			t.Fatalf("after %d samples: %d postmortems, want one exactly at sample %d", i+1, dumps, slo.StallSamples)
+		}
+	}
+	b := bundleFor(t, dir, "watchdog:sched-stall (1 queued, 1 in flight")
+	if !embeds(b, "serve_queue_depth") {
+		t.Fatal("stall postmortem does not embed the serve_queue_depth series")
 	}
 }

@@ -76,7 +76,7 @@ func TestDebugTraceSpanTree(t *testing.T) {
 	defer obs.Install(nil)
 	_, ts := newTestServer(t, Config{Workers: 2})
 
-	supplied := obs.TraceContext{Trace: obs.NewTraceID()}
+	supplied := obs.TraceContext{Trace: obs.NewTraceID(), Parent: 1}
 	resp, _ := post(t, ts, "/v1/run", `{"seed": 43}`,
 		map[string]string{"traceparent": supplied.Traceparent()})
 	if resp.StatusCode != http.StatusOK {
@@ -175,7 +175,7 @@ func TestCoalescedFollowersLinkLeaderTrace(t *testing.T) {
 		traces[i] = obs.NewTraceID()
 		go func(i int) {
 			resp, _ := post(t, ts, "/v1/run", `{"seed": 47}`, map[string]string{
-				"traceparent": obs.TraceContext{Trace: traces[i]}.Traceparent(),
+				"traceparent": obs.TraceContext{Trace: traces[i], Parent: 1}.Traceparent(),
 			})
 			if resp.StatusCode != http.StatusOK {
 				errs <- fmt.Errorf("request %d: status %d", i, resp.StatusCode)
@@ -253,7 +253,7 @@ func TestForced5xxTriggersPostmortem(t *testing.T) {
 	defer flightrec.Install(nil)
 
 	_, ts := newTestServer(t, Config{Workers: 1})
-	supplied := obs.TraceContext{Trace: obs.NewTraceID()}
+	supplied := obs.TraceContext{Trace: obs.NewTraceID(), Parent: 1}
 	resp, _ := post(t, ts, "/v1/run", `{"seed": 53}`, map[string]string{
 		"traceparent":     supplied.Traceparent(),
 		"Request-Timeout": "0.000001",
@@ -328,7 +328,7 @@ func TestShedRecordedInFlightRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t, Config{Workers: 2, Injector: inj})
-	supplied := obs.TraceContext{Trace: obs.NewTraceID()}
+	supplied := obs.TraceContext{Trace: obs.NewTraceID(), Parent: 1}
 	resp, _ := post(t, ts, "/v1/run", `{"seed": 59}`,
 		map[string]string{"traceparent": supplied.Traceparent()})
 	if resp.StatusCode != http.StatusTooManyRequests {
