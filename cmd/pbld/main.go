@@ -11,11 +11,17 @@
 //
 //	pbld [-addr HOST:PORT] [-workers N] [-queue N] [-cache N]
 //	     [-cache-dir DIR] [-cache-disk-max BYTES]
-//	     [-timeout D] [-drain D] [-retries N]
-//	     [-fault-qfull P] [-fault-slow P] [-fault-corrupt P]
+//	     [-timeout D] [-drain D] [-max-seeds N] [-retries N]
+//	     [-fault-seed N] [-fault-qfull P] [-fault-slow P] [-fault-corrupt P]
 //	     [-fault-store-corrupt P] [-fault-store-read P] [-fault-store-write P]
-//	     [-tsdb-interval D] [-tsdb-retention D] [-prof-interval D]
+//	     [-flightrec=BOOL] [-flightrec-dir DIR] [-flightrec-window D]
+//	     [-prof=BOOL] [-prof-interval D] [-prof-cpu D]
+//	     [-tsdb=BOOL] [-tsdb-interval D] [-tsdb-retention D] [-slo=BOOL]
 //	     [-trace FILE] [-metrics-out FILE] [-pprof ADDR]
+//
+// main parses nothing itself: serve.Command maps the flags onto
+// serve.Options, binds the listener, and runs the daemon serve.Open
+// assembles — the same one `pblstudy chaos -serve` gates.
 //
 // Endpoints: POST /v1/run, POST /v1/sweep, POST /v1/cohort,
 // GET /v1/spring2019, plus /healthz, /readyz, the Prometheus

@@ -30,8 +30,9 @@ import (
 // study computes.
 func cmdChaos(args []string) {
 	fs := flag.NewFlagSet("pblstudy chaos", flag.ExitOnError)
-	seeds := fs.Int("seeds", 200, "number of study seeds to sweep")
-	start := fs.Int64("start", 20180800, "first seed of the sweep")
+	var o serveChaosOpts // the flags both sweeps share, plus the -serve ones
+	fs.IntVar(&o.seeds, "seeds", 200, "number of study seeds to sweep")
+	fs.Int64Var(&o.start, "start", 20180800, "first seed of the sweep")
 	workers := fs.Int("workers", 0, "engine worker pool size (0 = all CPUs)")
 	workerset := fs.String("workerset", "", "comma-separated worker counts (e.g. 1,2,8): run the chaos pass once per count, each on a dedicated work-stealing runtime, all against one baseline; empty = a single pass at -workers")
 	drop := fs.Float64("drop", 0.2, "probability an MPI message is dropped on the wire (recovered by reliable delivery)")
@@ -41,70 +42,32 @@ func cmdChaos(args []string) {
 	panicP := fs.Float64("panic", 0.005, "probability an omp thread panics at a barrier (transient; retried)")
 	slow := fs.Float64("slow", 0.25, "probability a simulated Pi core runs slowed (virtual time only)")
 	runfail := fs.Float64("runfail", 0.005, "probability an engine run fails transiently before executing")
-	retries := fs.Int("retries", 3, "engine retry budget for transient failures")
-	faultSeed := fs.Int64("fault-seed", 1, "seed of the fault-decision stream")
+	fs.IntVar(&o.retries, "retries", 3, "engine retry budget for transient failures")
+	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "seed of the fault-decision stream")
 	serveMode := fs.Bool("serve", false, "sweep through the HTTP service instead of the engine: responses must stay byte-identical under the service-layer fault mix")
-	qfull := fs.Float64("qfull", 0.05, "-serve: probability a request is shed at admission as if the queue were full (client retries)")
-	slowreq := fs.Float64("slowreq", 0.1, "-serve: probability a computation is delayed (latency only)")
-	corrupt := fs.Float64("corrupt", 0.2, "-serve: probability a cache read sees corrupted bytes (healed by recompute)")
-	storeCorrupt := fs.Float64("store-corrupt", 0.1, "-serve -restart: probability a persistent-tier read sees corrupted bytes (healed by delete + recompute)")
-	storeRead := fs.Float64("store-read", 0.05, "-serve -restart: probability a persistent-tier read fails (degrades to a miss)")
-	storeWrite := fs.Float64("store-write", 0.05, "-serve -restart: probability a persistent-tier write fails (entry not persisted)")
-	restart := fs.Bool("restart", true, "-serve: run the second pass against a freshly restarted daemon whose memory cache is cold, so it must be served from the persistent tier")
-	cacheDir := fs.String("cache-dir", "", "-serve -restart: persistent tier directory shared across the restart (empty = a fresh temp dir)")
-	frec := fs.Bool("flightrec", true, "-serve: run tracing + the flight recorder through the sweep, asserting recording never changes response bytes")
-	frecDir := fs.String("flightrec-dir", "", "-serve: write triggered postmortem bundles to this directory (CI uploads them when the sweep fails)")
-	asJSON := fs.Bool("json", false, "emit the chaos report as JSON instead of text")
+	fs.Float64Var(&o.probs.QueueFull, "qfull", 0.05, "-serve: probability a request is shed at admission as if the queue were full (client retries)")
+	fs.Float64Var(&o.probs.BackendSlow, "slowreq", 0.1, "-serve: probability a computation is delayed (latency only)")
+	fs.Float64Var(&o.probs.CacheCorrupt, "corrupt", 0.2, "-serve: probability a cache read sees corrupted bytes (healed by recompute)")
+	fs.Float64Var(&o.probs.StoreCorrupt, "store-corrupt", 0.1, "-serve -restart: probability a persistent-tier read sees corrupted bytes (healed by delete + recompute)")
+	fs.Float64Var(&o.probs.StoreRead, "store-read", 0.05, "-serve -restart: probability a persistent-tier read fails (degrades to a miss)")
+	fs.Float64Var(&o.probs.StoreWrite, "store-write", 0.05, "-serve -restart: probability a persistent-tier write fails (entry not persisted)")
+	fs.BoolVar(&o.restart, "restart", true, "-serve: run the second pass against a freshly restarted daemon whose memory cache is cold, so it must be served from the persistent tier")
+	fs.StringVar(&o.cacheDir, "cache-dir", "", "-serve -restart: persistent tier directory shared across the restart (empty = a fresh temp dir)")
+	fs.BoolVar(&o.flightrec, "flightrec", true, "-serve: run the flight recorder and the continuous profiler in every daemon, asserting recording never changes response bytes")
+	fs.StringVar(&o.flightrecDir, "flightrec-dir", "", "-serve: write triggered postmortem bundles to this directory (CI uploads them when the sweep fails)")
+	fs.BoolVar(&o.asJSON, "json", false, "emit the chaos report as JSON instead of text")
 	obsCLI := obs.BindFlags(fs)
 	fs.Parse(args)
-	sess := startObs(obsCLI)
+	startObs(obsCLI)
 
 	workerCounts, err := parseWorkerSet(*workerset)
 	if err != nil {
-		sess.Close()
 		fail(err)
 	}
 
-	if *serveMode {
-		identical := true
-		for _, w := range workerCountsOr(workerCounts, *workers) {
-			identical = runServeChaos(serveChaosOpts{
-				seeds:     *seeds,
-				start:     *start,
-				workers:   w,
-				retries:   *retries,
-				faultSeed: *faultSeed,
-				runtimeRules: []fault.Rule{
-					{Site: fault.SiteMPISend, Kind: fault.MsgDrop, Prob: *drop},
-					{Site: fault.SiteMPISend, Kind: fault.MsgDup, Prob: *dup},
-					{Site: fault.SiteMPISend, Kind: fault.MsgDelay, Prob: *delay, Max: 200e-6},
-					{Site: fault.SiteOMPBarrier, Kind: fault.ThreadPanic, Prob: *panicP},
-					{Site: fault.SiteOMPBarrier, Kind: fault.ThreadStall, Prob: *stall, Max: 200e-6},
-					{Site: fault.SiteOMPFor, Kind: fault.ThreadStall, Prob: *stall, Max: 200e-6},
-					{Site: fault.SitePisimCore, Kind: fault.CoreSlow, Prob: *slow},
-					{Site: fault.SiteEngineRun, Kind: fault.RunFail, Prob: *runfail},
-				},
-				qfull:        *qfull,
-				slowreq:      *slowreq,
-				corrupt:      *corrupt,
-				storeCorrupt: *storeCorrupt,
-				storeRead:    *storeRead,
-				storeWrite:   *storeWrite,
-				restart:      *restart,
-				cacheDir:     *cacheDir,
-				flightrec:    *frec,
-				flightrecDir: *frecDir,
-				asJSON:       *asJSON,
-			}) && identical
-		}
-		closeObs(sess)
-		if !identical {
-			os.Exit(1)
-		}
-		return
-	}
-
-	plan := fault.Plan{Seed: *faultSeed, Rules: []fault.Rule{
+	// The runtime fault mix: it fires inside studies and is absorbed by
+	// the engine's retry layer (under the service with -serve).
+	o.runtimeRules = []fault.Rule{
 		{Site: fault.SiteMPISend, Kind: fault.MsgDrop, Prob: *drop},
 		{Site: fault.SiteMPISend, Kind: fault.MsgDup, Prob: *dup},
 		{Site: fault.SiteMPISend, Kind: fault.MsgDelay, Prob: *delay, Max: 200e-6},
@@ -113,28 +76,39 @@ func cmdChaos(args []string) {
 		{Site: fault.SiteOMPFor, Kind: fault.ThreadStall, Prob: *stall, Max: 200e-6},
 		{Site: fault.SitePisimCore, Kind: fault.CoreSlow, Prob: *slow},
 		{Site: fault.SiteEngineRun, Kind: fault.RunFail, Prob: *runfail},
-	}}
+	}
+	if *serveMode {
+		identical := true
+		for _, w := range workerCountsOr(workerCounts, *workers) {
+			o.workers = w
+			identical = runServeChaos(o).OK && identical
+		}
+		closeObs()
+		if !identical {
+			os.Exit(1)
+		}
+		return
+	}
+
+	plan := fault.Plan{Seed: o.faultSeed, Rules: o.runtimeRules}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	cfg := core.PaperStudy()
-	stream := engine.SequentialSeeds(*start)
+	stream := engine.SequentialSeeds(o.start)
 
 	// Clean baseline: no injector in the context, no retries needed.
 	clean := engine.New(engine.WithWorkers(*workers))
-	baseRes, err := clean.Sweep(ctx, cfg, stream, *seeds)
+	baseRes, err := clean.Sweep(ctx, cfg, stream, o.seeds)
 	if err != nil {
-		sess.Close()
 		fail(fmt.Errorf("baseline sweep: %w", err))
 	}
 	if err := baseRes.FirstErr(); err != nil {
-		sess.Close()
 		fail(fmt.Errorf("baseline sweep: %w", err))
 	}
-	baseline := make([][]byte, *seeds)
+	baseline := make([][]byte, o.seeds)
 	for _, r := range baseRes.Runs {
 		b, err := json.Marshal(serve.Summarize(r.Seed, cfg.Calibrate, r.Outcome))
 		if err != nil {
-			sess.Close()
 			fail(err)
 		}
 		baseline[r.Index] = b
@@ -152,7 +126,6 @@ func cmdChaos(args []string) {
 		// same injections, and the per-pass ledger stays readable.
 		inj, err := fault.New(plan)
 		if err != nil {
-			sess.Close()
 			fail(err)
 		}
 		metrics := engine.NewMetrics()
@@ -162,7 +135,7 @@ func cmdChaos(args []string) {
 		engOpts := []engine.Option{
 			engine.WithWorkers(w),
 			engine.WithMetrics(metrics),
-			engine.WithRetry(*retries, 100*time.Microsecond),
+			engine.WithRetry(o.retries, 100*time.Microsecond),
 		}
 		var rt *sched.Runtime
 		if len(workerCounts) > 0 {
@@ -170,12 +143,11 @@ func cmdChaos(args []string) {
 			engOpts = append(engOpts, engine.WithRuntime(rt))
 		}
 		chaotic := engine.New(engOpts...)
-		chaosRes, err := chaotic.Sweep(fault.NewContext(ctx, inj), cfg, stream, *seeds)
+		chaosRes, err := chaotic.Sweep(fault.NewContext(ctx, inj), cfg, stream, o.seeds)
 		if rt != nil {
 			rt.Close()
 		}
 		if err != nil {
-			sess.Close()
 			fail(fmt.Errorf("chaos sweep (workers=%d): %w", w, err))
 		}
 
@@ -191,7 +163,6 @@ func cmdChaos(args []string) {
 			}
 			b, err := json.Marshal(serve.Summarize(r.Seed, cfg.Calibrate, r.Outcome))
 			if err != nil {
-				sess.Close()
 				fail(err)
 			}
 			if string(b) != string(baseline[r.Index]) {
@@ -202,11 +173,11 @@ func cmdChaos(args []string) {
 		snap := metrics.Snapshot()
 
 		report := chaosJSON{
-			Seeds:     *seeds,
-			Start:     *start,
+			Seeds:     o.seeds,
+			Start:     o.start,
 			Workers:   chaosRes.Workers,
-			Retries:   *retries,
-			FaultSeed: *faultSeed,
+			Retries:   o.retries,
+			FaultSeed: o.faultSeed,
 			Plan: map[string]float64{
 				"drop": *drop, "dup": *dup, "delay": *delay, "stall": *stall,
 				"panic": *panicP, "slow": *slow, "runfail": *runfail,
@@ -218,7 +189,7 @@ func cmdChaos(args []string) {
 			DriftedSeeds:  drifted,
 			Identical:     len(drifted) == 0,
 		}
-		if *asJSON {
+		if o.asJSON {
 			emitJSON(report)
 		} else {
 			if pi > 0 {
@@ -228,7 +199,7 @@ func cmdChaos(args []string) {
 		}
 		allIdentical = allIdentical && report.Identical
 	}
-	closeObs(sess)
+	closeObs()
 	if !allIdentical {
 		os.Exit(1)
 	}

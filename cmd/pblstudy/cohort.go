@@ -43,7 +43,7 @@ func cmdCohort(args []string) {
 	asJSON := fs.Bool("json", false, "emit the result as JSON instead of the report")
 	obsCLI := obs.BindFlags(fs)
 	fs.Parse(args)
-	sess := startObs(obsCLI)
+	startObs(obsCLI)
 
 	cfg := mega.Config{
 		Students:     *students,
@@ -54,16 +54,13 @@ func cmdCohort(args []string) {
 	}
 	var err error
 	if cfg.Policies, err = parsePolicies(*policies); err != nil {
-		sess.Close()
 		fail(err)
 	}
 	if cfg.Assessments, err = parseAssessments(*assessments); err != nil {
-		sess.Close()
 		fail(err)
 	}
 	workerCounts, err := parseWorkerSet(*workerset)
 	if err != nil {
-		sess.Close()
 		fail(err)
 	}
 
@@ -87,7 +84,6 @@ func cmdCohort(args []string) {
 				{Site: fault.SiteCohortBatch, Kind: fault.ThreadStall, Prob: *faultP, Max: 200e-6},
 			}})
 			if err != nil {
-				sess.Close()
 				fail(err)
 			}
 			runCtx = fault.NewContext(ctx, inj)
@@ -105,12 +101,10 @@ func cmdCohort(args []string) {
 			rt.Close()
 		}
 		if err != nil {
-			sess.Close()
 			fail(fmt.Errorf("cohort sweep (workers=%d): %w", w, err))
 		}
 		b, err := json.Marshal(res)
 		if err != nil {
-			sess.Close()
 			fail(err)
 		}
 		if pi == 0 {
@@ -126,7 +120,7 @@ func cmdCohort(args []string) {
 	} else {
 		renderCohort(res, counts, inj, identical)
 	}
-	closeObs(sess)
+	closeObs()
 	if !identical {
 		os.Exit(1)
 	}

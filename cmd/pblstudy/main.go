@@ -33,19 +33,25 @@ import (
 	"pblparallel/internal/whatif"
 )
 
+// session is the subcommand's active observability session; fail
+// flushes it before exiting.
+var session *obs.Session
+
 // startObs activates the observability flags, exiting on error. The
-// caller must run closeObs before returning (fail paths close too).
-func startObs(c *obs.CLI) *obs.Session {
+// caller must run closeObs before returning; fail paths close it too.
+func startObs(c *obs.CLI) {
 	sess, err := c.Start()
 	if err != nil {
 		fail(err)
 	}
-	return sess
+	session = sess
 }
 
 // closeObs flushes trace/metrics files; its diagnostics go to stderr,
 // so stdout stays machine-parseable under -json.
-func closeObs(sess *obs.Session) {
+func closeObs() {
+	sess := session
+	session = nil
 	if err := sess.Close(); err != nil {
 		fail(err)
 	}
@@ -119,7 +125,7 @@ func cmdRun(args []string) {
 	asJSON := fs.Bool("json", false, "emit a machine-readable summary instead of the report")
 	obsCLI := obs.BindFlags(fs)
 	fs.Parse(args)
-	sess := startObs(obsCLI)
+	startObs(obsCLI)
 
 	opts := []core.Option{core.WithCalibration(!*uncal)}
 	if *seed != 0 {
@@ -138,7 +144,6 @@ func cmdRun(args []string) {
 	study := core.NewStudy(opts...)
 	outcome, err := study.Run(context.Background())
 	if err != nil {
-		sess.Close()
 		fail(err)
 	}
 	if *asJSON {
@@ -146,7 +151,7 @@ func cmdRun(args []string) {
 	} else if err := outcome.Render(os.Stdout); err != nil {
 		fail(err)
 	}
-	closeObs(sess)
+	closeObs()
 }
 
 // runSummary builds the machine-readable study summary (the shape
@@ -166,7 +171,7 @@ func cmdSensitivity(args []string) {
 	metrics := fs.Bool("metrics", false, "print engine metrics (per-stage histograms, throughput) to stderr after the sweep")
 	obsCLI := obs.BindFlags(fs)
 	fs.Parse(args)
-	sess := startObs(obsCLI)
+	startObs(obsCLI)
 
 	opts := sensitivity.Options{Workers: *workers}
 	if *metrics || obsCLI.MetricsPath != "" || obsCLI.PprofAddr != "" {
@@ -180,7 +185,6 @@ func cmdSensitivity(args []string) {
 	defer stop()
 	r, err := sensitivity.RunSweep(ctx, *start, *seeds, opts)
 	if err != nil {
-		sess.Close()
 		fail(err)
 	}
 	if *asJSON {
@@ -195,7 +199,7 @@ func cmdSensitivity(args []string) {
 			fail(err)
 		}
 	}
-	closeObs(sess)
+	closeObs()
 }
 
 // cmdInstrument prints the full Fig.-2 form.
@@ -216,7 +220,7 @@ func cmdSpring2019(args []string) {
 	seed := fs.Int64("seed", 42, "projection seed")
 	obsCLI := obs.BindFlags(fs)
 	fs.Parse(args)
-	sess := startObs(obsCLI)
+	startObs(obsCLI)
 
 	fall := pbl.NewPaperModule()
 	revised := pbl.NewSpring2019Module()
@@ -232,11 +236,10 @@ func cmdSpring2019(args []string) {
 		diff.AddedQuestionCount, diff.AddedMaterialCount)
 	proj, err := whatif.Project(whatif.TeamworkReinforcement(), *n, *seed)
 	if err != nil {
-		sess.Close()
 		fail(err)
 	}
 	fmt.Print(proj.Render())
-	closeObs(sess)
+	closeObs()
 }
 
 func emitJSON(v any) {
@@ -251,6 +254,10 @@ func emitJSON(v any) {
 // machine-splittable key=value line, trace-stamped when a request
 // context carried one) and exits.
 func fail(err error) {
+	if sess := session; sess != nil {
+		session = nil
+		sess.Close()
+	}
 	obs.Log().With("pblstudy").Error(context.Background(), "fatal", "err", err)
 	os.Exit(1)
 }

@@ -179,7 +179,7 @@ type tsdbResponse struct {
 // it evaluates the function over every matching series (quantile also
 // takes ?q=, default 0.99). 503 while the store is disabled.
 func (s *Server) handleDebugTSDB(w http.ResponseWriter, r *http.Request) {
-	db := s.cfg.TSDB
+	db := s.cfg.db
 	if db == nil {
 		writeError(w, http.StatusServiceUnavailable, "time-series store disabled; start the server with -tsdb")
 		return
@@ -246,13 +246,13 @@ func (s *Server) handleDebugTSDB(w http.ResponseWriter, r *http.Request) {
 // first request after startup also evaluates, so the endpoint never
 // answers empty). 503 while the SLO engine is disabled.
 func (s *Server) handleDebugSLO(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.SLO == nil {
+	if s.cfg.rules == nil {
 		writeError(w, http.StatusServiceUnavailable, "SLO engine disabled; start the server with -tsdb and -slo")
 		return
 	}
-	statuses := s.cfg.SLO.Statuses()
+	statuses := s.cfg.rules.Statuses()
 	if statuses == nil || r.URL.Query().Get("eval") != "" {
-		statuses = s.cfg.SLO.Eval(time.Now())
+		statuses = s.cfg.rules.Eval(time.Now())
 	}
 	w.Header().Set("Content-Type", "application/json")
 	b, err := json.MarshalIndent(struct {

@@ -97,7 +97,7 @@ func TestServerRestartServesFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts1 := newTestServer(t, Config{Workers: 2, Registry: reg1, DiskStore: st1})
+	_, ts1 := newTestServer(t, Config{Workers: 2, Registry: reg1, disk: st1})
 	respMiss, bodyMiss := post(t, ts1, "/v1/run", req, nil)
 	if respMiss.StatusCode != http.StatusOK || respMiss.Header.Get("X-Cache") != string(CacheMiss) {
 		t.Fatalf("populate: status %d X-Cache %q", respMiss.StatusCode, respMiss.Header.Get("X-Cache"))
@@ -110,7 +110,7 @@ func TestServerRestartServesFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, ts2 := newTestServer(t, Config{Workers: 2, Registry: reg2, DiskStore: st2})
+	srv2, ts2 := newTestServer(t, Config{Workers: 2, Registry: reg2, disk: st2})
 	respDisk, bodyDisk := post(t, ts2, "/v1/run", req, nil)
 	if respDisk.StatusCode != http.StatusOK {
 		t.Fatalf("restart: status %d", respDisk.StatusCode)

@@ -36,14 +36,10 @@
 // `pblstudy chaos -serve` can assert that every response stays
 // byte-identical under the full mix.
 //
-// The observability judgment layer sits on top: an attached embedded
-// TSDB (internal/obs/tsdb) gives every instrument history, and the rule
-// engine (internal/obs/slo) evaluates availability and latency budgets
-// plus the goroutine-leak and scheduler-stall checks over that history.
-// The daemon drives both from one obs.Clock and points the engine's
-// trips at the flight recorder: a tripped budget or an anomaly produces
-// a postmortem bundle with the TSDB window around the incident
-// embedded.
+// Open (daemon.go) assembles the daemon pbld runs: the Server plus the
+// tracer, profiler, flight recorder, an embedded TSDB, the SLO and
+// runtime rules over it, one obs.Clock, and the persistent tier. A rule
+// trip produces a postmortem bundle embedding the TSDB window.
 package serve
 
 import (
@@ -115,21 +111,14 @@ type Config struct {
 	// Registry receives the server's metrics; nil selects the process
 	// registry (obs.Metrics()).
 	Registry *obs.Registry
-	// DiskStore attaches the persistent second cache tier (see
-	// internal/store): memory misses probe it before computing, and
-	// computed responses plus memory evictions spill into it, so the
-	// warm set survives a restart. Nil keeps the cache memory-only.
-	// The server takes ownership — Close drains and closes it.
-	DiskStore *store.Store
-	// TSDB attaches the embedded time-series store behind GET
-	// /debug/tsdb. Borrowed, not owned: the caller creates it and
-	// drives its sampling (the daemon CLI samples the process registry
-	// so every subsystem's metrics gain history).
-	TSDB *tsdb.DB
-	// SLO is the rule engine behind GET /debug/slo, evaluating over
-	// TSDB. Borrowed like TSDB: the caller builds it, drives Eval, and
-	// points its trips at the flight recorder. Nil answers 503.
-	SLO *slo.Evaluator
+	// Set by Open (daemon.go), or directly by this package's tests.
+	// disk is the persistent tier under the memory cache: misses probe
+	// it, computed responses and evictions spill into it, and the
+	// server owns it (Close closes it). db and rules back /debug/tsdb
+	// and /debug/slo; they are borrowed, and nil answers 503.
+	disk  *store.Store
+	db    *tsdb.DB
+	rules *slo.Evaluator
 }
 
 // withDefaults resolves the zero values.
@@ -211,7 +200,7 @@ func New(cfg Config) *Server {
 	if cfg.Injector != nil {
 		s.admitSeq = make(map[string]uint64)
 	}
-	s.cache.disk = cfg.DiskStore
+	s.cache.disk = cfg.disk
 	reg := cfg.Registry
 	s.cacheHits = reg.Counter("serve_cache_hits_total", "Responses served from the result cache.")
 	s.cacheMisses = reg.Counter("serve_cache_misses_total", "Responses computed and stored.")
@@ -315,8 +304,8 @@ type Stats struct {
 // Stats snapshots the server.
 func (s *Server) Stats() Stats {
 	st := Stats{Pool: s.rt.Stats(), Cache: s.cache.Stats(), Shed: s.shed.Value()}
-	if s.cfg.DiskStore != nil {
-		st.Store = s.cfg.DiskStore.Stats()
+	if s.cfg.disk != nil {
+		st.Store = s.cfg.disk.Stats()
 	}
 	return st
 }
@@ -350,8 +339,8 @@ func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.draining.Store(true)
 		s.rt.Close()
-		if s.cfg.DiskStore != nil {
-			s.cfg.DiskStore.Close()
+		if s.cfg.disk != nil {
+			s.cfg.disk.Close()
 		}
 	})
 }

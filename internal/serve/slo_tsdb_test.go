@@ -18,25 +18,23 @@ import (
 	"pblparallel/internal/obs/tsdb"
 )
 
-// newTSDBServer wires a Server, a TSDB and the rule engine onto one
-// private registry — the daemon shape, but with sampling and
-// evaluation driven by hand (SampleOnce, Eval) so the tests control
+// newTSDBServer opens the daemon with its TSDB and rule engine on a
+// private registry and leaves its clock stopped: the tests drive
+// sampling and evaluation by hand (SampleOnce, Eval) so they control
 // exactly when history accrues.
 func newTSDBServer(t testing.TB, cfg Config) (*Server, *tsdb.DB, *httptest.Server) {
 	t.Helper()
-	reg := obs.NewRegistry()
-	db := tsdb.New(tsdb.Config{Registry: reg})
-	cfg.Registry, cfg.TSDB = reg, db
-	cfg.SLO = slo.New(slo.Config{
-		Objectives: slo.DefaultSLOs(),
-		Source:     slo.TSDBSource{DB: db},
-		Registry:   reg,
-		OnTrip: func(t slo.Trip) { // as the daemon CLI wires it
-			flightrec.Active().Trigger(t.Reason, obs.TraceID{})
-		},
+	cfg.Registry = obs.NewRegistry()
+	d, err := Open(Options{Config: cfg, TSDB: true, SLO: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(d.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		d.Close()
 	})
-	s, ts := newTestServer(t, cfg)
-	return s, db, ts
+	return d.Server, d.cfg.db, ts
 }
 
 // TestDebugTSDBRateQuery is the tentpole acceptance path: real traffic
@@ -299,7 +297,7 @@ func TestForcedBurnTripEmbedsTSDBWindow(t *testing.T) {
 	t1 := t0.Add(2 * time.Millisecond)
 	db.SampleOnce(t1)
 
-	statuses := s.cfg.SLO.Eval(t1)
+	statuses := s.cfg.rules.Eval(t1)
 	if w := statuses[0].Windows[0]; statuses[0].Objective.Name != "availability" || w.Name != "fast" || !w.Firing {
 		t.Fatalf("availability fast pair not firing after forced 504s: %+v", statuses[0])
 	}
@@ -314,7 +312,7 @@ func TestForcedBurnTripEmbedsTSDBWindow(t *testing.T) {
 	// A second evaluation over the same still-burning window must not
 	// re-trip (rising edge only).
 	dumps := flightrec.Active().Dumps()
-	s.cfg.SLO.Eval(t1)
+	s.cfg.rules.Eval(t1)
 	if flightrec.Active().Dumps() != dumps {
 		t.Fatal("steady burn re-tripped; trips must be rising-edge only")
 	}
@@ -348,7 +346,7 @@ func TestInternalErrorBurnsAvailability(t *testing.T) {
 	run(9)
 	t1 := t0.Add(2 * time.Millisecond)
 	db.SampleOnce(t1)
-	for _, st := range s.cfg.SLO.Eval(t1) {
+	for _, st := range s.cfg.rules.Eval(t1) {
 		if st.Objective.Name == "availability" {
 			if burn := st.Windows[0].ShortBurn; burn <= 0 {
 				t.Fatalf("availability burn %g after a 500, want > 0", burn)
@@ -381,7 +379,7 @@ func TestWatchdogStallPostmortem(t *testing.T) {
 	for i := 0; i < slo.StallSamples; i++ {
 		at := t0.Add(time.Duration(i) * 5 * time.Millisecond)
 		db.SampleOnce(at)
-		s.cfg.SLO.Eval(at)
+		s.cfg.rules.Eval(at)
 		if dumps := flightrec.Active().Dumps(); (i < slo.StallSamples-1) != (dumps == 0) {
 			t.Fatalf("after %d samples: %d postmortems, want one exactly at sample %d", i+1, dumps, slo.StallSamples)
 		}
