@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: verify ci build test race vet bench-vet bench-record bench-check cover-stats golden fuzz fuzz-smoke chaos chaos-serve persist-check sweep-stray
+.PHONY: verify ci build test race vet fmt bench-vet bench-record bench-check cover-stats golden fuzz fuzz-smoke chaos chaos-serve persist-check sweep-stray
 
-## verify: the tier-1 gate — vet, build, race-test everything, pin the
-## golden outputs, smoke the fuzz targets on their seed corpora, hold
-## the sketch files to their coverage floor, and vet and test the
+## verify: the tier-1 gate — vet, gofmt, build, race-test everything,
+## pin the golden outputs, smoke the fuzz targets on their seed corpora,
+## hold the sketch files to their coverage floor, and vet and test the
 ## separate benchmark module against this tree. The stray-baseline
 ## sweep runs first so a leftover benchjson scratch file can never be
 ## mistaken for (or sorted above) a committed BENCH_PR* baseline.
@@ -14,6 +14,7 @@ GO ?= go
 verify:
 	$(MAKE) sweep-stray
 	$(MAKE) vet
+	$(MAKE) fmt
 	$(MAKE) build
 	$(MAKE) race
 	$(MAKE) golden
@@ -33,6 +34,12 @@ ci: verify
 
 vet:
 	$(GO) vet ./...
+
+## fmt: fail when gofmt would reformat any Go file in the tree,
+## naming the files; fix them with `gofmt -w <file>`.
+fmt:
+	@files=$$(gofmt -l .) || exit 1; \
+	if [ -n "$$files" ]; then echo "gofmt -l lists unformatted files:"; echo "$$files"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -66,7 +73,7 @@ fuzz-smoke:
 	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzSurveyScores -fuzztime 2s
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime 2s
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzCoMomentsMerge -fuzztime 2s
-	$(GO) test ./internal/obs/tsdb -run '^$$' -fuzz FuzzTSDBChunkDecode -fuzztime 2s
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzStoreEntryDecode -fuzztime 2s
 
 ## fuzz: the longer run — 30s per target locally, raised by the
 ## nightly workflow with FUZZTIME=5m.
@@ -78,7 +85,7 @@ fuzz:
 	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzSurveyScores -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzCoMomentsMerge -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/obs/tsdb -run '^$$' -fuzz FuzzTSDBChunkDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzStoreEntryDecode -fuzztime $(FUZZTIME)
 
 ## cover-stats: hold the mergeable-sketch implementation to a >=90%
 ## statement-coverage floor. The sketches are the numeric foundation
@@ -132,7 +139,7 @@ GATED_BENCH = { $(GO) test ./internal/fault/ -bench . -benchmem -count $(BENCH_C
   $(GO) test ./internal/obs/ -bench 'Span|Hist' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
   $(GO) test ./internal/obs/flightrec/ -bench Event -benchmem -count $(BENCH_COUNT) -run '^$$' && \
   $(GO) test ./internal/obs/prof/ -bench . -benchmem -count $(BENCH_COUNT) -run '^$$' && \
-  $(GO) test ./internal/sched/ -bench 'DequeOwner|IndexPoolNext|SpawnInline|StealOverhead|Introspect' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
+  $(GO) test ./internal/sched/ -bench 'DequeOwner|IndexPoolNext|StealOverhead|Introspect' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
   $(GO) test ./internal/stats/ -bench 'MomentsAdd|MomentsMerge|CoMomentsAdd' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
   $(GO) test ./internal/store/ -bench 'DiskHit|Compress|Decompress' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
   $(GO) test ./internal/obs/tsdb/ -bench 'TSDBAppend|TSDBQuery' -benchmem -count $(BENCH_COUNT) -run '^$$' && \

@@ -42,7 +42,7 @@ type Config struct {
 	Institutions int `json:"institutions"`
 	Semesters    int `json:"semesters"`
 	// Policies and Assessments are the scenario axes to sweep.
-	Policies    []cohort.FormationPolicy  `json:"-"`
+	Policies    []cohort.FormationPolicy   `json:"-"`
 	Assessments []cohort.AssessmentVariant `json:"-"`
 	// Seed roots every per-student draw.
 	Seed int64 `json:"seed"`
@@ -182,11 +182,11 @@ type Cell struct {
 // execution facts, not content — they are excluded from JSON so the
 // serialized result is byte-identical at any worker count.
 type Result struct {
-	Students int    `json:"students"`
-	Seed     int64  `json:"seed"`
-	Batch    int    `json:"batch"`
-	Batches  int    `json:"batches"`
-	Cells    []Cell `json:"cells"`
+	Students int     `json:"students"`
+	Seed     int64   `json:"seed"`
+	Batch    int     `json:"batch"`
+	Batches  int     `json:"batches"`
+	Cells    []Cell  `json:"cells"`
 	Overall  Summary `json:"overall"`
 
 	Elapsed time.Duration `json:"-"`
@@ -254,7 +254,7 @@ func norms(key uint64, i uint64) (z1, z2 float64) {
 	u1 := unit(splitmix64(key + (i+1)*gamma))
 	u2 := unit(splitmix64(key + (i+2)*gamma))
 	r := math.Sqrt(-2 * math.Log(u1))
-	return r * math.Cos(2 * math.Pi * u2), r * math.Sin(2 * math.Pi * u2)
+	return r * math.Cos(2*math.Pi*u2), r * math.Sin(2*math.Pi*u2)
 }
 
 func clamp(x, lo, hi float64) float64 {

@@ -208,7 +208,7 @@ func TestConfigValidation(t *testing.T) {
 			Policies: cohort.AllFormationPolicies(), Assessments: cohort.AllAssessmentVariants()},
 		{Students: 10, Institutions: 1, Semesters: 1, Assessments: cohort.AllAssessmentVariants()},
 		{Students: 10, Institutions: 1, Semesters: 1,
-			Policies: []cohort.FormationPolicy{cohort.FormationPolicy(99)},
+			Policies:    []cohort.FormationPolicy{cohort.FormationPolicy(99)},
 			Assessments: cohort.AllAssessmentVariants()},
 		{Students: 10, Institutions: 1, Semesters: 1, Batch: -1,
 			Policies: cohort.AllFormationPolicies(), Assessments: cohort.AllAssessmentVariants()},

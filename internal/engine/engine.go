@@ -1,7 +1,7 @@
 // Package engine is the parallel study-execution engine: it fans
 // core.Study runs out over a bounded worker pool with deterministic seed
-// streams, context cancellation with partial-result collection, a
-// per-run timeout, and an observability surface (Metrics).
+// streams, context cancellation with partial-result collection, and an
+// observability surface (Metrics).
 //
 // Determinism is the design constraint the whole API serves. Every
 // multi-run path in the repo (the sensitivity sweep, the what-if
@@ -66,7 +66,6 @@ func SplitMixSeeds(base int64) SeedStream {
 // not usable; construct with New.
 type Engine struct {
 	workers int
-	timeout time.Duration
 	metrics *Metrics
 	retries int
 	backoff time.Duration
@@ -83,13 +82,6 @@ func WithWorkers(n int) Option {
 			e.workers = n
 		}
 	}
-}
-
-// WithRunTimeout bounds each individual run's wall time. A run that
-// exceeds it fails with context.DeadlineExceeded in its RunResult.Err;
-// the sweep itself continues.
-func WithRunTimeout(d time.Duration) Option {
-	return func(e *Engine) { e.timeout = d }
 }
 
 // WithMetrics attaches an observability sink shared by every run.
@@ -248,11 +240,9 @@ func (e *Engine) Sweep(ctx context.Context, cfg core.StudyConfig, seeds SeedStre
 }
 
 // runWithRetry executes one study run, re-attempting transient
-// failures up to the engine's retry budget. Each attempt gets its own
-// per-attempt timeout (a retry earns a fresh deadline — the whole point
-// of retrying a timed-out run) and, when fault injection is armed, its
-// own forked decision stream. Returns the final outcome, error, and
-// attempt count.
+// failures up to the engine's retry budget. When fault injection is
+// armed each attempt gets its own forked decision stream. Returns the
+// final outcome, error, and attempt count.
 func (e *Engine) runWithRetry(ctx context.Context, faultBase *fault.Injector, i int, opts []core.Option) (*core.Outcome, error, int) {
 	for attempt := 0; ; attempt++ {
 		attemptCtx := ctx
@@ -272,12 +262,7 @@ func (e *Engine) runWithRetry(ctx context.Context, faultBase *fault.Injector, i 
 				continue
 			}
 		}
-		cancel := context.CancelFunc(func() {})
-		if e.timeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(attemptCtx, e.timeout)
-		}
 		out, err := core.NewStudy(opts...).Run(attemptCtx)
-		cancel()
 		if err == nil {
 			if attempt > 0 {
 				// The transient fault(s) that failed earlier attempts are
@@ -314,9 +299,9 @@ func (e *Engine) nextAttempt(ctx context.Context, faultBase *fault.Injector, att
 // The runtime's workers join as participants while the calling
 // goroutine drives slot 0, so the region needs no goroutines of its
 // own on the common one-worker path and can never deadlock on a
-// saturated runtime. fn must handle its own errors (and its own
-// per-attempt timeout); each index is attempted at most once, and
-// after ctx ends no further indices are handed out.
+// saturated runtime. fn must handle its own errors; each index is
+// attempted at most once, and after ctx ends no further indices are
+// handed out.
 func (e *Engine) mapIndexed(ctx context.Context, n int, fn func(ctx context.Context, i, worker int)) {
 	e.mapIndexedGrain(ctx, n, 1, fn)
 }
@@ -350,11 +335,6 @@ func Map[T any](ctx context.Context, e *Engine, n int, fn func(ctx context.Conte
 	e.mapIndexed(mapCtx, n, func(runCtx context.Context, i, worker int) {
 		sp := obs.Default().Span(obs.PIDEngine, uint32(worker)+1, "engine", "map.run").Int("index", int64(i))
 		defer sp.End()
-		if e.timeout > 0 {
-			var cancelRun context.CancelFunc
-			runCtx, cancelRun = context.WithTimeout(runCtx, e.timeout)
-			defer cancelRun()
-		}
 		v, err := fn(runCtx, i)
 		if err != nil {
 			errs[i] = err

@@ -132,23 +132,6 @@ func TestSweepCanceledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestSweepRunTimeout: a vanishingly small per-run budget fails each
-// run individually without killing the sweep.
-func TestSweepRunTimeout(t *testing.T) {
-	eng := New(WithWorkers(2), WithRunTimeout(time.Nanosecond))
-	sweep, err := eng.Sweep(context.Background(), testConfig(), SequentialSeeds(1), 4)
-	if err != nil {
-		t.Fatalf("sweep-level error %v from per-run timeouts", err)
-	}
-	if len(sweep.Runs) != 4 {
-		t.Fatalf("%d runs recorded", len(sweep.Runs))
-	}
-	ferr := sweep.FirstErr()
-	if ferr == nil || !errors.Is(ferr, context.DeadlineExceeded) {
-		t.Fatalf("FirstErr = %v, want deadline exceeded", ferr)
-	}
-}
-
 func TestSeedStreams(t *testing.T) {
 	seq := SequentialSeeds(100)
 	if seq(0) != 100 || seq(7) != 107 {

@@ -2,10 +2,8 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"pblparallel/internal/fault"
 )
@@ -164,27 +162,6 @@ func TestPermanentErrorsAreNotRetried(t *testing.T) {
 	}
 	if !strings.Contains(ferr.Error(), "permanent failure") {
 		t.Fatalf("FirstErr did not classify the failure: %v", ferr)
-	}
-}
-
-// TestTimeoutRetriesWithFreshDeadline: a per-run timeout classifies
-// transient, and each retry gets a fresh deadline — so an impossible
-// timeout burns exactly the budget.
-func TestTimeoutRetriesWithFreshDeadline(t *testing.T) {
-	eng := New(WithWorkers(1), WithRunTimeout(time.Nanosecond), WithRetry(2, 0))
-	sweep, err := eng.Sweep(context.Background(), testConfig(), SequentialSeeds(1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := sweep.Runs[0]
-	if !errors.Is(r.Err, context.DeadlineExceeded) {
-		t.Fatalf("run error %v, want deadline exceeded", r.Err)
-	}
-	if r.Attempts != 3 {
-		t.Fatalf("attempts = %d, want timeout retried to budget", r.Attempts)
-	}
-	if !fault.IsTransient(sweep.FirstErr()) {
-		t.Fatalf("timeout not classified transient: %v", sweep.FirstErr())
 	}
 }
 

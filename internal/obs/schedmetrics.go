@@ -44,7 +44,7 @@ func SchedGatherer(rt *sched.Runtime) Gatherer {
 			scalar("sched_active_regions", "Indexed parallel regions currently executing.", "gauge", float64(snap.ActiveRegions)),
 			scalar("sched_attached_participants", "Temporarily attached non-worker participants.", "gauge", float64(snap.Attached)),
 			scalar("sched_range_steals_total", "Index-range steals inside parallel regions.", "counter", float64(snap.RangeSteals)),
-			scalar("sched_spawned_total", "Tasks spawned onto deques (plus forker spawns).", "counter", float64(snap.Spawned)),
+			scalar("sched_spawned_total", "Tasks spawned onto deques.", "counter", float64(snap.Spawned)),
 			scalar("sched_inlined_total", "Tasks reclaimed and run inline by their spawner.", "counter", float64(snap.Inlined)),
 			perWorker("sched_worker_deque_depth", "Tasks currently on each worker's deque.", "gauge",
 				func(w sched.WorkerSnapshot) float64 { return float64(w.DequeDepth) }, false),

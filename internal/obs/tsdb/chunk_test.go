@@ -103,80 +103,3 @@ func TestChunkResetReuse(t *testing.T) {
 		}
 	}
 }
-
-func TestWireRoundTrip(t *testing.T) {
-	in := []Sample{{T: 1000, V: 1}, {T: 2000, V: 2}, {T: 3500, V: 2}, {T: 4000, V: 0.5}}
-	got, err := Decode(Encode(in))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !sampleEq(got, in) {
-		t.Fatalf("wire round trip mismatch: got %v want %v", got, in)
-	}
-	if _, err := Decode(Encode(nil)); err != nil {
-		t.Fatalf("empty frame should decode: %v", err)
-	}
-}
-
-func TestWireRejectsCorruption(t *testing.T) {
-	frame := Encode([]Sample{{T: 1000, V: 1}, {T: 2000, V: 2}, {T: 3000, V: 3}})
-	if _, err := Decode(frame[:len(frame)-1]); err == nil {
-		t.Fatal("truncated frame decoded")
-	}
-	if _, err := Decode(frame[1:]); err == nil {
-		t.Fatal("frame missing magic decoded")
-	}
-	for i := range frame {
-		mut := append([]byte(nil), frame...)
-		mut[i] ^= 0x40
-		if _, err := Decode(mut); err == nil && !sampleEq(mustDecode(t, mut), []Sample{{T: 1000, V: 1}, {T: 2000, V: 2}, {T: 3000, V: 3}}) {
-			t.Fatalf("bit flip at byte %d decoded to a different run without error", i)
-		}
-	}
-	if _, err := Decode(nil); err == nil {
-		t.Fatal("nil input decoded")
-	}
-}
-
-func mustDecode(t *testing.T, b []byte) []Sample {
-	t.Helper()
-	s, err := Decode(b)
-	if err != nil {
-		t.Fatalf("mustDecode: %v", err)
-	}
-	return s
-}
-
-func TestMerge(t *testing.T) {
-	a := []Sample{{T: 1000, V: 1}, {T: 3000, V: 3}, {T: 5000, V: 5}}
-	b := []Sample{{T: 2000, V: 2}, {T: 3000, V: 30}, {T: 6000, V: 6}}
-	merged, err := Merge(Encode(a), Encode(b))
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	got, err := Decode(merged)
-	if err != nil {
-		t.Fatalf("decode merged: %v", err)
-	}
-	want := []Sample{{T: 1000, V: 1}, {T: 2000, V: 2}, {T: 3000, V: 30}, {T: 5000, V: 5}, {T: 6000, V: 6}}
-	if !sampleEq(got, want) {
-		t.Fatalf("merge: got %v want %v", got, want)
-	}
-	// Associativity over three shards — the federation fold property.
-	c := []Sample{{T: 500, V: 9}, {T: 5500, V: 55}}
-	ab, _ := Merge(Encode(a), Encode(b))
-	left, err := Merge(ab, Encode(c))
-	if err != nil {
-		t.Fatalf("left fold: %v", err)
-	}
-	bc, _ := Merge(Encode(b), Encode(c))
-	right, err := Merge(Encode(a), bc)
-	if err != nil {
-		t.Fatalf("right fold: %v", err)
-	}
-	ls, _ := Decode(left)
-	rs, _ := Decode(right)
-	if !sampleEq(ls, rs) {
-		t.Fatalf("merge not associative: %v vs %v", ls, rs)
-	}
-}

@@ -74,9 +74,9 @@ func (s *series) append(t int64, v float64, chunkSamples int, retainMS int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t <= s.lastT && s.head != nil && s.head.Len() > 0 {
-		// The wire format and query merges want strictly increasing
-		// timestamps per series; a same-millisecond resample is dropped
-		// rather than encoded out of order.
+		// Queries want strictly increasing timestamps per series; a
+		// same-millisecond resample is dropped rather than encoded out
+		// of order.
 		return
 	}
 	if s.head == nil {
@@ -193,8 +193,8 @@ func (db *DB) SampleOnce(now time.Time) {
 	}
 }
 
-// AppendSample feeds one hand-built observation — the test and
-// federation ingest path (the sampler uses the same series machinery).
+// AppendSample feeds one hand-built observation — the test ingest
+// path (the sampler uses the same series machinery).
 func (db *DB) AppendSample(name string, labels []obs.Label, typ string, t int64, v float64) {
 	db.appendPoint(name, labels, typ, t, v)
 }

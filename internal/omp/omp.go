@@ -23,7 +23,6 @@ import (
 
 	"pblparallel/internal/fault"
 	"pblparallel/internal/obs"
-	"pblparallel/internal/sched"
 )
 
 // laneSeq allocates trace lanes: each traced parallel region claims a
@@ -58,7 +57,6 @@ type config struct {
 	numThreads int
 	inj        *fault.Injector
 	tc         obs.TraceContext
-	rt         *sched.Runtime
 }
 
 // Option configures a parallel region, playing the role of OpenMP
@@ -76,15 +74,6 @@ func WithNumThreads(n int) Option {
 // tree reaches into the fork-join runtime.
 func WithTrace(tc obs.TraceContext) Option {
 	return func(c *config) { c.tc = tc }
-}
-
-// WithRuntime attaches a scheduler runtime to the region: Spawn then
-// throttles extra goroutines through the runtime's shared Forker
-// instead of a per-region one, so a daemon hosting many concurrent
-// regions bounds its total spawned goroutines, not per-region counts.
-// The region never closes the runtime.
-func WithRuntime(rt *sched.Runtime) Option {
-	return func(c *config) { c.rt = rt }
 }
 
 // RegionPanicError wraps a panic raised inside a team member so the
@@ -131,7 +120,6 @@ func Parallel(body func(tc *ThreadContext), opts ...Option) error {
 		barrier:  NewBarrier(n),
 		critical: make(map[string]*sync.Mutex),
 		inj:      cfg.inj,
-		rt:       cfg.rt,
 	}
 	regionsStarted.Inc()
 
@@ -193,7 +181,6 @@ type team struct {
 	n       int
 	barrier *Barrier
 	inj     *fault.Injector
-	rt      *sched.Runtime // optional, from WithRuntime
 
 	mu       sync.Mutex
 	critical map[string]*sync.Mutex
@@ -208,8 +195,6 @@ type team struct {
 	orderedMu      sync.Mutex
 	ordered        map[int]*orderedState
 	tasks          *taskPool // lazily created under mu by pool()
-	forkOnce       sync.Once
-	fork           *sched.Forker // lazily created by forker()
 }
 
 // loopShared returns the shared scheduling state for the loop at the
@@ -226,17 +211,6 @@ func (tm *team) loopShared(epoch int) *loopShared {
 		tm.loops[epoch] = sh
 	}
 	return sh
-}
-
-// forker returns the throttle Spawn draws goroutine tokens from: the
-// attached runtime's shared forker when WithRuntime was given, else a
-// lazily built per-team forker sized to the team.
-func (tm *team) forker() *sched.Forker {
-	if tm.rt != nil {
-		return tm.rt.Forker()
-	}
-	tm.forkOnce.Do(func() { tm.fork = sched.NewForker(tm.n) })
-	return tm.fork
 }
 
 // criticalFor returns the mutex guarding the named critical section,

@@ -4,8 +4,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-
-	"pblparallel/internal/sched"
 )
 
 // TestStealScheduleValidation: a non-positive claim granularity is
@@ -91,76 +89,5 @@ func TestStealReduceMatchesSequential(t *testing.T) {
 		if got != want {
 			t.Fatalf("threads=%d: sum %d, want %d", threads, got, want)
 		}
-	}
-}
-
-// TestSpawnRecursiveSum: the spawn/join primitive computes a recursive
-// divide-and-conquer sum correctly whether goroutine tokens are free
-// (parallel) or exhausted (everything inlines).
-func TestSpawnRecursiveSum(t *testing.T) {
-	const n = 1 << 12
-	data := make([]int64, n)
-	var want int64
-	for i := range data {
-		data[i] = int64(i*i - 3*i)
-		want += data[i]
-	}
-	var sum func(tc *ThreadContext, lo, hi int) int64
-	sum = func(tc *ThreadContext, lo, hi int) int64 {
-		if hi-lo <= 64 {
-			var s int64
-			for _, v := range data[lo:hi] {
-				s += v
-			}
-			return s
-		}
-		mid := (lo + hi) / 2
-		var left int64
-		join := tc.Spawn(func() { left = sum(tc, lo, mid) })
-		right := sum(tc, mid, hi)
-		join()
-		return left + right
-	}
-	for _, threads := range []int{1, 4} {
-		err := Parallel(func(tc *ThreadContext) {
-			if got := sum(tc, 0, n); got != want {
-				panic("wrong sum")
-			}
-		}, WithNumThreads(threads))
-		if err != nil {
-			t.Fatalf("threads=%d: %v", threads, err)
-		}
-	}
-}
-
-// TestSpawnSharedRuntimeForker: WithRuntime routes Spawn through the
-// runtime's shared forker, so concurrent regions draw from one global
-// goroutine budget; the math still comes out exact.
-func TestSpawnSharedRuntimeForker(t *testing.T) {
-	rt := sched.New(sched.WithWorkers(4))
-	defer rt.Close()
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := Parallel(func(tc *ThreadContext) {
-				var a, b int64
-				join := tc.Spawn(func() { a = 21 })
-				b = 21
-				join()
-				if a+b != 42 {
-					panic("spawned work lost")
-				}
-			}, WithNumThreads(2), WithRuntime(rt))
-			if err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	spawned, inlined := rt.Forker().Counts()
-	if spawned+inlined == 0 {
-		t.Fatal("shared forker saw no Spawn traffic")
 	}
 }

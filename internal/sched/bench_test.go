@@ -42,19 +42,6 @@ func BenchmarkIndexPoolNext(b *testing.B) {
 	}
 }
 
-// BenchmarkSpawnInline is the spawn-or-inline threshold cost: a
-// 1-lane Forker always takes the inline branch, which must stay
-// allocation-free — saturated recursion degrades to plain calls.
-func BenchmarkSpawnInline(b *testing.B) {
-	f := NewForker(1)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Do(fn)()
-	}
-}
-
 // BenchmarkStealOverhead measures ParallelIndexed dispatch overhead
 // per index with trivial bodies at 4 participants — dominated by
 // chunk claims and the steals that rebalance them.

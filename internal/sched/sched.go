@@ -123,9 +123,6 @@ type Runtime struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	forkOnce sync.Once
-	fork     *Forker
-
 	cfg config
 }
 
@@ -273,31 +270,7 @@ func (r *Runtime) Stats() Stats {
 	st.Steals += r.external.steals.Load()
 	st.Spawned += r.external.spawned.Load()
 	st.Inlined += r.external.inlined.Load()
-	if f := r.loadForker(); f != nil {
-		fs, fi := f.Counts()
-		st.Spawned += fs
-		st.Inlined += fi
-	}
 	return st
-}
-
-// Forker returns the runtime's shared spawn-or-inline throttle, sized
-// to the worker count. A nil runtime returns a Forker that always
-// inlines.
-func (r *Runtime) Forker() *Forker {
-	if r == nil {
-		return NewForker(1)
-	}
-	r.forkOnce.Do(func() { r.fork = NewForker(len(r.workers)) })
-	return r.fork
-}
-
-func (r *Runtime) loadForker() *Forker {
-	if r == nil {
-		return nil
-	}
-	r.forkOnce.Do(func() { r.fork = NewForker(len(r.workers)) })
-	return r.fork
 }
 
 // workerLoop is one worker's scheduling loop: own deque first (LIFO),

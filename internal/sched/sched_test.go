@@ -344,40 +344,6 @@ func TestJoinQuicksort(t *testing.T) {
 	}
 }
 
-// TestForkerThrottle: with maxParallel lanes, at most maxParallel-1
-// concurrent spawns; beyond that Do inlines on the caller.
-func TestForkerThrottle(t *testing.T) {
-	f := NewForker(3)
-	block := make(chan struct{})
-	var joins []func()
-	for i := 0; i < 2; i++ {
-		joins = append(joins, f.Do(func() { <-block }))
-	}
-	// Tokens exhausted: this Do must inline (and therefore complete
-	// synchronously without touching the blocked goroutines).
-	ran := false
-	join := f.Do(func() { ran = true })
-	if !ran {
-		t.Fatal("third Do should have inlined")
-	}
-	join()
-	spawned, inlined := f.Counts()
-	if spawned != 2 || inlined != 1 {
-		t.Fatalf("counts spawned=%d inlined=%d, want 2/1", spawned, inlined)
-	}
-	close(block)
-	for _, j := range joins {
-		j()
-	}
-
-	// A 1-lane forker never spawns.
-	f1 := NewForker(1)
-	f1.Do(func() {})()
-	if s, _ := f1.Counts(); s != 0 {
-		t.Fatal("1-lane forker spawned a goroutine")
-	}
-}
-
 // TestCloseIdempotentAndConcurrent: double Close and Close racing
 // Submit are safe.
 func TestCloseIdempotentAndConcurrent(t *testing.T) {

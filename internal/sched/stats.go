@@ -108,11 +108,6 @@ func (r *Runtime) Introspect() Snapshot {
 	snap.Spawned += ext.Spawned
 	snap.Inlined += ext.Inlined
 	snap.GrainClaims += ext.GrainClaims
-	if f := r.loadForker(); f != nil {
-		fs, fi := f.Counts()
-		snap.Spawned += fs
-		snap.Inlined += fi
-	}
 	snap.RangeSteals = r.rangeSteals.Load()
 	regions := *r.regions.Load()
 	snap.ActiveRegions = len(regions)

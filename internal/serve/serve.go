@@ -183,8 +183,8 @@ type Server struct {
 
 	closeOnce sync.Once
 
-	cacheHits, cacheMisses, cacheCoalesced, shed, corruptHealed *obs.Counter
-	queueWait                                                   *obs.HistVec
+	shed      *obs.Counter
+	queueWait *obs.HistVec
 }
 
 // New builds a Server from cfg.
@@ -202,14 +202,10 @@ func New(cfg Config) *Server {
 	}
 	s.cache.disk = cfg.disk
 	reg := cfg.Registry
-	s.cacheHits = reg.Counter("serve_cache_hits_total", "Responses served from the result cache.")
-	s.cacheMisses = reg.Counter("serve_cache_misses_total", "Responses computed and stored.")
-	s.cacheCoalesced = reg.Counter("serve_cache_coalesced_total", "Requests coalesced onto an identical in-flight computation.")
 	s.shed = reg.Counter("serve_shed_total", "Requests shed with 429 at admission.")
-	s.corruptHealed = reg.Counter("serve_cache_corruption_healed_total", "Cache integrity failures healed by recompute.")
 	s.queueWait = reg.HistogramVec("serve_queue_wait_seconds",
 		"Admission queue wait from Submit to job start, by route.", "route")
-	reg.RegisterGatherer(obs.GathererFunc(s.gatherPool))
+	reg.RegisterGatherer(obs.GathererFunc(s.gather))
 	// The scheduler exposes its work-stealing internals (deque
 	// depths, steal/park ledgers, grain claims) through the same registry.
 	reg.RegisterGatherer(obs.SchedGatherer(s.rt))
@@ -274,19 +270,24 @@ func (s *Server) routes() []route {
 	}
 }
 
-// gatherPool surfaces admission state in the metrics exposition.
-func (s *Server) gatherPool() []obs.Family {
-	ps := s.rt.Stats()
-	gauge := func(name, help string, v float64) obs.Family {
-		return obs.Family{Name: name, Help: help, Type: "gauge",
+// gather surfaces admission state and the cache ledger in the metrics
+// exposition. The serve_cache_* families are read from Cache.Stats at
+// scrape time, so /metrics and Stats can never disagree.
+func (s *Server) gather() []obs.Family {
+	ps, cs := s.rt.Stats(), s.cache.Stats()
+	family := func(typ, name, help string, v float64) obs.Family {
+		return obs.Family{Name: name, Help: help, Type: typ,
 			Points: []obs.Point{{Value: v}}}
 	}
 	return []obs.Family{
-		gauge("serve_queue_depth", "Jobs waiting for a pool worker.", float64(ps.Queued)),
-		gauge("serve_in_flight_jobs", "Jobs executing on pool workers.", float64(ps.InFlight)),
-		gauge("serve_queue_capacity", "Admission queue bound.", float64(ps.QueueCap)),
-		{Name: "serve_jobs_completed_total", Help: "Jobs pool workers have finished.", Type: "counter",
-			Points: []obs.Point{{Value: float64(ps.Completed)}}},
+		family("gauge", "serve_queue_depth", "Jobs waiting for a pool worker.", float64(ps.Queued)),
+		family("gauge", "serve_in_flight_jobs", "Jobs executing on pool workers.", float64(ps.InFlight)),
+		family("gauge", "serve_queue_capacity", "Admission queue bound.", float64(ps.QueueCap)),
+		family("counter", "serve_jobs_completed_total", "Jobs pool workers have finished.", float64(ps.Completed)),
+		family("counter", "serve_cache_hits_total", "Responses served from the result cache.", float64(cs.Hits)),
+		family("counter", "serve_cache_misses_total", "Responses computed and stored.", float64(cs.Misses)),
+		family("counter", "serve_cache_coalesced_total", "Requests coalesced onto an identical in-flight computation.", float64(cs.Coalesced)),
+		family("counter", "serve_cache_corruption_healed_total", "Cache integrity failures healed by recompute.", float64(cs.CorruptRecovered)),
 	}
 }
 
@@ -452,16 +453,6 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, k Key, build fu
 		return s.compute(ctx, r.URL.Path, k, build)
 	})
 	csp.Str("status", string(status)).Str("key", k.Hex()[:8]).End()
-	switch status {
-	case CacheHit:
-		s.cacheHits.Inc()
-	case CacheMiss:
-		s.cacheMisses.Inc()
-	case CacheCoalesced:
-		s.cacheCoalesced.Inc()
-	case CacheDiskHit:
-		// Counted by the persistent tier itself (store_disk_hits_total).
-	}
 	if err != nil {
 		switch {
 		case errors.Is(err, errShed):

@@ -290,7 +290,9 @@ func TestRequestTimeoutHeaderBoundsWait(t *testing.T) {
 
 // TestServerCorruptionHealServesOriginalBytes end-to-end: with the
 // cache-corruption site always firing, a re-request detects the damage,
-// recomputes, and still serves the original bytes.
+// recomputes, and still serves the original bytes. The heal reaches the
+// exposition: serve_cache_corruption_healed_total reads the cache's
+// own ledger.
 func TestServerCorruptionHealServesOriginalBytes(t *testing.T) {
 	inj, err := fault.New(fault.Plan{Seed: 11, Rules: []fault.Rule{
 		{Site: fault.SiteServeCache, Kind: fault.CacheCorrupt, Prob: 1},
@@ -309,6 +311,15 @@ func TestServerCorruptionHealServesOriginalBytes(t *testing.T) {
 	}
 	if st := s.Stats(); st.Cache.CorruptRecovered != 1 {
 		t.Errorf("corruption recovered = %d, want 1", st.Cache.CorruptRecovered)
+	}
+	resp, err = ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := "serve_cache_corruption_healed_total 1\n"; !strings.Contains(string(text), want) {
+		t.Errorf("exposition lacks %q", want)
 	}
 }
 

@@ -73,11 +73,11 @@ func seedCorpus(f *testing.F) {
 		return out
 	}
 	f.Add(pack(1, 2, 3, 4, 5, 6), uint16(2), uint16(2))
-	f.Add(pack(2.5, 2.5, 2.5, 2.5), uint16(1), uint16(1))              // constant
-	f.Add(pack(1e8 + 1, 1e8 + 2, 1e8 - 1, 1e8), uint16(2), uint16(1)) // offset
-	f.Add(pack(3.25, 4.75), uint16(1), uint16(0))                     // two-element
-	f.Add(pack(-1e9, 1e9, 0, 1e-9), uint16(0), uint16(4))             // empty first part
-	f.Add(pack(), uint16(0), uint16(0))                               // all empty
+	f.Add(pack(2.5, 2.5, 2.5, 2.5), uint16(1), uint16(1))       // constant
+	f.Add(pack(1e8+1, 1e8+2, 1e8-1, 1e8), uint16(2), uint16(1)) // offset
+	f.Add(pack(3.25, 4.75), uint16(1), uint16(0))               // two-element
+	f.Add(pack(-1e9, 1e9, 0, 1e-9), uint16(0), uint16(4))       // empty first part
+	f.Add(pack(), uint16(0), uint16(0))                         // all empty
 }
 
 func FuzzMomentsMerge(f *testing.F) {

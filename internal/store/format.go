@@ -40,9 +40,14 @@ const (
 	version    = 1
 	headerSize = 4 + 1 + sha256.Size + 8 + 4 + sha256.Size
 
-	// maxPayload bounds the decoded length a header may claim, so a
-	// corrupt length field cannot ask for a multi-gigabyte allocation.
+	// maxPayload bounds the decoded length any header may claim.
 	maxPayload = 1 << 31
+
+	// maxInflate is deflate's largest expansion: a 258-byte match coded
+	// in two bits. A header claiming more than this many bytes per
+	// stream byte names a length the stream cannot hold, so a rotted
+	// length field is rejected before the body buffer is allocated.
+	maxInflate = 1032
 )
 
 // ErrCorrupt classifies an entry that failed verification — bad magic,
@@ -138,8 +143,8 @@ func decodeEntry(k Key, raw []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: header key does not match content address %s", ErrCorrupt, k.Hex)
 	}
 	ulen := binary.BigEndian.Uint64(raw[37:45])
-	if ulen > maxPayload {
-		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, ulen)
+	if ulen > maxPayload || ulen > maxInflate*uint64(len(raw)-headerSize) {
+		return nil, fmt.Errorf("%w: implausible payload length %d for a %d-byte stream", ErrCorrupt, ulen, len(raw)-headerSize)
 	}
 	wantCRC := binary.BigEndian.Uint32(raw[45:49])
 	var wantSum [sha256.Size]byte

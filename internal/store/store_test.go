@@ -337,15 +337,21 @@ func TestEncodeDecode(t *testing.T) {
 	k := KeyOf([]byte("codec"))
 	body := bytes.Repeat([]byte("the same bytes at any worker count; "), 64)
 	var buf bytes.Buffer
-	if err := encodeEntry(k, body, &buf); err != nil {
-		t.Fatalf("encodeEntry: %v", err)
-	}
-	got, err := decodeEntry(k, buf.Bytes())
-	if err != nil {
-		t.Fatalf("decodeEntry: %v", err)
-	}
-	if !bytes.Equal(got, body) {
-		t.Fatal("roundtrip mismatch")
+	// 1 MiB of zeros deflates as far as the encoder can take it, so the
+	// expansion bound decodeEntry applies to the header length must
+	// still accept it.
+	for _, b := range [][]byte{make([]byte, 1<<20), body} {
+		buf.Reset()
+		if err := encodeEntry(k, b, &buf); err != nil {
+			t.Fatalf("encodeEntry: %v", err)
+		}
+		got, err := decodeEntry(k, buf.Bytes())
+		if err != nil {
+			t.Fatalf("decodeEntry of a %d-byte body: %v", len(b), err)
+		}
+		if !bytes.Equal(got, b) {
+			t.Fatalf("roundtrip mismatch for a %d-byte body", len(b))
+		}
 	}
 
 	for name, mutate := range map[string]func([]byte) []byte{
