@@ -74,6 +74,7 @@ fuzz-smoke:
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime 2s
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzCoMomentsMerge -fuzztime 2s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzStoreEntryDecode -fuzztime 2s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzRequestKey -fuzztime 2s
 
 ## fuzz: the longer run — 30s per target locally, raised by the
 ## nightly workflow with FUZZTIME=5m.
@@ -86,6 +87,7 @@ fuzz:
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzCoMomentsMerge -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzStoreEntryDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzRequestKey -fuzztime $(FUZZTIME)
 
 ## cover-stats: hold the mergeable-sketch implementation to a >=90%
 ## statement-coverage floor. The sketches are the numeric foundation

@@ -54,9 +54,9 @@ type StageObserver func(stage string, elapsed time.Duration)
 
 // Study is a configured, runnable instance of the reproduction. Build
 // one with NewStudy and functional options, then call Run. A Study is
-// cheap to construct; the expensive seed-independent state (the
-// Beyerlein instrument, the calibrated response-model parameters) is
-// computed once per process and shared by every Study.
+// cheap to construct; the seed-independent state (the Beyerlein
+// instrument, the calibrated response-model parameters) is built once
+// per process or read from committed data.
 type Study struct {
 	cfg      StudyConfig
 	observer StageObserver
@@ -273,7 +273,11 @@ func (s *Study) Run(ctx context.Context) (*Outcome, error) {
 	}
 	start, sp = stageBegin(StageCalibration)
 	ins := sharedInstrument()
-	params, err := sharedParams(cfg.Calibrate)
+	paramsFor := respond.UncalibratedParams
+	if cfg.Calibrate {
+		paramsFor = respond.PaperParams // committed data, not a calibration run
+	}
+	params, err := paramsFor(ins)
 	if err != nil {
 		return nil, fmt.Errorf("core: calibration: %w", err)
 	}
@@ -334,41 +338,15 @@ func (s *Study) Run(ctx context.Context) (*Outcome, error) {
 	}, nil
 }
 
-// Seed-independent shared state: the instrument and the response-model
-// parameters do not depend on the study seed, yet the old facade
-// rebuilt (and for the ablation, re-derived) them on every run. Under
-// the engine's worker pool that would multiply the cost by the sweep
-// size, so they are computed once per process. The instrument is
-// treated as immutable by every consumer; Params values are handed to
-// respond.NewGenerator, which deep-copies before use.
+// The instrument does not depend on the study seed, so it is built once
+// per process and treated as immutable by every consumer.
 var (
 	insOnce   sync.Once
 	insShared *survey.Instrument
-
-	calOnce   sync.Once
-	calParams respond.Params
-	calErr    error
-
-	uncalOnce   sync.Once
-	uncalParams respond.Params
-	uncalErr    error
 )
 
 // sharedInstrument returns the process-wide Beyerlein instrument.
 func sharedInstrument() *survey.Instrument {
 	insOnce.Do(func() { insShared = survey.NewBeyerlein() })
 	return insShared
-}
-
-// sharedParams returns the process-wide response-model parameters for
-// the requested calibration mode. Concurrent first callers block on the
-// single calibration instead of racing to repeat it.
-func sharedParams(calibrate bool) (respond.Params, error) {
-	ins := sharedInstrument()
-	if calibrate {
-		calOnce.Do(func() { calParams, calErr = respond.PaperParams(ins) })
-		return calParams, calErr
-	}
-	uncalOnce.Do(func() { uncalParams, uncalErr = respond.UncalibratedParams(ins) })
-	return uncalParams, uncalErr
 }

@@ -3,26 +3,11 @@ package engine
 import (
 	"context"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"pblparallel/internal/core"
 )
-
-// warmCalibration pays the one-time seed-independent cost (the
-// Beyerlein calibration, ~0.9s) outside any timed region, exactly as a
-// long-lived server would have by its first sweep.
-var warmOnce sync.Once
-
-func warmCalibration(tb testing.TB) {
-	tb.Helper()
-	warmOnce.Do(func() {
-		if _, err := core.NewStudy().Run(context.Background()); err != nil {
-			tb.Fatal(err)
-		}
-	})
-}
 
 // sweep200 runs the 200-seed sensitivity-style sweep (paper config,
 // sequential seed stream) once on a pool of the given size.
@@ -45,8 +30,6 @@ func sweep200(tb testing.TB, workers int) time.Duration {
 }
 
 func benchmarkSweep(b *testing.B, workers int) {
-	warmCalibration(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sweep200(b, workers)
 	}
@@ -73,7 +56,6 @@ func TestParallelSpeedupAt4Workers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	warmCalibration(t)
 	sequential := sweep200(t, 1)
 	parallel := sweep200(t, 4)
 	speedup := float64(sequential) / float64(parallel)

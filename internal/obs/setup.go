@@ -41,6 +41,11 @@ type Session struct {
 	ln     net.Listener
 }
 
+// pprofReadTimeout bounds a whole request read, body included, so a client
+// dripping a body cannot hold a connection. No write timeout:
+// /debug/pprof/profile streams for as long as it is asked to.
+const pprofReadTimeout, pprofIdleTimeout = 10 * time.Second, 2 * time.Minute
+
 // Start activates the configuration: installs the process tracer when
 // -trace is set, and binds the pprof/metrics HTTP server when -pprof is
 // set (listening synchronously so address errors surface immediately).
@@ -69,7 +74,7 @@ func (c *CLI) Start() (*Session, error) {
 			return nil, fmt.Errorf("obs: pprof listen: %w", err)
 		}
 		s.ln = ln
-		srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+		srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second, ReadTimeout: pprofReadTimeout, IdleTimeout: pprofIdleTimeout}
 		go func() { _ = srv.Serve(ln) }()
 		Log().With("obs").Info(context.Background(), "pprof/metrics server listening",
 			"addr", fmt.Sprintf("http://%s", ln.Addr()), "paths", "/debug/pprof /metrics /debug/vars")

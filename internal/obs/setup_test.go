@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -47,6 +48,46 @@ func TestSessionPprofRoutes(t *testing.T) {
 		}
 		if c.want != "" && !strings.Contains(string(body), c.want) {
 			t.Errorf("GET %s: body missing %q (got %d bytes)", c.path, c.want, len(body))
+		}
+	}
+}
+
+// TestSessionPprofDisconnectsDripFeedingClient: a client that sends its
+// headers and then drips a request body a byte at a time is cut off by
+// the -pprof server once pprofReadTimeout has passed.
+func TestSessionPprofDisconnectsDripFeedingClient(t *testing.T) {
+	s, err := (&CLI{PprofAddr: "127.0.0.1:0"}).Start()
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer s.Close()
+	addr := s.PprofAddr()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := fmt.Fprintf(conn, "POST /metrics HTTP/1.1\r\nHost: %s\r\nContent-Length: 4096\r\n\r\n{", addr); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		_, _ = io.Copy(io.Discard, conn)
+		close(closed)
+	}()
+	tick := time.NewTicker(200 * time.Millisecond)
+	defer tick.Stop()
+	limit := time.After(pprofReadTimeout + 5*time.Second)
+	for {
+		select {
+		case <-closed:
+			t.Logf("disconnected after %v (read timeout %v)", time.Since(start).Round(time.Millisecond), pprofReadTimeout)
+			return
+		case <-limit:
+			t.Fatalf("a client dripping its body is still connected after %v (read timeout %v)", time.Since(start).Round(time.Millisecond), pprofReadTimeout)
+		case <-tick.C:
+			_, _ = conn.Write([]byte(" ")) // fails once the server has closed; the read side reports that
 		}
 	}
 }

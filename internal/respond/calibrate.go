@@ -3,7 +3,6 @@ package respond
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"pblparallel/internal/paperdata"
 	"pblparallel/internal/stats"
@@ -188,28 +187,26 @@ func Measure(ins *survey.Instrument, mid, end survey.WaveData) (Measurement, err
 
 // Calibrate runs the stochastic-approximation loop: generate a large
 // cohort, measure its moments, nudge the parameters toward the targets,
-// repeat. It returns the calibrated parameters and the final measurement.
-func Calibrate(ins *survey.Instrument, t Targets, opts CalibrateOptions) (Params, Measurement, error) {
+// repeat. It returns the calibrated parameters.
+func Calibrate(ins *survey.Instrument, t Targets, opts CalibrateOptions) (Params, error) {
 	if err := t.Validate(ins); err != nil {
-		return Params{}, Measurement{}, err
+		return Params{}, err
 	}
 	opts = opts.withDefaults()
 	p := startingParams(ins, t)
-	var last Measurement
 	for iter := 0; iter < opts.Iterations; iter++ {
 		g, err := NewGenerator(ins, p)
 		if err != nil {
-			return Params{}, Measurement{}, err
+			return Params{}, err
 		}
 		mid, end, err := g.Generate(opts.SampleSize, opts.Seed+int64(iter))
 		if err != nil {
-			return Params{}, Measurement{}, err
+			return Params{}, err
 		}
 		m, err := Measure(ins, mid, end)
 		if err != nil {
-			return Params{}, Measurement{}, err
+			return Params{}, err
 		}
-		last = m
 		for w := 0; w < 2; w++ {
 			wp := &p.Waves[w]
 			for _, e := range ins.Elements {
@@ -226,7 +223,7 @@ func Calibrate(ins *survey.Instrument, t Targets, opts CalibrateOptions) (Params
 			wp.GrowStudentSD = adjustSD(wp.GrowStudentSD, t.GrowthSD[w], m.GrowthSD[w], opts.SDStep)
 		}
 	}
-	return p, last, nil
+	return p, nil
 }
 
 // adjustSD multiplicatively nudges an SD parameter toward the target,
@@ -269,21 +266,12 @@ func UncalibratedParams(ins *survey.Instrument) (Params, error) {
 	return startingParams(ins, t), nil
 }
 
-var (
-	paperParamsOnce sync.Once
-	paperParams     Params
-	paperParamsErr  error
-)
-
-// PaperParams returns parameters calibrated against the paper's published
-// moments with a fixed seed. The calibration is deterministic and cached
-// for the life of the process.
+// PaperParams returns the parameters calibrated against the paper's
+// published moments with a fixed seed: committed data (paper_params.go,
+// pinned to a rerun by TestPaperParamsUpToDate), checked against ins.
 func PaperParams(ins *survey.Instrument) (Params, error) {
-	paperParamsOnce.Do(func() {
-		paperParams, _, paperParamsErr = Calibrate(ins, PaperTargets(), CalibrateOptions{Seed: 20190401})
-	})
-	if paperParamsErr != nil {
-		return Params{}, paperParamsErr
+	if err := paperParams.Validate(ins); err != nil {
+		return Params{}, err
 	}
 	return paperParams.clone(), nil
 }

@@ -99,9 +99,9 @@ func (p Params) Validate(ins *survey.Instrument) error {
 	}
 	for w, wp := range p.Waves {
 		for _, e := range ins.Elements {
-			for name, m := range map[string]map[string]float64{"EmphMu": wp.EmphMu, "GrowMu": wp.GrowMu, "Rho": wp.Rho} {
+			for i, m := range [...]map[string]float64{wp.EmphMu, wp.GrowMu, wp.Rho} {
 				if _, ok := m[e.Name]; !ok {
-					return fmt.Errorf("respond: wave %d missing %s for %q", w, name, e.Name)
+					return fmt.Errorf("respond: wave %d missing %s for %q", w, [...]string{"EmphMu", "GrowMu", "Rho"}[i], e.Name)
 				}
 			}
 			if r := wp.Rho[e.Name]; math.Abs(r) > 0.999 {

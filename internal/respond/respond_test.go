@@ -185,7 +185,7 @@ func TestCalibrateRejectsBadTargets(t *testing.T) {
 	ins := survey.NewBeyerlein()
 	bad := PaperTargets()
 	bad.GrowthComposite[0] = map[string]float64{}
-	if _, _, err := Calibrate(ins, bad, CalibrateOptions{Iterations: 1, SampleSize: 50}); err == nil {
+	if _, err := Calibrate(ins, bad, CalibrateOptions{Iterations: 1, SampleSize: 50}); err == nil {
 		t.Fatal("expected target validation error")
 	}
 }

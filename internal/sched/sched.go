@@ -2,8 +2,8 @@
 // engine, the omp layer, and the HTTP daemon. One Runtime owns a
 // fixed set of worker goroutines; work reaches them three ways:
 //
-//   - Submit: fire-and-forget jobs through a bounded admission queue
-//     (the HTTP daemon admits every computation this way).
+//   - Submit / SubmitWait: jobs through a bounded admission queue
+//     (the HTTP daemon admits every computation with SubmitWait).
 //   - ParallelIndexed: data-parallel regions over an index range,
 //     distributed through a range-stealing IndexPool. The caller
 //     always participates, so a region finishes even when every
@@ -20,13 +20,14 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// The admission errors Submit returns; match them with errors.Is.
+// The admission errors Submit and SubmitWait return; match them with errors.Is.
 var (
 	// ErrQueueFull rejects a Submit because the bounded queue is at
 	// capacity — shedding at admission instead of queueing unboundedly.
@@ -97,13 +98,13 @@ type Runtime struct {
 	// callers); copy-on-write so thieves scan it without locks.
 	all atomic.Pointer[[]*worker]
 
-	submitq chan func()
+	submitq chan submission
 	// handoff is the unbuffered direct lane: when the queue is full —
 	// or has zero capacity — a Submit still succeeds if some worker is
 	// parked in receive at that instant, preserving the classic
 	// zero-queue pool semantics ("find an idle worker now or shed").
 	// It is never closed; Close fences Submits with the closed flag.
-	handoff chan func()
+	handoff chan submission
 	// qstate packs queued<<32 | inflight for consistent snapshots.
 	qstate      PaddedUint64
 	submitted   PaddedInt64
@@ -139,8 +140,8 @@ func New(opts ...Option) *Runtime {
 		cfg.queue = 0
 	}
 	r := &Runtime{
-		submitq: make(chan func(), cfg.queue),
-		handoff: make(chan func()),
+		submitq: make(chan submission, cfg.queue),
+		handoff: make(chan submission),
 		cfg:     cfg,
 	}
 	r.workers = make([]*worker, cfg.workers)
@@ -179,10 +180,35 @@ func (r *Runtime) Workers() int {
 	return len(r.workers)
 }
 
+// submission is a submitted job; done, if set, is closed once fn has
+// returned and been counted, so its waiter sees it completed in Stats.
+type submission struct {
+	fn   func()
+	done chan struct{}
+}
+
 // Submit enqueues job for asynchronous execution. It never blocks:
 // when the bounded queue is full the job is shed with ErrQueueFull,
 // and after Close it fails with ErrClosed.
-func (r *Runtime) Submit(job func()) error {
+func (r *Runtime) Submit(job func()) error { return r.submit(submission{fn: job}) }
+
+// SubmitWait submits job as Submit does and waits until it has run and
+// been counted: after a nil return, Stats and Introspect show it completed.
+// If ctx ends first it returns ctx.Err(), and the job still runs.
+func (r *Runtime) SubmitWait(ctx context.Context, job func()) error {
+	done := make(chan struct{})
+	if err := r.submit(submission{fn: job, done: done}); err != nil {
+		return err
+	}
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (r *Runtime) submit(job submission) error {
 	if r == nil {
 		return ErrClosed
 	}
@@ -325,7 +351,7 @@ func (r *Runtime) workerLoop(w *worker) {
 // runQueued executes a job taken from the buffered queue: queued-1,
 // inflight+1 in one CAS so Stats never sees the job in both places or
 // neither.
-func (r *Runtime) runQueued(job func()) {
+func (r *Runtime) runQueued(job submission) {
 	for {
 		s := r.qstate.Load()
 		if r.qstate.CompareAndSwap(s, s-1<<32+1) {
@@ -336,17 +362,20 @@ func (r *Runtime) runQueued(job func()) {
 }
 
 // runDirect executes a handoff job, which was never queued.
-func (r *Runtime) runDirect(job func()) {
+func (r *Runtime) runDirect(job submission) {
 	r.qstate.Add(1) // inflight+1
 	r.finishJob(job)
 }
 
-func (r *Runtime) finishJob(job func()) {
+func (r *Runtime) finishJob(job submission) {
 	defer func() {
 		r.qstate.Add(^uint64(0)) // inflight-1
 		r.completed.Add(1)
+		if job.done != nil {
+			close(job.done)
+		}
 	}()
-	job()
+	job.fn()
 }
 
 func (r *Runtime) runOwn(w *worker) bool {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestIntrospectNil pins the nil-runtime contract: introspection of a
@@ -127,6 +128,34 @@ func TestIntrospectShape(t *testing.T) {
 	}
 	if back.Workers != snap.Workers || len(back.PerWorker) != len(snap.PerWorker) {
 		t.Fatalf("round trip lost workers: %+v", back)
+	}
+}
+
+// TestSubmitWaitCountsBeforeReturning repeats run-then-snapshot on one
+// worker with jobs that, like the daemon's, keep running briefly after
+// their result is set: once SubmitWait returns, Stats and Introspect
+// must already count the job as completed and no longer in flight.
+func TestSubmitWaitCountsBeforeReturning(t *testing.T) {
+	r := New(WithWorkers(1), WithQueueDepth(1))
+	defer r.Close()
+	for i := int64(1); i <= 200; i++ {
+		var result int64
+		err := r.SubmitWait(context.Background(), func() {
+			result = i
+			time.Sleep(20 * time.Microsecond) // e.g. a deferred cancel after the result
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if result != i {
+			t.Fatalf("run %d: result %d not visible after SubmitWait", i, result)
+		}
+		if st := r.Stats(); st.Completed != i || st.InFlight != 0 {
+			t.Fatalf("run %d: Stats completed=%d inflight=%d right after SubmitWait, want %d/0", i, st.Completed, st.InFlight, i)
+		}
+		if snap := r.Introspect(); snap.Completed != i {
+			t.Fatalf("run %d: Introspect completed=%d right after SubmitWait, want %d", i, snap.Completed, i)
+		}
 	}
 }
 

@@ -83,10 +83,10 @@ type runParams struct {
 }
 
 // normalizeRun resolves defaults into the paper's values and validates,
-// returning the resolved study config alongside the normalized params.
+// returning the resolved study config and the request's content address.
 // Normalization happens before hashing so that an omitted seed and the
 // paper's explicit seed are the same content address.
-func normalizeRun(p runParams) (runParams, core.StudyConfig, error) {
+func normalizeRun(p runParams) (core.StudyConfig, Key, error) {
 	cfg := core.PaperStudy()
 	if p.Seed == 0 {
 		p.Seed = cfg.Seed
@@ -96,7 +96,7 @@ func normalizeRun(p runParams) (runParams, core.StudyConfig, error) {
 		p.Students = cfg.Cohort.NStudents
 	}
 	if p.Students%2 != 0 || p.Students < 10 {
-		return p, cfg, fmt.Errorf("students %d: must be even and >= 10", p.Students)
+		return cfg, Key{}, fmt.Errorf("students %d: must be even and >= 10", p.Students)
 	}
 	// The same derivation core.WithCohortSize applies: n/5 females
 	// overall, n/10 of them in section 1.
@@ -104,7 +104,7 @@ func normalizeRun(p runParams) (runParams, core.StudyConfig, error) {
 	cfg.Cohort.NFemale = p.Students / 5
 	cfg.Cohort.Section1Females = p.Students / 10
 	cfg.Calibrate = !p.Uncalibrated
-	return p, cfg, nil
+	return cfg, NewKey([]byte(fmt.Sprintf("run|seed=%d|students=%d|calibrated=%t", p.Seed, p.Students, cfg.Calibrate))), nil
 }
 
 // handleRun serves one study.
@@ -128,13 +128,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		p.Seed, p.Students = seed, int(students)
 		p.Uncalibrated = r.URL.Query().Get("uncalibrated") == "true"
 	}
-	p, cfg, err := normalizeRun(p)
+	cfg, k, err := normalizeRun(p)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	k := NewKey([]byte(fmt.Sprintf("run|seed=%d|students=%d|calibrated=%t",
-		p.Seed, p.Students, cfg.Calibrate)))
 	s.respond(w, r, k, func(ctx context.Context) (any, error) {
 		// One-run sweep on a single-worker engine region over the shared
 		// scheduler: the admission pool already bounds cross-request
@@ -143,14 +141,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// never changes bytes.
 		eng := engine.New(engine.WithWorkers(1), engine.WithRetry(s.cfg.Retries, retryBackoff),
 			engine.WithRuntime(s.rt))
-		res, err := eng.Sweep(ctx, cfg, engine.SequentialSeeds(p.Seed), 1)
+		res, err := eng.Sweep(ctx, cfg, engine.SequentialSeeds(cfg.Seed), 1)
 		if err != nil {
 			return nil, err
 		}
 		if err := res.FirstErr(); err != nil {
 			return nil, err
 		}
-		return Summarize(p.Seed, cfg.Calibrate, res.Runs[0].Outcome), nil
+		return Summarize(cfg.Seed, cfg.Calibrate, res.Runs[0].Outcome), nil
 	})
 }
 

@@ -311,12 +311,17 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
+// readTimeout bounds a whole request read, body included, so a client
+// dripping its body cannot hold a handler. No write timeout: DefaultTimeout
+// bounds computation, and a long /v1/cohort response must not be cut off.
+const readTimeout, idleTimeout = 10 * time.Second, 2 * time.Minute
+
 // Serve accepts on ln until ctx is canceled, then drains: readiness
 // flips to 503, in-flight and queued requests finish (bounded by
 // DrainTimeout), and the pool shuts down. The caller owns ln's address
 // choice; Serve closes it.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
@@ -497,16 +502,15 @@ func (s *Server) compute(ctx context.Context, route string, k Key, build func(ct
 		inj.MarkRetry()
 		return nil, errShed
 	}
-	type result struct {
-		body []byte
-		err  error
-	}
 	// The admit span covers the queue wait: opened before Submit, ended
 	// the moment a pool worker picks the job up.
 	asp, ctx := obs.Default().StartSpan(ctx, obs.PIDServe, obs.LaneFor(trace), "serve", "admit")
 	tc, hasTC := obs.TraceFromContext(ctx)
 	admitAt := time.Now()
-	done := make(chan result, 1)
+	// body and jobErr are written by the job and read only after
+	// SubmitWait returns nil, which orders the two.
+	var body []byte
+	var jobErr error
 	job := func() {
 		asp.End()
 		// Run-queue latency: how long the job sat between Submit and a
@@ -532,29 +536,27 @@ func (s *Server) compute(ctx context.Context, route string, k Key, build func(ct
 		start := time.Now()
 		v, err := build(jctx)
 		if err != nil {
-			done <- result{nil, err}
+			jobErr = err
 			return
 		}
 		s.observeCompute(time.Since(start))
 		b, err := json.MarshalIndent(v, "", "  ")
 		if err != nil {
-			done <- result{nil, err}
+			jobErr = err
 			return
 		}
-		done <- result{append(b, '\n'), nil}
+		body = append(b, '\n')
 	}
-	if err := s.rt.Submit(job); err != nil {
-		if errors.Is(err, sched.ErrQueueFull) {
-			asp.Str("outcome", "shed").End()
-			return nil, errShed
-		}
+	switch err := s.rt.SubmitWait(ctx, job); {
+	case err == nil:
+		return body, jobErr
+	case errors.Is(err, sched.ErrQueueFull):
+		asp.Str("outcome", "shed").End()
+		return nil, errShed
+	case errors.Is(err, sched.ErrClosed):
 		asp.Str("outcome", "closed").End()
 		return nil, err
-	}
-	select {
-	case res := <-done:
-		return res.body, res.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	default:
+		return nil, err // ctx ended first; the job still runs and ends asp
 	}
 }

@@ -391,6 +391,59 @@ func TestGracefulDrainFinishesInFlightWork(t *testing.T) {
 	}
 }
 
+// TestServeDisconnectsDripFeedingClient: a client that sends its
+// headers and then drips its body a byte at a time is cut off once
+// readTimeout has passed, instead of holding a handler for as long as
+// it keeps dripping.
+func TestServeDisconnectsDripFeedingClient(t *testing.T) {
+	s := New(Config{Workers: 1, Registry: obs.NewRegistry()})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.Serve(ctx, ln) }()
+	defer func() { cancel(); <-serveDone }()
+	dripUntilDisconnected(t, ln.Addr().String(), "/v1/run", readTimeout)
+}
+
+// dripUntilDisconnected opens a connection to addr, sends the headers of
+// a POST to path announcing a 4 KiB body, then sends one body byte every
+// 200ms. It fails the test unless the server closes the connection
+// within timeout plus a few seconds of slack.
+func dripUntilDisconnected(t *testing.T, addr, path string, timeout time.Duration) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: %s\r\nContent-Length: 4096\r\n\r\n{", path, addr); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		_, _ = io.Copy(io.Discard, conn)
+		close(closed)
+	}()
+	tick := time.NewTicker(200 * time.Millisecond)
+	defer tick.Stop()
+	limit := time.After(timeout + 5*time.Second)
+	for {
+		select {
+		case <-closed:
+			t.Logf("disconnected after %v (read timeout %v)", time.Since(start).Round(time.Millisecond), timeout)
+			return
+		case <-limit:
+			t.Fatalf("a client dripping its body is still connected after %v (read timeout %v)", time.Since(start).Round(time.Millisecond), timeout)
+		case <-tick.C:
+			_, _ = conn.Write([]byte(" ")) // fails once the server has closed; the read side reports that
+		}
+	}
+}
+
 func TestHealthReadyAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	for path, want := range map[string]int{"/healthz": 200, "/readyz": 200} {

@@ -166,13 +166,11 @@ func ProjectOn(ctx context.Context, eng *engine.Engine, iv Intervention, n int, 
 		// calibration suffices: they differ from the already-calibrated
 		// baseline in only one skill.
 		func() (respond.Params, error) {
-			adjusted := adjustTargets(respond.PaperTargets(), iv)
-			p, _, err := respond.Calibrate(ins, adjusted, respond.CalibrateOptions{
+			return respond.Calibrate(ins, adjustTargets(respond.PaperTargets(), iv), respond.CalibrateOptions{
 				Iterations: 25,
 				SampleSize: 1200,
 				Seed:       seed,
 			})
-			return p, err
 		},
 	}
 	results, err := engine.Map(ctx, eng, len(branches), func(_ context.Context, i int) (branch, error) {
