@@ -69,6 +69,7 @@ golden:
 fuzz-smoke:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzHistQuantile -fuzztime 2s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzTraceparent -fuzztime 2s
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzSpanArgs -fuzztime 2s
 	$(GO) test ./internal/armsim -run '^$$' -fuzz FuzzAsmParse -fuzztime 2s
 	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzSurveyScores -fuzztime 2s
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime 2s
@@ -82,6 +83,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzHistQuantile -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzTraceparent -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzSpanArgs -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/armsim -run '^$$' -fuzz FuzzAsmParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzSurveyScores -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime $(FUZZTIME)

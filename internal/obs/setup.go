@@ -148,5 +148,7 @@ func (t *Tracer) GatherMetrics() []Family {
 			Points: []Point{{Value: float64(recs)}}},
 		{Name: "obs_trace_evicted_records_total", Help: "Trace records overwritten by ring wrap.", Type: "counter",
 			Points: []Point{{Value: float64(t.Evicted())}}},
+		{Name: "obs_trace_intern_overflow_total", Help: "Span strings recorded as (overflow) because the tracer intern table was full.", Type: "counter",
+			Points: []Point{{Value: float64(t.names.overflow.Load())}}},
 	}
 }

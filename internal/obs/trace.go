@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,35 +16,45 @@ import (
 // bound are dropped rather than allocated (the trace stays valid).
 const maxArgs = 5
 
-// kv is one span/event argument; int-valued unless isStr.
-type kv struct {
-	key   string
-	str   string
-	num   int64
-	isStr bool
-}
+// argKind says how a record's arg value renders.
+type argKind uint8
 
-// record is one fixed-size trace entry in a shard's ring.
+const (
+	argInt   argKind = iota // int64
+	argStr                  // interned string ID
+	argHex32                // uint32 rendered as 8 lowercase hex digits
+	argTrace                // TraceID: high half here, low half in the next slot
+	argCont                 // the low half of the preceding argTrace
+)
+
+// record is one fixed-size trace entry in a shard's ring. It holds no
+// pointers: strings are intern-table IDs and arg values are a compact
+// union, so the runtime allocates the ring as memory the GC never scans
+// and pages it in only as records are written. TestRecordLayout pins
+// both properties.
 type record struct {
-	ph       byte // 'X' complete span, 'i' instant event
-	pid, tid uint32
-	ts, dur  int64 // nanoseconds since the tracer epoch
-	cat      string
-	name     string
-	trace    TraceID // request correlation; zero = uncorrelated
-	span     SpanID  // this record's own span ID (0 when untraced)
-	parent   SpanID  // parent span within the trace (0 = root)
-	args     [maxArgs]kv
-	nargs    uint8
+	ph        byte // 'X' complete span, 'i' instant event
+	nargs     uint8
+	cat, name uint16 // intern IDs
+	keys      [maxArgs]uint16
+	kinds     [maxArgs]argKind
+	pid, tid  uint32
+	ts, dur   int64   // nanoseconds since the tracer epoch
+	trace     TraceID // request correlation; zero = uncorrelated
+	span      SpanID  // this record's own span ID (0 when untraced)
+	parent    SpanID  // parent span within the trace (0 = root)
+	vals      [maxArgs]uint64
 }
 
 // shard is one lock-split slice of the ring buffer. Writers hash to a
 // shard by lane, so threads/ranks on different lanes never contend.
+// The padding makes a shard one 64-byte cache line, so neighbouring
+// shards' locks never share one.
 type shard struct {
 	mu   sync.Mutex
 	buf  []record
 	next uint64 // total records ever written; index = next % len(buf)
-	_    [40]byte
+	_    [24]byte
 }
 
 // Tracer records spans and instant events into per-lane ring buffers.
@@ -54,11 +65,12 @@ type Tracer struct {
 	epoch  time.Time
 	shards []shard
 	mask   uint32
+	names  *internTable
 }
 
 // DefaultCapacity is the ring capacity (total records) used by the CLI
-// wiring; at 344 bytes a record (amd64) the ring preallocates about
-// 86 MiB.
+// wiring. At 120 bytes a record the ring reserves 30 MiB, which the
+// process pays in resident memory only as records fill it.
 const DefaultCapacity = 1 << 18
 
 // NewTracer builds a tracer whose ring holds about capacity records
@@ -80,6 +92,7 @@ func NewTracer(capacity int) *Tracer {
 		epoch:  time.Now(),
 		shards: make([]shard, nshards),
 		mask:   uint32(nshards - 1),
+		names:  newInternTable(),
 	}
 	for i := range t.shards {
 		t.shards[i].buf = make([]record, per)
@@ -96,10 +109,10 @@ func (t *Tracer) now() int64 {
 // push appends one record to the lane's shard, overwriting the oldest
 // record if the shard is full. No allocation: the record is copied into
 // a preallocated slot.
-func (t *Tracer) push(r record) {
+func (t *Tracer) push(r *record) {
 	sh := &t.shards[(r.pid*0x9E37+r.tid)&t.mask]
 	sh.mu.Lock()
-	sh.buf[sh.next%uint64(len(sh.buf))] = r
+	sh.buf[sh.next%uint64(len(sh.buf))] = *r
 	sh.next++
 	sh.mu.Unlock()
 }
@@ -109,17 +122,8 @@ func (t *Tracer) push(r record) {
 // (sp = sp.Int(...)), and nothing is recorded until End or Emit. The
 // zero Span — what a nil Tracer returns — is an inert no-op.
 type Span struct {
-	t        *Tracer
-	pid, tid uint32
-	start    int64
-	vdur     int64 // explicit duration for virtual-time spans; -1 = real time
-	cat      string
-	name     string
-	trace    TraceID
-	id       SpanID
-	parent   SpanID
-	args     [maxArgs]kv
-	nargs    uint8
+	t *Tracer
+	r record
 }
 
 // Span opens a span on the given subsystem (pid) and lane (tid),
@@ -129,7 +133,8 @@ func (t *Tracer) Span(pid, tid uint32, cat, name string) Span {
 	if t == nil {
 		return Span{}
 	}
-	return Span{t: t, pid: pid, tid: tid, start: t.now(), vdur: -1, cat: cat, name: name}
+	return Span{t: t, r: record{pid: pid, tid: tid, ts: t.now(),
+		cat: t.names.id(cat), name: t.names.id(name)}}
 }
 
 // SpanAt opens a span at an explicit timestamp on a virtual timeline —
@@ -138,27 +143,57 @@ func (t *Tracer) SpanAt(pid, tid uint32, cat, name string, start time.Duration) 
 	if t == nil {
 		return Span{}
 	}
-	return Span{t: t, pid: pid, tid: tid, start: int64(start), vdur: -1, cat: cat, name: name}
+	return Span{t: t, r: record{pid: pid, tid: tid, ts: int64(start),
+		cat: t.names.id(cat), name: t.names.id(name)}}
+}
+
+// arg claims the next n arg slots under key; ok is false (and the
+// arg dropped) when the span is inert or the slots are taken.
+func (s *Span) arg(key string, n int) (i int, ok bool) {
+	i = int(s.r.nargs)
+	if s.t == nil || i+n > maxArgs {
+		return 0, false
+	}
+	s.r.keys[i] = s.t.names.id(key)
+	s.r.nargs += uint8(n)
+	return i, true
 }
 
 // Int attaches an integer argument (dropped when the span is inert or
 // already carries maxArgs arguments).
 func (s Span) Int(key string, v int64) Span {
-	if s.t == nil || int(s.nargs) >= maxArgs {
-		return s
+	if i, ok := s.arg(key, 1); ok {
+		s.r.kinds[i], s.r.vals[i] = argInt, uint64(v)
 	}
-	s.args[s.nargs] = kv{key: key, num: v}
-	s.nargs++
 	return s
 }
 
-// Str attaches a string argument.
+// Str attaches a string argument. The value is interned: once the
+// tracer's intern table is full, a string not already in it records as
+// "(overflow)".
 func (s Span) Str(key, v string) Span {
-	if s.t == nil || int(s.nargs) >= maxArgs {
-		return s
+	if i, ok := s.arg(key, 1); ok {
+		s.r.kinds[i], s.r.vals[i] = argStr, uint64(s.t.names.id(v))
 	}
-	s.args[s.nargs] = kv{key: key, str: v, isStr: true}
-	s.nargs++
+	return s
+}
+
+// Hex32 attaches v as a string argument of 8 lowercase hex digits — an
+// abbreviated content key, without interning one string per key.
+func (s Span) Hex32(key string, v uint32) Span {
+	if i, ok := s.arg(key, 1); ok {
+		s.r.kinds[i], s.r.vals[i] = argHex32, uint64(v)
+	}
+	return s
+}
+
+// Link attaches another trace's ID as a string argument in its 32-hex
+// form; it takes two of the span's maxArgs slots.
+func (s Span) Link(key string, id TraceID) Span {
+	if i, ok := s.arg(key, 2); ok {
+		s.r.kinds[i], s.r.vals[i] = argTrace, binary.BigEndian.Uint64(id[:8])
+		s.r.kinds[i+1], s.r.vals[i+1] = argCont, binary.BigEndian.Uint64(id[8:])
+	}
 	return s
 }
 
@@ -170,9 +205,9 @@ func (s Span) Trace(tc TraceContext) Span {
 	if s.t == nil || tc.Trace.IsZero() {
 		return s
 	}
-	s.trace = tc.Trace
-	s.parent = tc.Parent
-	s.id = newSpanID()
+	s.r.trace = tc.Trace
+	s.r.parent = tc.Parent
+	s.r.span = newSpanID()
 	return s
 }
 
@@ -180,14 +215,14 @@ func (s Span) Trace(tc TraceContext) Span {
 // adopt: same trace, this span as parent. Zero when the span is
 // untraced.
 func (s Span) TraceCtx() TraceContext {
-	if s.trace.IsZero() {
+	if s.r.trace.IsZero() {
 		return TraceContext{}
 	}
-	return TraceContext{Trace: s.trace, Parent: s.id}
+	return TraceContext{Trace: s.r.trace, Parent: s.r.span}
 }
 
 // ID returns the span's own ID within its trace (0 when untraced).
-func (s Span) ID() SpanID { return s.id }
+func (s Span) ID() SpanID { return s.r.span }
 
 // StartSpan opens a span correlated with the context's trace (if any)
 // and returns a derived context in which this span is the parent —
@@ -214,9 +249,8 @@ func (s Span) End() {
 	if s.t == nil {
 		return
 	}
-	s.t.push(record{ph: 'X', pid: s.pid, tid: s.tid, ts: s.start, dur: s.t.now() - s.start,
-		cat: s.cat, name: s.name, trace: s.trace, span: s.id, parent: s.parent,
-		args: s.args, nargs: s.nargs})
+	s.r.ph, s.r.dur = 'X', s.t.now()-s.r.ts
+	s.t.push(&s.r)
 }
 
 // EndAt records the span with an explicit duration on its virtual
@@ -225,9 +259,8 @@ func (s Span) EndAt(dur time.Duration) {
 	if s.t == nil {
 		return
 	}
-	s.t.push(record{ph: 'X', pid: s.pid, tid: s.tid, ts: s.start, dur: int64(dur),
-		cat: s.cat, name: s.name, trace: s.trace, span: s.id, parent: s.parent,
-		args: s.args, nargs: s.nargs})
+	s.r.ph, s.r.dur = 'X', int64(dur)
+	s.t.push(&s.r)
 }
 
 // Emit records the span's start point as an instant event instead of a
@@ -237,9 +270,8 @@ func (s Span) Emit() {
 	if s.t == nil {
 		return
 	}
-	s.t.push(record{ph: 'i', pid: s.pid, tid: s.tid, ts: s.start,
-		cat: s.cat, name: s.name, trace: s.trace, span: s.id, parent: s.parent,
-		args: s.args, nargs: s.nargs})
+	s.r.ph = 'i'
+	s.t.push(&s.r)
 }
 
 // Record is one exported trace entry (the test- and tool-facing view of
@@ -263,33 +295,32 @@ func (t *Tracer) Records() []Record {
 	if t == nil {
 		return nil
 	}
+	return t.collect(TraceID{})
+}
+
+// TraceRecords returns the records correlated with one trace ID, in
+// the same deterministic order as Records — the raw material for the
+// /debug/trace/{id} span tree.
+func (t *Tracer) TraceRecords(id TraceID) []Record {
+	if t == nil || id.IsZero() {
+		return nil
+	}
+	return t.collect(id)
+}
+
+// collect materializes the buffered records of one trace (every record
+// when id is zero), sorted as Records documents. The filter runs on the
+// ring before any Record or args map is built.
+func (t *Tracer) collect(id TraceID) []Record {
 	var out []Record
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		n := sh.next
-		if n > uint64(len(sh.buf)) {
-			n = uint64(len(sh.buf))
-		}
+		n := min64(sh.next, uint64(len(sh.buf)))
 		for j := uint64(0); j < n; j++ {
-			r := sh.buf[j]
-			rec := Record{
-				Phase: r.ph, PID: r.pid, TID: r.tid,
-				Start: time.Duration(r.ts), Dur: time.Duration(r.dur),
-				Cat: r.cat, Name: r.name,
-				Trace: r.trace, SpanID: r.span, Parent: r.parent,
+			if r := &sh.buf[j]; id.IsZero() || r.trace == id {
+				out = append(out, t.export(r))
 			}
-			if r.nargs > 0 {
-				rec.Args = make(map[string]any, r.nargs)
-				for k := 0; k < int(r.nargs); k++ {
-					if r.args[k].isStr {
-						rec.Args[r.args[k].key] = r.args[k].str
-					} else {
-						rec.Args[r.args[k].key] = r.args[k].num
-					}
-				}
-			}
-			out = append(out, rec)
 		}
 		sh.mu.Unlock()
 	}
@@ -305,21 +336,39 @@ func (t *Tracer) Records() []Record {
 	return out
 }
 
-// TraceRecords returns the records correlated with one trace ID, in
-// the same deterministic order as Records — the raw material for the
-// /debug/trace/{id} span tree.
-func (t *Tracer) TraceRecords(id TraceID) []Record {
-	if t == nil || id.IsZero() {
-		return nil
+// export renders one ring record, resolving interned strings and
+// decoding each arg's compact form.
+func (t *Tracer) export(r *record) Record {
+	rec := Record{
+		Phase: r.ph, PID: r.pid, TID: r.tid,
+		Start: time.Duration(r.ts), Dur: time.Duration(r.dur),
+		Cat: t.names.str(r.cat), Name: t.names.str(r.name),
+		Trace: r.trace, SpanID: r.span, Parent: r.parent,
 	}
-	all := t.Records()
-	out := all[:0:0]
-	for _, r := range all {
-		if r.Trace == id {
-			out = append(out, r)
+	if r.nargs == 0 {
+		return rec
+	}
+	rec.Args = make(map[string]any, r.nargs)
+	for k := 0; k < int(r.nargs); k++ {
+		var v any
+		switch r.kinds[k] {
+		case argInt:
+			v = int64(r.vals[k])
+		case argStr:
+			v = t.names.str(uint16(r.vals[k]))
+		case argHex32:
+			v = fmt.Sprintf("%08x", uint32(r.vals[k]))
+		case argTrace:
+			var id TraceID
+			binary.BigEndian.PutUint64(id[:8], r.vals[k])
+			binary.BigEndian.PutUint64(id[8:], r.vals[k+1])
+			v = id.String()
+		default: // argCont, consumed with its argTrace
+			continue
 		}
+		rec.Args[t.names.str(r.keys[k])] = v
 	}
-	return out
+	return rec
 }
 
 // Epoch returns the wall-clock instant span timestamps are relative to

@@ -3,9 +3,14 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestSpanRecordsCompleteEvent(t *testing.T) {
@@ -178,5 +183,161 @@ func TestArgOverflowDropped(t *testing.T) {
 	recs := tr.Records()
 	if len(recs) != 1 || len(recs[0].Args) > maxArgs {
 		t.Fatalf("args not bounded: %+v", recs)
+	}
+}
+
+// TestRecordLayout pins what keeps the ring out of the GC's mark work:
+// a record holds no pointer-bearing field, so the runtime allocates the
+// ring as noscan memory, and it stays within 128 bytes.
+func TestRecordLayout(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.String, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("%s is a %s: the GC would scan every ring slot", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+	walk("record", reflect.TypeOf(record{}))
+	if size := unsafe.Sizeof(record{}); size > 128 {
+		t.Errorf("record is %d bytes, want <= 128", size)
+	}
+	if size := unsafe.Sizeof(shard{}); size != 64 {
+		t.Errorf("shard is %d bytes, want one 64-byte cache line", size)
+	}
+}
+
+// TestInternConcurrent interns overlapping string sets from several
+// goroutines: every ID must resolve to its string, and all goroutines
+// must agree on each string's ID.
+func TestInternConcurrent(t *testing.T) {
+	tab := newInternTable()
+	const goroutines, strs = 8, 1000
+	ids := make([][strs]uint16, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < strs; i++ {
+				k := (i + g*strs/goroutines) % strs
+				s := "s" + strconv.Itoa(k)
+				ids[g][k] = tab.id(s)
+				if got := tab.str(ids[g][k]); got != s {
+					t.Errorf("id(%q) resolves to %q", s, got)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < goroutines; g++ {
+		if ids[g] != ids[0] {
+			t.Fatalf("goroutine %d got different IDs from goroutine 0", g)
+		}
+	}
+}
+
+// TestInternHintRechecksBytes reuses one address for two contents, as
+// the heap does after a string is freed: the address hint must not hand
+// the new content the old content's ID.
+func TestInternHintRechecksBytes(t *testing.T) {
+	tab := newInternTable()
+	buf := []byte("alpha")
+	s := unsafe.String(&buf[0], len(buf))
+	a := tab.id(s)
+	copy(buf, "omega")
+	o := tab.id(s)
+	if a == o || tab.str(a) != "alpha" || tab.str(o) != "omega" {
+		t.Fatalf("ids %d, %d resolve to %q, %q; want alpha, omega", a, o, tab.str(a), tab.str(o))
+	}
+}
+
+// TestTraceRecordsFiltersRing checks that filtering on the ring gives
+// exactly what filtering the full export gives, on a wrapped ring that
+// mixes two traces with untraced records.
+func TestTraceRecordsFiltersRing(t *testing.T) {
+	tr := NewTracer(1)
+	a, b := TraceContext{Trace: NewTraceID()}, TraceContext{Trace: NewTraceID()}
+	for i := 0; i < 5000; i++ {
+		sp := tr.Span(PIDEngine, uint32(i%7), "engine", "map.run").Int("index", int64(i))
+		switch i % 3 {
+		case 0:
+			sp = sp.Trace(a)
+		case 1:
+			sp = sp.Trace(b).Str("outcome", "ok")
+		}
+		sp.End()
+	}
+	if tr.Evicted() == 0 {
+		t.Fatal("ring did not wrap")
+	}
+	all := tr.Records()
+	for _, id := range []TraceID{a.Trace, b.Trace} {
+		var want []Record
+		for _, r := range all {
+			if r.Trace == id {
+				want = append(want, r)
+			}
+		}
+		got := tr.TraceRecords(id)
+		if len(got) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("TraceRecords(%s): %d records, filtering Records gives %d", id, len(got), len(want))
+		}
+	}
+	if got := tr.TraceRecords(NewTraceID()); len(got) != 0 {
+		t.Fatalf("unknown trace returned %d records", len(got))
+	}
+}
+
+// TestInternTableBounded sends 100k distinct request methods through
+// the middleware: the intern table stops at its cap, each method past
+// it records as the overflow marker and is counted, and the trace
+// still exports as valid JSON.
+func TestInternTableBounded(t *testing.T) {
+	tr := NewTracer(1 << 10)
+	Install(tr)
+	defer Install(nil)
+	h := NewHTTPMetrics(NewRegistry()).Middleware("/v1/run", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	w, r := httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/run", nil)
+	h.ServeHTTP(w, r)
+	tr.names.mu.Lock()
+	before := tr.names.n
+	tr.names.mu.Unlock()
+	const methods = 100_000
+	for i := 0; i < methods; i++ {
+		r.Method = "M" + strconv.Itoa(i)
+		h.ServeHTTP(w, r)
+	}
+	tr.names.mu.Lock()
+	size := tr.names.n
+	tr.names.mu.Unlock()
+	if size != internCap {
+		t.Fatalf("intern table holds %d strings, want the cap %d", size, internCap)
+	}
+	var overflow float64 = -1
+	for _, f := range tr.GatherMetrics() {
+		if f.Name == "obs_trace_intern_overflow_total" {
+			overflow = f.Points[0].Value
+		}
+	}
+	if want := float64(methods - (internCap - before)); overflow != want {
+		t.Fatalf("obs_trace_intern_overflow_total = %v, want %v", overflow, want)
+	}
+	recs := tr.Records()
+	if got := recs[len(recs)-1].Args["method"]; got != overflowName {
+		t.Fatalf("newest request's method = %v, want %q", got, overflowName)
+	}
+	var buf bytes.Buffer
+	if err := tr.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(buf.Bytes()) {
+		t.Fatal("export is not valid JSON")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"sync"
 
@@ -36,6 +37,9 @@ func (k Key) Hex() string { return k.hex }
 // DiskKey is the key's persistent-tier form: the same digest, so both
 // tiers address an entry identically.
 func (k Key) DiskKey() store.Key { return store.Key{Sum: k.sum, Hex: k.hex} }
+
+// prefix is the hash's first 32 bits, the first 8 digits of Hex.
+func (k Key) prefix() uint32 { return binary.BigEndian.Uint32(k.sum[:4]) }
 
 // word folds the hash into the 64-bit key the fault injector draws on.
 func (k Key) word() uint64 {
@@ -192,7 +196,7 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func() ([]byte, error)) (
 		// endpoint and the exported trace can stitch the two together.
 		if tc, ok := obs.TraceFromContext(ctx); ok && !call.trace.IsZero() {
 			obs.Default().Span(obs.PIDServe, obs.LaneFor(tc.Trace), "serve", "coalesced.link").
-				Trace(tc).Str("linked_trace", call.trace.String()).Emit()
+				Trace(tc).Link("linked_trace", call.trace).Emit()
 		}
 		select {
 		case <-call.done:

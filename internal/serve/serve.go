@@ -457,7 +457,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, k Key, build fu
 		// compute route, so it doubles as the queue-wait label.
 		return s.compute(ctx, r.URL.Path, k, build)
 	})
-	csp.Str("status", string(status)).Str("key", k.Hex()[:8]).End()
+	csp.Str("status", string(status)).Hex32("key", k.prefix()).End()
 	if err != nil {
 		switch {
 		case errors.Is(err, errShed):

@@ -344,3 +344,28 @@ func TestShedRecordedInFlightRecorder(t *testing.T) {
 		t.Fatalf("no shed event with trace %s in %+v", supplied.Trace, rec.Events())
 	}
 }
+
+// TestCacheSpanArgs pins what the serve cache span records: its status
+// and the first 8 hex digits of the response's X-Study-Key.
+func TestCacheSpanArgs(t *testing.T) {
+	tr := obs.NewTracer(1 << 14)
+	obs.Install(tr)
+	defer obs.Install(nil)
+	_, ts := newTestServer(t, Config{Workers: 1})
+
+	tc := obs.TraceContext{Trace: obs.NewTraceID(), Parent: 1}
+	resp, _ := post(t, ts, "/v1/run", `{"seed": 44}`, map[string]string{"traceparent": tc.Traceparent()})
+	key := resp.Header.Get("X-Study-Key")
+	if resp.StatusCode != http.StatusOK || len(key) != 64 {
+		t.Fatalf("run status %d, X-Study-Key %q", resp.StatusCode, key)
+	}
+	for _, r := range tr.TraceRecords(tc.Trace) {
+		if r.Name == "cache" {
+			if r.Args["key"] != key[:8] || r.Args["status"] != "miss" {
+				t.Fatalf("cache span args = %v, want key %s and status miss", r.Args, key[:8])
+			}
+			return
+		}
+	}
+	t.Fatal("no cache span in the request's trace")
+}
