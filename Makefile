@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify ci build test race vet fmt bench-vet bench-record bench-check cover-stats golden fuzz fuzz-smoke chaos chaos-serve persist-check sweep-stray
+.PHONY: verify ci build test race vet fmt bench-vet bench-record bench-check bench-smoke cover-stats golden fuzz fuzz-smoke chaos chaos-serve persist-check sweep-stray
 
 ## verify: the tier-1 gate — vet, gofmt, build, race-test everything,
 ## pin the golden outputs, smoke the fuzz targets on their seed corpora,
@@ -160,12 +160,15 @@ bench-record:
 	@test -n "$(N)" || { echo "usage: make bench-record N=<pr>"; exit 1; }
 	$(GATED_BENCH) | $(GO) run ./cmd/benchjson -o BENCH_PR$(N).json
 
-## bench-check: re-run the gated perf surface and fail if it regressed
-## against the NEWEST committed BENCH_PR*.json baseline — more than 20%
-## ns/op growth, or ANY allocs/op growth (the disabled paths pin 0).
-## One baseline, not one per PR: benchjson's compare never fails on
-## entries only one side has, so the newest (superset) baseline gates
-## everything the older ones did. Scratch output goes to BENCH.new.json
+## bench-check: re-run the gated perf surface and compare it with the
+## NEWEST committed BENCH_PR*.json baseline. Names match with the "-N"
+## GOMAXPROCS suffix stripped. Any allocs/op growth fails (the disabled
+## paths pin 0). ns/op growth over 20% fails only when the baseline was
+## recorded on the same cpu at the same GOMAXPROCS; otherwise the report
+## says ns/op was not compared. A run that matches no baseline entry
+## fails too, and the report ends with the compared count. Entries only
+## one side has never fail by themselves, so the newest baseline gates
+## everything it lists. Scratch output goes to BENCH.new.json
 ## (gitignored; the BENCH_PR* glob cannot pick it up as a baseline).
 ## -count=3: benchjson's compare folds repeated runs to their minimum,
 ## the noise-robust statistic, so one interference spike on a shared CI
@@ -175,3 +178,12 @@ bench-check:
 	$(GATED_BENCH) | $(GO) run ./cmd/benchjson -o BENCH.new.json
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) BENCH.new.json -tolerance 0.20
 	rm -f BENCH.new.json
+
+## bench-smoke: a short correctness run of the end-to-end benchmark
+## against the real pbld, on the memory-hit and compute workloads.
+## pblbench exits 1 on any wrong or failed response or golden mismatch,
+## so this is the one gate that serves cache keys through the daemon
+## binary. The timings it prints are not checked.
+bench-smoke:
+	bash bench/run.sh --workload hit --seconds 2
+	bash bench/run.sh --workload compute --seconds 2

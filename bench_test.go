@@ -416,7 +416,7 @@ func BenchmarkSensitivitySeeds(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = sensitivity.Run(20180800, 20)
+		r, err = sensitivity.RunSweep(context.Background(), 20180800, 20, sensitivity.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -54,16 +54,65 @@ func TestCompareZeroAllocGrowthFails(t *testing.T) {
 	}
 }
 
+// TestCompareUnmatchedBenchmarksNeverFail: a benchmark on only one
+// side is reported and never fails the gate by itself, but a run where
+// nothing matched fails — that gate compared nothing.
 func TestCompareUnmatchedBenchmarksNeverFail(t *testing.T) {
-	old := doc(Result{Name: "BenchmarkGone-8", NsPerOp: 10})
-	new := doc(Result{Name: "BenchmarkNew-8", NsPerOp: 10})
-	lines, regressed := compareDocs(old, new, 0.20)
-	if regressed {
-		t.Fatalf("unmatched benchmarks flagged as regression: %v", lines)
+	old := doc(Result{Name: "BenchmarkGone-8", NsPerOp: 10}, Result{Name: "BenchmarkKept-8", NsPerOp: 10})
+	new := doc(Result{Name: "BenchmarkNew-8", NsPerOp: 10}, Result{Name: "BenchmarkKept-8", NsPerOp: 10})
+	lines, fail := compareDocs(old, new, 0.20)
+	if fail {
+		t.Fatalf("unmatched benchmarks beside a matched one failed the gate: %v", lines)
 	}
 	joined := strings.Join(lines, "\n")
-	if !strings.Contains(joined, "BenchmarkNew-8") || !strings.Contains(joined, "BenchmarkGone-8") {
+	if !strings.Contains(joined, "BenchmarkNew") || !strings.Contains(joined, "BenchmarkGone") {
 		t.Fatalf("report omits unmatched benchmarks:\n%s", joined)
+	}
+	if !strings.Contains(joined, "compared 1 of 2 baseline entries") {
+		t.Fatalf("report does not count the compared entries:\n%s", joined)
+	}
+	old = doc(Result{Name: "BenchmarkGone-8", NsPerOp: 10})
+	new = doc(Result{Name: "BenchmarkNew-8", NsPerOp: 10})
+	if lines, fail := compareDocs(old, new, 0.20); !fail {
+		t.Fatalf("a run matching no baseline entry passed: %v", lines)
+	}
+}
+
+// TestCompareStripsProcsSuffix: a baseline recorded at GOMAXPROCS 1 (no
+// suffix) matches a run at GOMAXPROCS 2 ("-2"). ns/op is then not
+// compared, since the timings come from a different setup, but
+// allocs/op still is.
+func TestCompareStripsProcsSuffix(t *testing.T) {
+	old := doc(Result{Name: "BenchmarkCacheHitDo", NsPerOp: 100, Extra: map[string]float64{"allocs/op": 0}})
+	new := doc(Result{Name: "BenchmarkCacheHitDo-2", NsPerOp: 900, Extra: map[string]float64{"allocs/op": 0}})
+	lines, fail := compareDocs(old, new, 0.20)
+	joined := strings.Join(lines, "\n")
+	if fail || !strings.Contains(joined, "compared 1 of 1") {
+		t.Fatalf("suffix-stripped match failed or went uncounted:\n%s", joined)
+	}
+	if !strings.Contains(joined, "ns/op not compared (GOMAXPROCS 1 in baseline, 2 here)") {
+		t.Fatalf("report does not say ns/op was skipped:\n%s", joined)
+	}
+	new.Results[0].Extra["allocs/op"] = 1
+	if lines, fail := compareDocs(old, new, 0.20); !fail {
+		t.Fatalf("allocs/op 0 -> 1 across GOMAXPROCS not flagged: %v", lines)
+	}
+}
+
+// TestCompareNsOnlyOnSameCPU: a baseline from another cpu gates
+// allocs/op only.
+func TestCompareNsOnlyOnSameCPU(t *testing.T) {
+	old := doc(Result{Name: "BenchmarkX-2", NsPerOp: 100})
+	old.CPU = "baseline cpu"
+	new := doc(Result{Name: "BenchmarkX-2", NsPerOp: 500})
+	new.CPU = "other cpu"
+	lines, fail := compareDocs(old, new, 0.20)
+	if fail || !strings.Contains(strings.Join(lines, "\n"), "ns/op not compared (baseline from another cpu)") {
+		t.Fatalf("ns/op compared across cpus: %v", lines)
+	}
+	new.CPU = old.CPU
+	if lines, fail := compareDocs(old, new, 0.20); !fail {
+		t.Fatalf("5x ns/op on the same cpu not flagged: %v", lines)
 	}
 }
 

@@ -16,8 +16,11 @@
 //
 //	go run ./cmd/benchjson -compare old.json new.json -tolerance 0.20
 //
-// ns/op may grow by at most the tolerance fraction; allocs/op may not
-// grow at all (the disabled-path benchmarks pin 0 allocs/op).
+// Names match with the "-N" GOMAXPROCS suffix stripped. allocs/op may
+// not grow at all (the disabled-path benchmarks pin 0 allocs/op); ns/op
+// may grow by at most the tolerance fraction, and is compared only when
+// the baseline ran on the same cpu at the same GOMAXPROCS. A run that
+// matches no baseline entry fails.
 package main
 
 import (

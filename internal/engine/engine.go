@@ -46,22 +46,6 @@ func SequentialSeeds(start int64) SeedStream {
 	return func(i int) int64 { return start + int64(i) }
 }
 
-// SplitMixSeeds streams well-mixed 64-bit seeds derived from base by
-// the SplitMix64 finalizer. Unlike SequentialSeeds, nearby indices give
-// statistically unrelated seeds, so sweeps at different bases do not
-// share runs. Output i is the i-th value of a SplitMix64 generator
-// seeded with base, computed directly (no sequential state), so any
-// worker can derive any run's seed independently.
-func SplitMixSeeds(base int64) SeedStream {
-	const gamma = 0x9E3779B97F4A7C15
-	return func(i int) int64 {
-		z := uint64(base) + (uint64(i)+1)*gamma
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return int64(z ^ (z >> 31))
-	}
-}
-
 // Engine executes studies over a bounded worker pool. The zero value is
 // not usable; construct with New.
 type Engine struct {
@@ -130,9 +114,6 @@ func New(opts ...Option) *Engine {
 
 // Workers reports the pool bound.
 func (e *Engine) Workers() int { return e.workers }
-
-// Metrics returns the attached metrics sink (nil when none).
-func (e *Engine) Metrics() *Metrics { return e.metrics }
 
 // RunResult is one study execution inside a sweep.
 type RunResult struct {

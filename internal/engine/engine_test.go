@@ -137,22 +137,10 @@ func TestSeedStreams(t *testing.T) {
 	if seq(0) != 100 || seq(7) != 107 {
 		t.Fatalf("sequential stream broken: %d, %d", seq(0), seq(7))
 	}
-	sm := SplitMixSeeds(100)
 	// Pure: same index, same seed, in any call order.
-	a, b := sm(5), sm(0)
-	if sm(5) != a || sm(0) != b {
-		t.Fatal("SplitMixSeeds is not pure")
-	}
-	// Well-mixed: distinct indices and distinct bases disagree.
-	seen := map[int64]bool{}
-	for i := 0; i < 100; i++ {
-		seen[sm(i)] = true
-	}
-	if len(seen) != 100 {
-		t.Fatalf("only %d distinct seeds in 100 indices", len(seen))
-	}
-	if SplitMixSeeds(101)(0) == sm(0) {
-		t.Fatal("different bases share a first seed")
+	a, b := seq(5), seq(0)
+	if seq(5) != a || seq(0) != b {
+		t.Fatal("SequentialSeeds is not pure")
 	}
 }
 

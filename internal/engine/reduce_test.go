@@ -15,10 +15,23 @@ import (
 // independently — the same pure-function-of-index discipline the seed
 // streams use.
 func reduceValue(i int) float64 {
-	s := SplitMixSeeds(977)(i)
+	s := mixedSeeds(977)(i)
 	// Map the 63-bit seed onto [0, 8) with an offset so the data is
 	// neither constant nor centered at zero.
 	return 3.0 + float64(uint64(s)%(1<<20))/float64(1<<17)
+}
+
+// mixedSeeds streams well-mixed seeds: output i is the i-th value of
+// a SplitMix64 generator seeded with base, computed directly, so any
+// worker can derive any index's seed independently.
+func mixedSeeds(base int64) SeedStream {
+	const gamma = 0x9E3779B97F4A7C15
+	return func(i int) int64 {
+		z := uint64(base) + (uint64(i)+1)*gamma
+		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+		return int64(z ^ (z >> 31))
+	}
 }
 
 func reduceMoments(t *testing.T, workers, n, grain int) stats.Moments {

@@ -17,16 +17,25 @@ import (
 // shape: every admitted job drives an engine region on the pool's own
 // runtime.
 
-// submitUntilAdmitted retries a shed Submit until the runtime takes it.
+// ended is an already-canceled context: SubmitWait with it admits the
+// job and returns at once, without waiting for the job to run.
+var ended = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
+// submitUntilAdmitted retries a shed SubmitWait until the runtime
+// takes the job, and returns without waiting for it to run.
 func submitUntilAdmitted(t *testing.T, rt *sched.Runtime, job func()) {
 	t.Helper()
 	for {
-		err := rt.Submit(job)
-		if err == nil {
+		err := rt.SubmitWait(ended, job)
+		if err == nil || errors.Is(err, context.Canceled) {
 			return
 		}
 		if !errors.Is(err, sched.ErrQueueFull) {
-			t.Fatalf("Submit: %v", err)
+			t.Fatalf("SubmitWait: %v", err)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -97,7 +106,7 @@ func TestPoolStatsConsistentUnderHammer(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					_ = rt.Submit(func() {
+					_ = rt.SubmitWait(ended, func() {
 						_, _ = Map(context.Background(), e, 4, func(_ context.Context, i int) (int, error) {
 							return i, nil
 						})

@@ -28,7 +28,7 @@ func TestSweepStealDeterminismBytes(t *testing.T) {
 		defer rt.Close()
 		eng := New(WithWorkers(workers), WithRetry(5, 0), WithRuntime(rt))
 		ctx := fault.NewContext(context.Background(), runFailPlan(t, 99, 0.3))
-		sweep, err := eng.Sweep(ctx, testConfig(), SplitMixSeeds(4242), n)
+		sweep, err := eng.Sweep(ctx, testConfig(), mixedSeeds(4242), n)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

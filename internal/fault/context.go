@@ -1,42 +1,26 @@
 package fault
 
-import (
-	"context"
-	"sync/atomic"
-)
-
-// defaultInjector is the process-wide injector; nil means disabled.
-// It mirrors obs.Install/obs.Default: a CLI session installs one, and
-// instrumented code reads it through Active at each decision point.
-var defaultInjector atomic.Pointer[Injector]
-
-// Install makes in the process-wide injector returned by Active; nil
-// uninstalls.
-func Install(in *Injector) { defaultInjector.Store(in) }
-
-// Active returns the installed injector, or nil when injection is
-// disabled. Every Injector method is safe on the nil result.
-func Active() *Injector { return defaultInjector.Load() }
+import "context"
 
 // ctxKey carries an injector through a context.
 type ctxKey struct{}
 
 // NewContext scopes an injector to a context subtree. The engine uses
 // this to hand each run attempt its own forked decision stream without
-// disturbing concurrent runs.
+// disturbing concurrent runs. Injection is context-scoped only: there
+// is no process-wide injector.
 func NewContext(ctx context.Context, in *Injector) context.Context {
 	return context.WithValue(ctx, ctxKey{}, in)
 }
 
-// FromContext returns the context-scoped injector, falling back to the
-// process-wide one; nil when neither is set. This is the lookup the
-// core pipeline performs once per run before plumbing the injector into
-// the omp, mpi, and pisim layers.
+// FromContext returns the context-scoped injector, or nil when none is
+// set. This is the lookup the core pipeline performs once per run
+// before plumbing the injector into the omp, mpi, and pisim layers.
 func FromContext(ctx context.Context) *Injector {
 	if ctx != nil {
 		if in, ok := ctx.Value(ctxKey{}).(*Injector); ok {
 			return in
 		}
 	}
-	return Active()
+	return nil
 }

@@ -184,10 +184,9 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// splitmix64 is the SplitMix64 finalizer, the same mixer the engine's
-// seed streams use. It is the entire source of randomness here: chained
-// applications give the decision stream, so every draw is stateless and
-// order-independent.
+// splitmix64 is the SplitMix64 finalizer. It is the entire source of
+// randomness here: chained applications give the decision stream, so
+// every draw is stateless and order-independent.
 func splitmix64(z uint64) uint64 {
 	z += 0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -236,10 +235,6 @@ type Fault struct {
 	Max  float64
 	r    uint64
 }
-
-// Rand is the fault's own uniform draw in [0,1), for sites that need
-// custom parameterization.
-func (f Fault) Rand() float64 { return unit(f.r) }
 
 // Duration scales the fault's randomness into (0, Max] seconds, with a
 // 500µs default when the rule left Max zero — the stall/delay helper.

@@ -221,15 +221,6 @@ func TestContextCarriage(t *testing.T) {
 	if FromContext(context.Background()) != nil {
 		t.Fatal("empty context yielded an injector")
 	}
-	// Process-wide fallback.
-	Install(in)
-	defer Install(nil)
-	if FromContext(context.Background()) != in {
-		t.Fatal("FromContext did not fall back to Active")
-	}
-	if Active() != in {
-		t.Fatal("Active lost the installed injector")
-	}
 }
 
 func TestKindString(t *testing.T) {

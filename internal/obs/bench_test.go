@@ -56,7 +56,7 @@ func BenchmarkSpanEnabledParallel(b *testing.B) {
 // like pre-exemplar Observe — an O(1) bucket index and lock-free
 // atomic updates, no time lookup, 0 allocs/op.
 func BenchmarkHistObserveUntraced(b *testing.B) {
-	h := NewRegistry().Histogram("bench_seconds", "bench")
+	h := NewHist()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.ObserveTrace(0.005, TraceID{})
@@ -67,7 +67,7 @@ func BenchmarkHistObserveUntraced(b *testing.B) {
 // lookup plus a fixed-size exemplar store in the landing bucket's
 // preallocated slot under the exemplar mutex — still 0 allocs/op.
 func BenchmarkHistObserveTraced(b *testing.B) {
-	h := NewRegistry().Histogram("bench_seconds", "bench")
+	h := NewHist()
 	trace := NewTraceID()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -410,14 +410,6 @@ func (r *Recorder) LastBundle() []byte {
 	return append([]byte(nil), r.lastBundle...)
 }
 
-// Dumps reports how many triggered bundles have been written.
-func (r *Recorder) Dumps() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.dumps.Value()
-}
-
 // active is the process-wide recorder; nil means disabled.
 var active atomic.Pointer[Recorder]
 

@@ -23,6 +23,17 @@ func newTestRecorder(cfg Config) *Recorder {
 	return New(cfg)
 }
 
+// dumps reads flightrec_dumps_total from the recorder's registry, the
+// count /metrics exposes.
+func dumps(r *Recorder) float64 {
+	for _, f := range r.reg.Gather() {
+		if f.Name == "flightrec_dumps_total" {
+			return f.Points[0].Value
+		}
+	}
+	return 0
+}
+
 func TestEventsWindowedAndSorted(t *testing.T) {
 	r := newTestRecorder(Config{Window: time.Minute})
 	tr := obs.NewTraceID()
@@ -111,15 +122,15 @@ func TestTriggerRateLimitAndArtifacts(t *testing.T) {
 	if !bytes.Equal(r.LastBundle(), raw) {
 		t.Fatal("LastBundle differs from the written file")
 	}
-	if r.Dumps() != 1 {
-		t.Fatalf("Dumps() = %d, want 1", r.Dumps())
+	if n := dumps(r); n != 1 {
+		t.Fatalf("flightrec_dumps_total = %v, want 1", n)
 	}
 
 	// Within MinGap: suppressed.
 	if p := r.Trigger("again", trace); p != "" {
 		t.Fatalf("second Trigger inside MinGap wrote %q", p)
 	}
-	if r.Dumps() != 1 {
+	if dumps(r) != 1 {
 		t.Fatal("suppressed trigger still counted as a dump")
 	}
 }
@@ -180,7 +191,7 @@ func TestWriteBundleIncludesWindowedSpans(t *testing.T) {
 // the bundle's JSON round trip (encoding/json rejects raw infinities).
 func TestBundleWithHistogramFamilies(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := reg.Histogram("test_latency_seconds", "latency")
+	h := reg.HistogramVec("test_latency_seconds", "latency", "route").With("/v1/run")
 	h.Observe(0.005)
 	h.Observe(20)
 	r := newTestRecorder(Config{Registry: reg, Window: time.Minute})
@@ -212,7 +223,7 @@ func TestBundleWithHistogramFamilies(t *testing.T) {
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Event(KindShed, "x", 0, obs.TraceID{})
-	if r.Events() != nil || r.LastBundle() != nil || r.Dumps() != 0 {
+	if r.Events() != nil || r.LastBundle() != nil {
 		t.Fatal("nil recorder leaked state")
 	}
 	if r.Trigger("x", obs.TraceID{}) != "" {

@@ -144,9 +144,6 @@ func (m *HTTPMetrics) Middleware(route string, next http.Handler) http.Handler {
 	})
 }
 
-// InFlight reports the requests currently inside instrumented handlers.
-func (m *HTTPMetrics) InFlight() int64 { return m.inFlight.Load() }
-
 // GatherMetrics implements Gatherer with the counter and gauge
 // families (the latency family renders from the registry's HistVec).
 // Routes and codes are emitted in sorted order so the exposition is

@@ -32,8 +32,8 @@ func TestHTTPMetricsMiddleware(t *testing.T) {
 		t.Fatalf("status = %d", rec.Code)
 	}
 
-	if got := m.InFlight(); got != 0 {
-		t.Fatalf("in-flight after completion = %d, want 0", got)
+	if got := inFlight(m); got != 0 {
+		t.Fatalf("in-flight after completion = %v, want 0", got)
 	}
 
 	var sb strings.Builder
@@ -61,6 +61,16 @@ func TestHTTPMetricsMiddleware(t *testing.T) {
 	}
 }
 
+// inFlight reads http_in_flight_requests the way /metrics renders it.
+func inFlight(m *HTTPMetrics) float64 {
+	for _, f := range m.GatherMetrics() {
+		if f.Name == "http_in_flight_requests" {
+			return f.Points[0].Value
+		}
+	}
+	return -1
+}
+
 func TestHTTPMetricsInFlightDuringRequest(t *testing.T) {
 	m := NewHTTPMetrics(NewRegistry())
 	entered := make(chan struct{})
@@ -75,12 +85,12 @@ func TestHTTPMetricsInFlightDuringRequest(t *testing.T) {
 		close(done)
 	}()
 	<-entered
-	if got := m.InFlight(); got != 1 {
-		t.Fatalf("in-flight during request = %d, want 1", got)
+	if got := inFlight(m); got != 1 {
+		t.Fatalf("in-flight during request = %v, want 1", got)
 	}
 	close(release)
 	<-done
-	if got := m.InFlight(); got != 0 {
-		t.Fatalf("in-flight after request = %d, want 0", got)
+	if got := inFlight(m); got != 0 {
+		t.Fatalf("in-flight after request = %v, want 0", got)
 	}
 }

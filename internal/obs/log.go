@@ -8,56 +8,15 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// LogLevel orders log severities; records below a logger's minimum are
-// dropped before formatting.
-type LogLevel int8
-
-const (
-	LogDebug LogLevel = iota
-	LogInfo
-	LogWarn
-	LogError
-)
-
-// String renders the level the way the key=value line spells it.
-func (l LogLevel) String() string {
-	switch l {
-	case LogDebug:
-		return "debug"
-	case LogInfo:
-		return "info"
-	case LogWarn:
-		return "warn"
-	default:
-		return "error"
-	}
-}
-
-// ParseLogLevel maps a flag string onto a level (defaults to info).
-func ParseLogLevel(s string) LogLevel {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "debug":
-		return LogDebug
-	case "warn", "warning":
-		return LogWarn
-	case "error":
-		return LogError
-	default:
-		return LogInfo
-	}
-}
-
-// logOutput is the shared sink behind a logger family: one mutex, one
-// writer, one minimum level, so With-derived component loggers all
-// serialize onto the same stream.
+// logOutput is the shared sink behind a logger family: one mutex and
+// one writer, so With-derived component loggers all serialize onto the
+// same stream.
 type logOutput struct {
-	mu  sync.Mutex
-	w   io.Writer
-	min LogLevel
+	mu sync.Mutex
+	w  io.Writer
 }
 
 // Logger is a tiny zero-dependency structured logger. Lines are
@@ -74,13 +33,14 @@ type Logger struct {
 	comp string
 }
 
-// NewLogger builds a logger writing lines at or above min to w.
-func NewLogger(w io.Writer, min LogLevel) *Logger {
-	return &Logger{out: &logOutput{w: w, min: min}}
+// NewLogger builds a logger writing every line to w. There are two
+// levels, info and error, and no filter: both always write.
+func NewLogger(w io.Writer) *Logger {
+	return &Logger{out: &logOutput{w: w}}
 }
 
 // With returns a logger stamping every line with comp=name; derived
-// loggers share the parent's writer and level.
+// loggers share the parent's writer.
 func (l *Logger) With(comp string) *Logger {
 	if l == nil {
 		return nil
@@ -88,34 +48,18 @@ func (l *Logger) With(comp string) *Logger {
 	return &Logger{out: l.out, comp: comp}
 }
 
-// Enabled reports whether the level would be written — the guard for
-// call sites that build expensive arguments.
-func (l *Logger) Enabled(level LogLevel) bool {
-	return l != nil && level >= l.out.min
-}
-
-// Debug logs at debug level; kvs are alternating key, value pairs.
-func (l *Logger) Debug(ctx context.Context, msg string, kvs ...any) {
-	l.log(ctx, LogDebug, msg, kvs)
-}
-
-// Info logs at info level.
+// Info logs at info level; kvs are alternating key, value pairs.
 func (l *Logger) Info(ctx context.Context, msg string, kvs ...any) {
-	l.log(ctx, LogInfo, msg, kvs)
-}
-
-// Warn logs at warn level.
-func (l *Logger) Warn(ctx context.Context, msg string, kvs ...any) {
-	l.log(ctx, LogWarn, msg, kvs)
+	l.log(ctx, "info", msg, kvs)
 }
 
 // Error logs at error level.
 func (l *Logger) Error(ctx context.Context, msg string, kvs ...any) {
-	l.log(ctx, LogError, msg, kvs)
+	l.log(ctx, "error", msg, kvs)
 }
 
-func (l *Logger) log(ctx context.Context, level LogLevel, msg string, kvs []any) {
-	if !l.Enabled(level) {
+func (l *Logger) log(ctx context.Context, level, msg string, kvs []any) {
+	if l == nil {
 		return
 	}
 	var b strings.Builder
@@ -123,7 +67,7 @@ func (l *Logger) log(ctx context.Context, level LogLevel, msg string, kvs []any)
 	b.WriteString("ts=")
 	b.WriteString(time.Now().UTC().Format("2006-01-02T15:04:05.000Z"))
 	b.WriteString(" level=")
-	b.WriteString(level.String())
+	b.WriteString(level)
 	if l.comp != "" {
 		b.WriteString(" comp=")
 		b.WriteString(l.comp)
@@ -179,20 +123,10 @@ func appendLogValue(b *strings.Builder, s string) {
 	b.WriteString(strconv.Quote(s))
 }
 
-// defaultLogger is the process-wide logger, stderr/info until replaced.
-var defaultLogger atomic.Pointer[Logger]
+// defaultLogger is the process-wide logger, on stderr.
+var defaultLogger = NewLogger(os.Stderr)
 
-func init() {
-	defaultLogger.Store(NewLogger(os.Stderr, LogInfo))
-}
-
-// SetLogger replaces the process-wide logger returned by Log; nil
-// silences it (every method is nil-safe).
-func SetLogger(l *Logger) {
-	defaultLogger.Store(l)
-}
-
-// Log returns the process-wide logger (possibly nil when silenced).
+// Log returns the process-wide logger.
 func Log() *Logger {
-	return defaultLogger.Load()
+	return defaultLogger
 }

@@ -212,7 +212,6 @@ func histIndex(v float64) int {
 // Observations are lock-free: counts, sum, min and max live on atomics.
 // Only traced observations take the exemplar mutex.
 type Hist struct {
-	help     string
 	counts   [histBuckets]atomic.Uint64
 	sum      atomic.Uint64 // float64 bits
 	min, max atomic.Uint64 // float64 bits; ±Inf until the first observation
@@ -368,7 +367,6 @@ type Registry struct {
 	mu        sync.Mutex
 	counters  map[string]*Counter
 	gauges    map[string]*Gauge
-	hists     map[string]*Hist
 	histvecs  map[string]*HistVec
 	gatherers []Gatherer
 	published bool
@@ -379,7 +377,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Hist),
 		histvecs: make(map[string]*HistVec),
 	}
 }
@@ -406,19 +403,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name, help string) *Hist {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHist()
-		h.help = help
-		r.hists[name] = h
-	}
-	return h
 }
 
 // HistVec is one histogram family fanned out over the values of a
@@ -494,7 +478,7 @@ func (r *Registry) RegisterGatherer(g Gatherer) {
 // by name.
 func (r *Registry) Gather() []Family {
 	r.mu.Lock()
-	fams := make([]Family, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	fams := make([]Family, 0, len(r.counters)+len(r.gauges)+len(r.histvecs))
 	for name, c := range r.counters {
 		fams = append(fams, Family{Name: name, Help: c.help, Type: "counter",
 			Points: []Point{{Value: float64(c.Value())}}})
@@ -502,10 +486,6 @@ func (r *Registry) Gather() []Family {
 	for name, g := range r.gauges {
 		fams = append(fams, Family{Name: name, Help: g.help, Type: "gauge",
 			Points: []Point{{Value: g.Value()}}})
-	}
-	for name, h := range r.hists {
-		fams = append(fams, Family{Name: name, Help: h.help, Type: "histogram",
-			Points: []Point{h.Point()}})
 	}
 	for name, v := range r.histvecs {
 		fams = append(fams, v.snapshotFamily(name))

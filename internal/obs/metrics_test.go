@@ -26,7 +26,7 @@ func TestRegistryInstruments(t *testing.T) {
 	if g.Value() != 12.5 {
 		t.Fatalf("gauge = %v", g.Value())
 	}
-	h := r.Histogram("latency_seconds", "Latency.")
+	h := r.HistogramVec("latency_seconds", "Latency.", "route").With("/v1/run")
 	h.Observe(0.05) // (2^-5, 2^-4]
 	h.Observe(0.5)  // exactly 2^-1
 	h.Observe(5)    // (4, 8]
@@ -107,7 +107,7 @@ func TestWritePrometheusParsesCleanly(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("pbl_runs_total", "Total study runs.").Add(3)
 	r.Gauge("pbl_throughput", "Runs per second.").Set(1.5)
-	r.Histogram("pbl_latency_seconds", "Run latency.").Observe(0.02)
+	r.HistogramVec("pbl_latency_seconds", "Run latency.", "route").With("/v1/run").Observe(0.02)
 	r.RegisterGatherer(GathererFunc(func() []Family {
 		return []Family{{
 			Name: "external_stage_seconds", Help: "From a gatherer.", Type: "histogram",
@@ -141,10 +141,10 @@ func TestWritePrometheusParsesCleanly(t *testing.T) {
 	for _, want := range []string{
 		`pbl_runs_total 3`,
 		`pbl_throughput 1.5`,
-		`pbl_latency_seconds_bucket{le="0.015625"} 0`,
-		`pbl_latency_seconds_bucket{le="0.03125"} 1`,
-		`pbl_latency_seconds_bucket{le="+Inf"} 1`,
-		`pbl_latency_seconds_count 1`,
+		`pbl_latency_seconds_bucket{route="/v1/run",le="0.015625"} 0`,
+		`pbl_latency_seconds_bucket{route="/v1/run",le="0.03125"} 1`,
+		`pbl_latency_seconds_bucket{route="/v1/run",le="+Inf"} 1`,
+		`pbl_latency_seconds_count{route="/v1/run"} 1`,
 		`external_stage_seconds_bucket{stage="co\"hort",le="1"} 2`,
 		`external_stage_seconds_sum{stage="co\"hort"} 0.5`,
 	} {
@@ -185,7 +185,7 @@ func TestHistogramSumLineCarriesLabels(t *testing.T) {
 func TestExpvarRendererEmitsValidJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "").Add(2)
-	r.Histogram("b_seconds", "").Observe(0.5)
+	r.HistogramVec("b_seconds", "", "route").With("/v1/run").Observe(0.5)
 	s := r.ExpvarFunc().String()
 	var decoded map[string]any
 	if err := json.Unmarshal([]byte(s), &decoded); err != nil {

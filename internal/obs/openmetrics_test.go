@@ -86,7 +86,7 @@ func buildTestRegistry(t *testing.T) (*Registry, TraceID) {
 	reg.Counter("test_requests_total", "Requests.").Add(7)
 	reg.Gauge("test_depth", "Queue depth.").Set(3.5)
 	trace, _ := ParseTraceID("4bf92f3577b34da6a3ce929d0e0e4736")
-	h := reg.Histogram("test_latency_seconds", "Latency.")
+	h := reg.HistogramVec("test_latency_seconds", "Latency.", "route").With("/v1/run")
 	h.Observe(0.004)
 	h.ObserveTrace(0.05, trace)
 	v := reg.HistogramVec("test_wait_seconds", "Wait by route.", "route")
@@ -158,7 +158,7 @@ func TestHistogramExemplarBuckets(t *testing.T) {
 	defer func() { nowUnixNano = old }()
 
 	reg := NewRegistry()
-	h := reg.Histogram("x_seconds", "")
+	h := reg.HistogramVec("x_seconds", "", "route").With("/v1/run")
 	t1, _ := ParseTraceID("0af7651916cd43dd8448eb211c80319c")
 	t2, _ := ParseTraceID("4bf92f3577b34da6a3ce929d0e0e4736")
 	const b, inf = 13, histBuckets - 1 // (2^-8 s, 2^-7 s] and +Inf
@@ -298,7 +298,7 @@ func ExampleRegistry_WriteOpenMetrics() {
 	defer func() { nowUnixNano = old }()
 	reg := NewRegistry()
 	trace, _ := ParseTraceID("4bf92f3577b34da6a3ce929d0e0e4736")
-	reg.Histogram("demo_seconds", "Demo.").ObserveTrace(0.05, trace)
+	reg.HistogramVec("demo_seconds", "Demo.", "route").With("/v1/run").ObserveTrace(0.05, trace)
 	var b strings.Builder
 	_ = reg.WriteOpenMetrics(&b)
 	// Print the exemplared bucket and the +Inf bucket; the other 24
@@ -311,9 +311,9 @@ func ExampleRegistry_WriteOpenMetrics() {
 	// Output:
 	// # HELP demo_seconds Demo.
 	// # TYPE demo_seconds histogram
-	// demo_seconds_bucket{le="0.0625"} 1 # {trace_id="4bf92f3577b34da6a3ce929d0e0e4736"} 0.05 1700000000.500
-	// demo_seconds_bucket{le="+Inf"} 1
-	// demo_seconds_sum 0.05
-	// demo_seconds_count 1
+	// demo_seconds_bucket{route="/v1/run",le="0.0625"} 1 # {trace_id="4bf92f3577b34da6a3ce929d0e0e4736"} 0.05 1700000000.500
+	// demo_seconds_bucket{route="/v1/run",le="+Inf"} 1
+	// demo_seconds_sum{route="/v1/run"} 0.05
+	// demo_seconds_count{route="/v1/run"} 1
 	// # EOF
 }

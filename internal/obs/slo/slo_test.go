@@ -32,6 +32,28 @@ func (s tableSource) RouteSlow(route string, threshold float64, from, to int64) 
 
 func (tableSource) Recent(string, int, int64) []tsdb.Sample { return nil }
 
+// feed is a TSDB fed the way the daemon feeds one: SampleOnce gathers
+// a registry whose only source reports the family handed to add.
+type feed struct {
+	db  *tsdb.DB
+	fam []obs.Family
+}
+
+func newFeed() *feed {
+	f := &feed{}
+	reg := obs.NewRegistry()
+	reg.RegisterGatherer(obs.GathererFunc(func() []obs.Family { return f.fam }))
+	f.db = tsdb.New(tsdb.Config{Registry: reg})
+	return f
+}
+
+// add samples one counter or gauge value at t milliseconds.
+func (f *feed) add(name string, labels []obs.Label, typ string, t int64, v float64) {
+	f.fam = []obs.Family{{Name: name, Type: typ, Points: []obs.Point{{Labels: labels, Value: v}}}}
+	f.db.SampleOnce(time.UnixMilli(t))
+	f.fam = nil
+}
+
 // evalAt is a fixed evaluation instant, far past 3d so window starts
 // stay positive.
 var evalAt = time.UnixMilli(1_700_000_000_000_000)
@@ -163,7 +185,7 @@ func TestTripRisingEdgeOnly(t *testing.T) {
 }
 
 func TestTSDBSourceCounts(t *testing.T) {
-	db := tsdb.New(tsdb.Config{Registry: obs.NewRegistry()})
+	db := newFeed()
 	lbl := func(route, code string) []obs.Label {
 		return []obs.Label{{Key: "route", Value: route}, {Key: "code", Value: code}}
 	}
@@ -177,10 +199,10 @@ func TestTSDBSourceCounts(t *testing.T) {
 		{"/compute", "500", 1, 6},
 		{"/healthz", "200", 0, 50},
 	} {
-		db.AppendSample("http_requests_total", lbl(s.route, s.code), "counter", 0, s.v0)
-		db.AppendSample("http_requests_total", lbl(s.route, s.code), "counter", 60_000, s.v1)
+		db.add("http_requests_total", lbl(s.route, s.code), "counter", 0, s.v0)
+		db.add("http_requests_total", lbl(s.route, s.code), "counter", 60_000, s.v1)
 	}
-	src := TSDBSource{DB: db}
+	src := TSDBSource{DB: db.db}
 	total, errs := src.RouteCounts("/compute", 0, 60_000)
 	if total != 100 || errs != 5 {
 		t.Fatalf("RouteCounts(/compute) = (%v, %v), want (100, 5)", total, errs)
@@ -192,21 +214,21 @@ func TestTSDBSourceCounts(t *testing.T) {
 }
 
 func TestTSDBSourceSlow(t *testing.T) {
-	db := tsdb.New(tsdb.Config{Registry: obs.NewRegistry()})
+	db := newFeed()
 	route := []obs.Label{{Key: "route", Value: "/compute"}}
 	bucket := func(le string) []obs.Label {
 		return append(append([]obs.Label{}, route...), obs.Label{Key: "le", Value: le})
 	}
 	// 100 requests in-window; 80 under 0.1s, 90 under 0.25s.
 	add := func(t0 int64, count, b01, b025, binf float64) {
-		db.AppendSample("http_request_duration_seconds_count", route, "counter", t0, count)
-		db.AppendSample("http_request_duration_seconds_bucket", bucket("0.1"), "counter", t0, b01)
-		db.AppendSample("http_request_duration_seconds_bucket", bucket("0.25"), "counter", t0, b025)
-		db.AppendSample("http_request_duration_seconds_bucket", bucket("+Inf"), "counter", t0, binf)
+		db.add("http_request_duration_seconds_count", route, "counter", t0, count)
+		db.add("http_request_duration_seconds_bucket", bucket("0.1"), "counter", t0, b01)
+		db.add("http_request_duration_seconds_bucket", bucket("0.25"), "counter", t0, b025)
+		db.add("http_request_duration_seconds_bucket", bucket("+Inf"), "counter", t0, binf)
 	}
 	add(0, 0, 0, 0, 0)
 	add(60_000, 100, 80, 90, 100)
-	src := TSDBSource{DB: db}
+	src := TSDBSource{DB: db.db}
 
 	total, slow := src.RouteSlow("/compute", 0.25, 0, 60_000)
 	if total != 100 || slow != 10 {
@@ -222,13 +244,13 @@ func TestTSDBSourceSlow(t *testing.T) {
 func TestBurnCounterResetAcrossRestart(t *testing.T) {
 	// A daemon restart zeroes http_requests_total mid-window; the
 	// increase must still count post-restart traffic, not go negative.
-	db := tsdb.New(tsdb.Config{Registry: obs.NewRegistry()})
+	db := newFeed()
 	lbl := []obs.Label{{Key: "route", Value: "/compute"}, {Key: "code", Value: "200"}}
-	db.AppendSample("http_requests_total", lbl, "counter", 0, 1000)
-	db.AppendSample("http_requests_total", lbl, "counter", 30_000, 1200) // +200
-	db.AppendSample("http_requests_total", lbl, "counter", 40_000, 50)   // restart: reset, +50
-	db.AppendSample("http_requests_total", lbl, "counter", 60_000, 150)  // +100
-	src := TSDBSource{DB: db}
+	db.add("http_requests_total", lbl, "counter", 0, 1000)
+	db.add("http_requests_total", lbl, "counter", 30_000, 1200) // +200
+	db.add("http_requests_total", lbl, "counter", 40_000, 50)   // restart: reset, +50
+	db.add("http_requests_total", lbl, "counter", 60_000, 150)  // +100
+	src := TSDBSource{DB: db.db}
 	total, errs := src.RouteCounts("/compute", 0, 60_000)
 	if total != 350 || errs != 0 {
 		t.Fatalf("counts across restart = (%v, %v), want (350, 0)", total, errs)
@@ -276,7 +298,7 @@ func TestGatherMetrics(t *testing.T) {
 // runtimeHarness evaluates the runtime rules over hand-appended
 // samples at a fixed cadence, collecting trip reasons.
 type runtimeHarness struct {
-	db    *tsdb.DB
+	db    *feed
 	reg   *obs.Registry
 	e     *Evaluator
 	at    int64
@@ -284,9 +306,9 @@ type runtimeHarness struct {
 }
 
 func newRuntimeHarness() *runtimeHarness {
-	h := &runtimeHarness{db: tsdb.New(tsdb.Config{Registry: obs.NewRegistry()}), reg: obs.NewRegistry()}
+	h := &runtimeHarness{db: newFeed(), reg: obs.NewRegistry()}
 	h.e = New(Config{
-		Source:   TSDBSource{DB: h.db},
+		Source:   TSDBSource{DB: h.db.db},
 		Registry: h.reg,
 		OnTrip:   func(tr Trip) { h.fired = append(h.fired, tr.Reason) },
 	})
@@ -298,7 +320,7 @@ func newRuntimeHarness() *runtimeHarness {
 func (h *runtimeHarness) step(series map[string]float64) []string {
 	h.at += 5000
 	for name, v := range series {
-		h.db.AppendSample(name, nil, "gauge", h.at, v)
+		h.db.add(name, nil, "gauge", h.at, v)
 	}
 	before := len(h.fired)
 	h.e.Eval(time.UnixMilli(h.at))

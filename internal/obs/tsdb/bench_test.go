@@ -28,7 +28,7 @@ func BenchmarkTSDBAppend(b *testing.B) {
 func BenchmarkTSDBQuery(b *testing.B) {
 	db := New(Config{Registry: obs.NewRegistry()})
 	for i := int64(0); i < 720; i++ {
-		db.AppendSample("requests_total", []obs.Label{{Key: "route", Value: "/compute"}}, "counter", i*5000, float64(i*3))
+		db.appendPoint("requests_total", []obs.Label{{Key: "route", Value: "/compute"}}, "counter", i*5000, float64(i*3))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -74,9 +74,6 @@ func (c *Chunk) Reset() {
 // Len reports the number of samples appended.
 func (c *Chunk) Len() int { return int(c.n) }
 
-// Bytes reports the compressed size.
-func (c *Chunk) Bytes() int { return len(c.b.stream) }
-
 // MinT and MaxT bound the chunk's time range (0,0 when empty).
 func (c *Chunk) MinT() int64 { return c.t0 }
 func (c *Chunk) MaxT() int64 { return c.tLast }
@@ -325,14 +322,3 @@ func (it *Iter) At() Sample { return Sample{T: it.t, V: it.v} }
 
 // Err reports the first decode error, nil on clean exhaustion.
 func (it *Iter) Err() error { return it.err }
-
-// Samples decodes the whole chunk. The encoder's output always
-// decodes, so the error is nil for every chunk Append built.
-func (c *Chunk) Samples() ([]Sample, error) {
-	out := make([]Sample, 0, c.n)
-	it := c.Iter()
-	for it.Next() {
-		out = append(out, it.At())
-	}
-	return out, it.Err()
-}

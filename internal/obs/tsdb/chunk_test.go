@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// decode reads the whole chunk back through its iterator.
+func decode(c *Chunk) ([]Sample, error) {
+	out := make([]Sample, 0, c.Len())
+	it := c.Iter()
+	for it.Next() {
+		out = append(out, it.At())
+	}
+	return out, it.Err()
+}
+
 func sampleEq(a, b []Sample) bool {
 	if len(a) != len(b) {
 		return false
@@ -40,7 +50,7 @@ func TestChunkRoundTrip(t *testing.T) {
 		for _, s := range in {
 			c.Append(s.T, s.V)
 		}
-		got, err := c.Samples()
+		got, err := decode(c)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
@@ -67,7 +77,7 @@ func TestChunkRoundTripRandom(t *testing.T) {
 		for _, s := range in {
 			c.Append(s.T, s.V)
 		}
-		got, err := c.Samples()
+		got, err := decode(c)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
@@ -85,7 +95,7 @@ func TestChunkCompression(t *testing.T) {
 	for i := 0; i < 240; i++ {
 		c.Append(int64(i)*5000, float64(i*7))
 	}
-	if perSample := float64(c.Bytes()) / 240; perSample > 4 {
+	if perSample := float64(len(c.b.stream)) / 240; perSample > 4 {
 		t.Fatalf("regular run compressed to %.2f B/sample, want <= 4", perSample)
 	}
 }
@@ -97,7 +107,7 @@ func TestChunkResetReuse(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			c.Append(int64(round*1000+i*10), float64(i))
 		}
-		got, err := c.Samples()
+		got, err := decode(c)
 		if err != nil || len(got) != 100 {
 			t.Fatalf("round %d: got %d samples, err %v", round, len(got), err)
 		}

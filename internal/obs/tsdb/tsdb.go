@@ -193,12 +193,6 @@ func (db *DB) SampleOnce(now time.Time) {
 	}
 }
 
-// AppendSample feeds one hand-built observation — the test ingest
-// path (the sampler uses the same series machinery).
-func (db *DB) AppendSample(name string, labels []obs.Label, typ string, t int64, v float64) {
-	db.appendPoint(name, labels, typ, t, v)
-}
-
 // appendPoint routes one scalar to its series, creating it on first
 // sight (bounded by MaxSeries).
 func (db *DB) appendPoint(name string, labels []obs.Label, typ string, t int64, v float64) {

@@ -20,7 +20,7 @@ func TestDBSamplesRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("demo_total", "demo counter")
 	g := reg.Gauge("demo_depth", "demo gauge")
-	h := reg.Histogram("demo_seconds", "demo histogram")
+	h := reg.HistogramVec("demo_seconds", "demo histogram", "route").With("/v1/run")
 	db := testDB(t, reg)
 
 	base := time.UnixMilli(1_700_000_000_000)
@@ -50,10 +50,10 @@ func TestDBSamplesRegistry(t *testing.T) {
 
 	// Histogram explosion: _sum, _count, and one _bucket per bound (+Inf
 	// included).
-	if got := db.SamplesBetween("demo_seconds_count", 0, math.MaxInt64); len(got) != 5 || got[4].V != 10 {
+	if got := db.SamplesBetween(`demo_seconds_count{route="/v1/run"}`, 0, math.MaxInt64); len(got) != 5 || got[4].V != 10 {
 		t.Fatalf("demo_seconds_count: got %v", got)
 	}
-	for _, key := range []string{`demo_seconds_bucket{le="0.0625"}`, `demo_seconds_bucket{le="2"}`, `demo_seconds_bucket{le="+Inf"}`} {
+	for _, key := range []string{`demo_seconds_bucket{route="/v1/run",le="0.0625"}`, `demo_seconds_bucket{route="/v1/run",le="2"}`, `demo_seconds_bucket{route="/v1/run",le="+Inf"}`} {
 		if got := db.SamplesBetween(key, 0, math.MaxInt64); len(got) != 5 {
 			t.Fatalf("%s: %d samples, want 5", key, len(got))
 		}
@@ -69,7 +69,7 @@ func TestDBSamplesRegistry(t *testing.T) {
 func TestDBRangeQuery(t *testing.T) {
 	db := testDB(t, nil)
 	for i := int64(0); i < 10; i++ {
-		db.AppendSample("requests_total", []obs.Label{{Key: "route", Value: "/compute"}}, "counter", i*1000, float64(i*5))
+		db.appendPoint("requests_total", []obs.Label{{Key: "route", Value: "/compute"}}, "counter", i*1000, float64(i*5))
 	}
 	res := db.RangeQuery("requests_total", "rate", 0, 9000)
 	if len(res) != 1 {
@@ -112,7 +112,7 @@ func TestDBRetention(t *testing.T) {
 	db := New(Config{Registry: obs.NewRegistry(), Retention: time.Minute, ChunkSamples: 10})
 	// 1 sample/s for 5 minutes: all but the last ~minute must age out.
 	for i := int64(0); i < 300; i++ {
-		db.AppendSample("g", nil, "gauge", i*1000, float64(i))
+		db.appendPoint("g", nil, "gauge", i*1000, float64(i))
 	}
 	got := db.SamplesBetween("g", 0, math.MaxInt64)
 	if len(got) == 300 {
@@ -132,13 +132,13 @@ func TestDBMaxSeries(t *testing.T) {
 	db := New(Config{Registry: obs.NewRegistry(), MaxSeries: 3})
 	labels := func(v string) []obs.Label { return []obs.Label{{Key: "id", Value: v}} }
 	for _, id := range []string{"a", "b", "c", "d", "e"} {
-		db.AppendSample("m", labels(id), "gauge", 1000, 1)
+		db.appendPoint("m", labels(id), "gauge", 1000, 1)
 	}
 	if got := len(db.Keys()); got != 3 {
 		t.Fatalf("series count %d, want 3 (MaxSeries bound)", got)
 	}
 	// Existing series still accept appends past the bound.
-	db.AppendSample("m", labels("a"), "gauge", 2000, 2)
+	db.appendPoint("m", labels("a"), "gauge", 2000, 2)
 	if got := db.SamplesBetween(`m{id="a"}`, 0, math.MaxInt64); len(got) != 2 {
 		t.Fatalf("existing series rejected append after bound: %d samples", len(got))
 	}
@@ -146,10 +146,10 @@ func TestDBMaxSeries(t *testing.T) {
 
 func TestDBNonMonotonicDropped(t *testing.T) {
 	db := testDB(t, nil)
-	db.AppendSample("g", nil, "gauge", 5000, 1)
-	db.AppendSample("g", nil, "gauge", 5000, 2) // same instant: dropped
-	db.AppendSample("g", nil, "gauge", 4000, 3) // backwards: dropped
-	db.AppendSample("g", nil, "gauge", 6000, 4)
+	db.appendPoint("g", nil, "gauge", 5000, 1)
+	db.appendPoint("g", nil, "gauge", 5000, 2) // same instant: dropped
+	db.appendPoint("g", nil, "gauge", 4000, 3) // backwards: dropped
+	db.appendPoint("g", nil, "gauge", 6000, 4)
 	got := db.SamplesBetween("g", 0, math.MaxInt64)
 	want := []Sample{{T: 5000, V: 1}, {T: 6000, V: 4}}
 	if !sampleEq(got, want) {
@@ -159,7 +159,7 @@ func TestDBNonMonotonicDropped(t *testing.T) {
 
 func TestQuantileOverTime(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := reg.Histogram("lat_seconds", "latency")
+	h := reg.HistogramVec("lat_seconds", "latency", "route").With("/v1/run")
 	db := testDB(t, reg)
 	base := time.UnixMilli(1_700_000_000_000)
 	db.SampleOnce(base)
@@ -193,9 +193,9 @@ func TestQuantileOverTime(t *testing.T) {
 
 func TestDumpWindow(t *testing.T) {
 	db := testDB(t, nil)
-	db.AppendSample("a_total", nil, "counter", 1000, 1)
-	db.AppendSample("a_total", nil, "counter", 2000, 2)
-	db.AppendSample("b_depth", nil, "gauge", 9000, 7)
+	db.appendPoint("a_total", nil, "counter", 1000, 1)
+	db.appendPoint("a_total", nil, "counter", 2000, 2)
+	db.appendPoint("b_depth", nil, "gauge", 9000, 7)
 	dump := db.DumpWindow(0, 5000)
 	if len(dump) != 1 || dump[0].Series != "a_total" || len(dump[0].Samples) != 2 {
 		t.Fatalf("dump = %+v, want just a_total's two samples", dump)

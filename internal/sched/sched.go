@@ -2,8 +2,8 @@
 // engine, the omp layer, and the HTTP daemon. One Runtime owns a
 // fixed set of worker goroutines; work reaches them three ways:
 //
-//   - Submit / SubmitWait: jobs through a bounded admission queue
-//     (the HTTP daemon admits every computation with SubmitWait).
+//   - SubmitWait: jobs through a bounded admission queue (the HTTP
+//     daemon admits every computation with it).
 //   - ParallelIndexed: data-parallel regions over an index range,
 //     distributed through a range-stealing IndexPool. The caller
 //     always participates, so a region finishes even when every
@@ -27,9 +27,9 @@ import (
 	"sync/atomic"
 )
 
-// The admission errors Submit and SubmitWait return; match them with errors.Is.
+// The admission errors SubmitWait returns; match them with errors.Is.
 var (
-	// ErrQueueFull rejects a Submit because the bounded queue is at
+	// ErrQueueFull rejects a SubmitWait because the bounded queue is at
 	// capacity — shedding at admission instead of queueing unboundedly.
 	ErrQueueFull = errors.New("sched: admission queue full")
 	// ErrClosed rejects work submitted after Close.
@@ -48,8 +48,8 @@ type config struct {
 // runtime.NumCPU, minimum 1).
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
-// WithQueueDepth bounds the Submit admission queue (default 0: every
-// Submit that finds no idle capacity is shed immediately).
+// WithQueueDepth bounds the SubmitWait admission queue (default 0:
+// every SubmitWait that finds no idle capacity is shed immediately).
 func WithQueueDepth(n int) Option { return func(c *config) { c.queue = n } }
 
 // Stats is a point-in-time runtime snapshot. Queued and InFlight come
@@ -100,10 +100,10 @@ type Runtime struct {
 
 	submitq chan submission
 	// handoff is the unbuffered direct lane: when the queue is full —
-	// or has zero capacity — a Submit still succeeds if some worker is
-	// parked in receive at that instant, preserving the classic
+	// or has zero capacity — a SubmitWait still succeeds if some worker
+	// is parked in receive at that instant, preserving the classic
 	// zero-queue pool semantics ("find an idle worker now or shed").
-	// It is never closed; Close fences Submits with the closed flag.
+	// It is never closed; Close fences submissions with the closed flag.
 	handoff chan submission
 	// qstate packs queued<<32 | inflight for consistent snapshots.
 	qstate      PaddedUint64
@@ -120,7 +120,7 @@ type Runtime struct {
 	// regions is the copy-on-write list of active indexed regions.
 	regions atomic.Pointer[[]*region]
 
-	mu     sync.RWMutex // guards closed vs Submit/close(submitq)
+	mu     sync.RWMutex // guards closed vs submit/close(submitq)
 	closed bool
 	wg     sync.WaitGroup
 
@@ -172,29 +172,19 @@ func Default() *Runtime {
 	return defaultRT
 }
 
-// Workers reports the worker count (0 for a nil runtime).
-func (r *Runtime) Workers() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.workers)
-}
-
-// submission is a submitted job; done, if set, is closed once fn has
-// returned and been counted, so its waiter sees it completed in Stats.
+// submission is a submitted job; done is closed once fn has returned
+// and been counted, so its waiter sees it completed in Stats.
 type submission struct {
 	fn   func()
 	done chan struct{}
 }
 
-// Submit enqueues job for asynchronous execution. It never blocks:
-// when the bounded queue is full the job is shed with ErrQueueFull,
-// and after Close it fails with ErrClosed.
-func (r *Runtime) Submit(job func()) error { return r.submit(submission{fn: job}) }
-
-// SubmitWait submits job as Submit does and waits until it has run and
-// been counted: after a nil return, Stats and Introspect show it completed.
-// If ctx ends first it returns ctx.Err(), and the job still runs.
+// SubmitWait enqueues job and waits until it has run and been counted:
+// after a nil return, Stats and Introspect show it completed. Admission
+// never blocks: when the bounded queue is full the job is shed with
+// ErrQueueFull, and after Close it fails with ErrClosed. If ctx ends
+// first it returns ctx.Err(), and the job still runs — so an
+// already-ended ctx enqueues without waiting.
 func (r *Runtime) SubmitWait(ctx context.Context, job func()) error {
 	done := make(chan struct{})
 	if err := r.submit(submission{fn: job, done: done}); err != nil {
@@ -244,7 +234,7 @@ func (r *Runtime) submit(job submission) error {
 }
 
 // Close drains the queue — already-admitted jobs still run — waits
-// for in-flight work, and stops the workers. Further Submits fail
+// for in-flight work, and stops the workers. Further SubmitWaits fail
 // with ErrClosed; indexed regions and task trees keep working on the
 // caller's goroutine after Close.
 func (r *Runtime) Close() {
@@ -371,9 +361,7 @@ func (r *Runtime) finishJob(job submission) {
 	defer func() {
 		r.qstate.Add(^uint64(0)) // inflight-1
 		r.completed.Add(1)
-		if job.done != nil {
-			close(job.done)
-		}
+		close(job.done)
 	}()
 	job.fn()
 }

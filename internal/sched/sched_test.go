@@ -10,13 +10,31 @@ import (
 	"time"
 )
 
+// ended is an already-canceled context. SubmitWait with it admits the
+// job and returns at once, so tests can fill the queue without waiting
+// for the jobs they enqueue.
+var ended = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
+// enqueue admits job without waiting for it to run: nil once admitted,
+// otherwise SubmitWait's admission error.
+func enqueue(r *Runtime, job func()) error {
+	if err := r.SubmitWait(ended, job); !errors.Is(err, context.Canceled) {
+		return err
+	}
+	return nil
+}
+
 // TestSubmitRunsJobs: submitted jobs all execute; Completed ledger
 // matches.
 func TestSubmitRunsJobs(t *testing.T) {
 	r := New(WithWorkers(4), WithQueueDepth(64))
 	var ran atomic.Int64
 	for i := 0; i < 50; i++ {
-		if err := r.Submit(func() { ran.Add(1) }); err != nil {
+		if err := enqueue(r, func() { ran.Add(1) }); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
@@ -30,22 +48,66 @@ func TestSubmitRunsJobs(t *testing.T) {
 	}
 }
 
+// TestSubmitWaitCtxEndsFirst pins SubmitWait's ctx contract, the one
+// enqueue relies on: when ctx ends while the job is still queued or
+// running, SubmitWait returns ctx.Err() at once, the job still runs,
+// and Stats counts it completed. Admission errors come back through
+// a live ctx unchanged.
+func TestSubmitWaitCtxEndsFirst(t *testing.T) {
+	r := New(WithWorkers(1), WithQueueDepth(1))
+	started := make(chan struct{})
+	release := make(chan struct{})
+	ran := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		errc <- r.SubmitWait(ctx, func() { close(started); <-release; close(ran) })
+	}()
+	<-started
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("SubmitWait with ctx ended first = %v, want context.Canceled", err)
+	}
+	select {
+	case <-ran:
+		t.Fatal("job finished before it was released")
+	default:
+	}
+	// The worker holds the first job, so the queue's one slot takes the
+	// second and a third must shed, even with a live ctx.
+	if err := enqueue(r, func() {}); err != nil {
+		t.Fatalf("queued enqueue: %v", err)
+	}
+	if err := r.SubmitWait(context.Background(), func() {}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("SubmitWait on a full queue = %v, want ErrQueueFull", err)
+	}
+	close(release)
+	<-ran
+	r.Close()
+	if st := r.Stats(); st.Completed != 2 || st.Shed != 1 || st.InFlight != 0 || st.Queued != 0 {
+		t.Fatalf("stats after close: %+v, want 2 completed, 1 shed", st)
+	}
+	if err := r.SubmitWait(context.Background(), func() {}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SubmitWait after Close = %v, want ErrClosed", err)
+	}
+}
+
 // TestSubmitShedsWhenFull: a full queue sheds with ErrQueueFull and
 // counts it; a closed runtime rejects with ErrClosed.
 func TestSubmitShedsWhenFull(t *testing.T) {
 	r := New(WithWorkers(1), WithQueueDepth(1))
 	block := make(chan struct{})
 	started := make(chan struct{})
-	if err := r.Submit(func() { close(started); <-block }); err != nil {
+	if err := enqueue(r, func() { close(started); <-block }); err != nil {
 		t.Fatal(err)
 	}
 	<-started // worker busy; queue empty
-	if err := r.Submit(func() {}); err != nil {
+	if err := enqueue(r, func() {}); err != nil {
 		t.Fatalf("queue should hold one: %v", err)
 	}
 	var shed bool
 	for i := 0; i < 3; i++ {
-		if err := r.Submit(func() {}); errors.Is(err, ErrQueueFull) {
+		if err := enqueue(r, func() {}); errors.Is(err, ErrQueueFull) {
 			shed = true
 			break
 		}
@@ -58,12 +120,12 @@ func TestSubmitShedsWhenFull(t *testing.T) {
 	}
 	close(block)
 	r.Close()
-	if err := r.Submit(func() {}); !errors.Is(err, ErrClosed) {
+	if err := enqueue(r, func() {}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
 }
 
-// TestSubmitZeroQueueHandoff: with no queue capacity a Submit lands
+// TestSubmitZeroQueueHandoff: with no queue capacity a job lands
 // only through the handoff lane to a parked worker, and sheds (and
 // counts the shed) once the only worker is busy.
 func TestSubmitZeroQueueHandoff(t *testing.T) {
@@ -74,19 +136,19 @@ func TestSubmitZeroQueueHandoff(t *testing.T) {
 	// The worker may not be parked in receive yet, so the first job can
 	// need a beat to find it.
 	for {
-		err := r.Submit(func() { close(started); <-release })
+		err := enqueue(r, func() { close(started); <-release })
 		if err == nil {
 			break
 		}
 		if !errors.Is(err, ErrQueueFull) {
-			t.Fatalf("first Submit: %v", err)
+			t.Fatalf("first enqueue: %v", err)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	<-started // the only worker is busy; there is no queue to fall back on
 	pre := r.Stats().Shed
-	if err := r.Submit(func() {}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("Submit with the worker busy = %v, want ErrQueueFull", err)
+	if err := enqueue(r, func() {}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("enqueue with the worker busy = %v, want ErrQueueFull", err)
 	}
 	if st := r.Stats(); st.Shed != pre+1 || st.InFlight != 1 || st.Queued != 0 {
 		t.Fatalf("stats: %+v (shed before: %d)", st, pre)
@@ -95,20 +157,20 @@ func TestSubmitZeroQueueHandoff(t *testing.T) {
 }
 
 // TestCloseDrainsQueuedJobs: Close blocks while a job is in flight,
-// then runs every queued job before returning; later Submits are
+// then runs every queued job before returning; later submissions are
 // rejected with ErrClosed.
 func TestCloseDrainsQueuedJobs(t *testing.T) {
 	r := New(WithWorkers(1), WithQueueDepth(8))
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if err := r.Submit(func() { close(started); <-release }); err != nil {
+	if err := enqueue(r, func() { close(started); <-release }); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	var ran atomic.Int64
 	for i := 0; i < 8; i++ {
-		if err := r.Submit(func() { ran.Add(1) }); err != nil {
-			t.Fatalf("queued Submit %d: %v", i, err)
+		if err := enqueue(r, func() { ran.Add(1) }); err != nil {
+			t.Fatalf("queued enqueue %d: %v", i, err)
 		}
 	}
 	done := make(chan struct{})
@@ -123,8 +185,8 @@ func TestCloseDrainsQueuedJobs(t *testing.T) {
 	if got := ran.Load(); got != 8 {
 		t.Fatalf("drained %d queued jobs, want 8", got)
 	}
-	if err := r.Submit(func() {}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
+	if err := enqueue(r, func() {}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("enqueue after Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -148,7 +210,7 @@ func TestStatsConsistentUnderHammer(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					_ = r.Submit(func() {})
+					_ = enqueue(r, func() {})
 				}
 			}
 		}()
@@ -252,14 +314,14 @@ func TestParallelIndexedNilRuntime(t *testing.T) {
 	}
 }
 
-// TestParallelIndexedNested: a region started from inside a Submit
+// TestParallelIndexedNested: a region started from inside a submitted
 // job on a saturated runtime still completes, because the caller
 // participates — workers are never a liveness dependency.
 func TestParallelIndexedNested(t *testing.T) {
 	r := New(WithWorkers(1), WithQueueDepth(4))
 	defer r.Close()
 	done := make(chan int64, 1)
-	err := r.Submit(func() {
+	err := enqueue(r, func() {
 		var ran atomic.Int64
 		r.ParallelIndexed(context.Background(), 100, 4, 1, func(i, slot int) { ran.Add(1) })
 		done <- ran.Load()
@@ -345,7 +407,7 @@ func TestJoinQuicksort(t *testing.T) {
 }
 
 // TestCloseIdempotentAndConcurrent: double Close and Close racing
-// Submit are safe.
+// submissions are safe.
 func TestCloseIdempotentAndConcurrent(t *testing.T) {
 	r := New(WithWorkers(2), WithQueueDepth(8))
 	var wg sync.WaitGroup
@@ -354,7 +416,7 @@ func TestCloseIdempotentAndConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				_ = r.Submit(func() {})
+				_ = enqueue(r, func() {})
 			}
 		}()
 	}

@@ -93,7 +93,7 @@ func TestIntrospectShape(t *testing.T) {
 	r := New(WithWorkers(2), WithQueueDepth(4))
 	defer r.Close()
 	done := make(chan struct{})
-	if err := r.Submit(func() { close(done) }); err != nil {
+	if err := enqueue(r, func() { close(done) }); err != nil {
 		t.Fatal(err)
 	}
 	<-done

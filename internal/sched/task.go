@@ -28,15 +28,6 @@ type TaskCtx struct {
 	w  *worker
 }
 
-// Worker is the executing participant's id: 0..Workers-1 for runtime
-// workers, ≥ Workers for attached callers, -1 when running solo.
-func (c *TaskCtx) Worker() int {
-	if c == nil || c.w == nil {
-		return -1
-	}
-	return c.w.id
-}
-
 // Join runs a and b as potentially parallel siblings and returns when
 // both are done. b is pushed on the participant's deque where an idle
 // worker may steal it while the caller runs a; if nobody stole it the

@@ -89,18 +89,13 @@ type Options struct {
 	Runtime *sched.Runtime
 }
 
-// Run executes the study under `seeds` consecutive seeds starting at
-// start, collecting distributions. The per-run configuration is the
-// paper's except for the seed. It is the convenience form of RunSweep
-// with a background context and default options (all CPUs, no metrics).
-func Run(start int64, seeds int) (*Result, error) {
-	return RunSweep(context.Background(), start, seeds, Options{})
-}
-
-// RunSweep is Run with cancellation and execution options. The sweep
-// fans out over the engine's worker pool; the aggregation consumes
-// results in seed order, so the Result — and its rendering — is
-// byte-identical to a sequential loop for any worker count.
+// RunSweep executes the study under `seeds` consecutive seeds starting
+// at start, collecting distributions. The per-run configuration is the
+// paper's except for the seed; zero Options use all CPUs and record no
+// metrics. The sweep fans out over the engine's worker pool; the
+// aggregation consumes results in seed order, so the Result — and its
+// rendering — is byte-identical to a sequential loop for any worker
+// count.
 func RunSweep(ctx context.Context, start int64, seeds int, opts Options) (*Result, error) {
 	if seeds < 3 {
 		return nil, fmt.Errorf("sensitivity: need at least 3 seeds, got %d", seeds)

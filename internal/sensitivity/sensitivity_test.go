@@ -21,7 +21,7 @@ var (
 func sharedResult(t testing.TB) *Result {
 	t.Helper()
 	resOnce.Do(func() {
-		res, resErr = Run(20180800, 40)
+		res, resErr = RunSweep(context.Background(), 20180800, 40, Options{})
 	})
 	if resErr != nil {
 		t.Fatal(resErr)
@@ -112,7 +112,7 @@ func TestRender(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(1, 2); err == nil {
+	if _, err := RunSweep(context.Background(), 1, 2, Options{}); err == nil {
 		t.Fatal("too few seeds accepted")
 	}
 }

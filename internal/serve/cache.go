@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"sync"
 
 	"pblparallel/internal/fault"
@@ -19,36 +18,23 @@ import (
 // response bytes (worker count, queue depth, deadlines) are excluded by
 // construction — determinism means they never reach the hash input.
 type Key struct {
-	sum [sha256.Size]byte
-	hex string
+	addr store.Key
 }
 
 // NewKey hashes a canonical request representation. Callers build the
 // canonical bytes with normalized (defaulted) parameters so that, e.g.,
 // an omitted seed and the paper's seed address the same entry.
-func NewKey(canonical []byte) Key {
-	sum := sha256.Sum256(canonical)
-	return Key{sum: sum, hex: hex.EncodeToString(sum[:])}
-}
+func NewKey(canonical []byte) Key { return Key{addr: store.KeyOf(canonical)} }
 
 // Hex is the key's lowercase hex form, served as X-Study-Key.
-func (k Key) Hex() string { return k.hex }
+func (k Key) Hex() string { return k.addr.Hex }
 
-// DiskKey is the key's persistent-tier form: the same digest, so both
-// tiers address an entry identically.
-func (k Key) DiskKey() store.Key { return store.Key{Sum: k.sum, Hex: k.hex} }
+// DiskKey is the persistent tier's key: the very one this key wraps,
+// so both tiers address an entry identically.
+func (k Key) DiskKey() store.Key { return k.addr }
 
 // prefix is the hash's first 32 bits, the first 8 digits of Hex.
-func (k Key) prefix() uint32 { return binary.BigEndian.Uint32(k.sum[:4]) }
-
-// word folds the hash into the 64-bit key the fault injector draws on.
-func (k Key) word() uint64 {
-	var w uint64
-	for i := 0; i < 8; i++ {
-		w = w<<8 | uint64(k.sum[i])
-	}
-	return w
-}
+func (k Key) prefix() uint32 { return binary.BigEndian.Uint32(k.addr.Sum[:4]) }
 
 // CacheStatus reports how a response was produced, served as X-Cache.
 type CacheStatus string
@@ -71,7 +57,6 @@ const (
 // full content address so an eviction can spill the entry to the
 // persistent tier without re-deriving it.
 type entry struct {
-	key  string
 	ck   Key
 	body []byte
 	sum  [sha256.Size]byte
@@ -158,12 +143,12 @@ func NewCache(capacity int, inj *fault.Injector) *Cache {
 func (c *Cache) Do(ctx context.Context, k Key, compute func() ([]byte, error)) ([]byte, CacheStatus, error) {
 	healing := false
 	c.mu.Lock()
-	if el, ok := c.entries[k.hex]; ok {
+	if el, ok := c.entries[k.addr.Hex]; ok {
 		e := el.Value.(*entry)
 		if c.inj != nil {
-			seq := c.hitSeq[k.hex]
-			c.hitSeq[k.hex] = seq + 1
-			if f, hit := c.inj.Hit(fault.SiteServeCache, fault.Mix2(k.word(), seq)); hit && f.Kind == fault.CacheCorrupt {
+			seq := c.hitSeq[k.addr.Hex]
+			c.hitSeq[k.addr.Hex] = seq + 1
+			if f, hit := c.inj.Hit(fault.SiteServeCache, fault.Mix2(k.addr.Word(), seq)); hit && f.Kind == fault.CacheCorrupt {
 				// Simulated bit rot: corrupt a copy so responses already
 				// handed out keep their bytes, then let the digest check
 				// below find the damage.
@@ -181,14 +166,14 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func() ([]byte, error)) (
 		// Integrity failure: drop the entry and recompute. Determinism
 		// makes the heal exact — the recomputed bytes equal the originals.
 		c.ll.Remove(el)
-		delete(c.entries, k.hex)
+		delete(c.entries, k.addr.Hex)
 		c.stats.CorruptRecovered++
 		c.inj.MarkRetry()
-		flightrec.Active().Event(flightrec.KindCorruptionHealed, "serve.cache", k.word(),
+		flightrec.Active().Event(flightrec.KindCorruptionHealed, "serve.cache", k.addr.Word(),
 			obs.TraceIDFromContext(ctx))
 		healing = true
 	}
-	if call, ok := c.flight[k.hex]; ok {
+	if call, ok := c.flight[k.addr.Hex]; ok {
 		c.stats.Coalesced++
 		c.mu.Unlock()
 		// The follower's trace has no engine spans of its own — they live
@@ -206,7 +191,7 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func() ([]byte, error)) (
 		}
 	}
 	call := &flightCall{done: make(chan struct{}), trace: obs.TraceIDFromContext(ctx)}
-	c.flight[k.hex] = call
+	c.flight[k.addr.Hex] = call
 	c.mu.Unlock()
 
 	// Leader path, read-through: a memory miss probes the persistent
@@ -234,13 +219,13 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func() ([]byte, error)) (
 
 	var spill []*entry
 	c.mu.Lock()
-	delete(c.flight, k.hex)
+	delete(c.flight, k.addr.Hex)
 	if err == nil {
 		sum := sha256.Sum256(body)
-		c.entries[k.hex] = c.ll.PushFront(&entry{key: k.hex, ck: k, body: body, sum: sum})
+		c.entries[k.addr.Hex] = c.ll.PushFront(&entry{ck: k, body: body, sum: sum})
 		for c.ll.Len() > c.cap {
 			old := c.ll.Remove(c.ll.Back()).(*entry)
-			delete(c.entries, old.key)
+			delete(c.entries, old.ck.Hex())
 			c.stats.Evicted++
 			spill = append(spill, old)
 		}

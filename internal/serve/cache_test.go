@@ -2,12 +2,16 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"pblparallel/internal/fault"
+	"pblparallel/internal/store"
 )
 
 func TestKeyNormalizedCanonicalForm(t *testing.T) {
@@ -22,6 +26,26 @@ func TestKeyNormalizedCanonicalForm(t *testing.T) {
 	}
 	if len(a.Hex()) != 64 {
 		t.Fatalf("key hex length = %d, want 64", len(a.Hex()))
+	}
+}
+
+// TestKeyIsTheDiskKey pins the one content key both tiers share: the
+// serving key's disk form is store.KeyOf of the same canonical bytes,
+// its Hex is the digest's hex, and the fault-injection word is the
+// digest's first eight bytes big-endian — the fold the chaos sweeps'
+// recorded fault decisions were drawn from.
+func TestKeyIsTheDiskKey(t *testing.T) {
+	canonical := []byte("run|seed=7|students=124|calibrated=true")
+	k := NewKey(canonical)
+	if k.DiskKey() != store.KeyOf(canonical) {
+		t.Fatalf("DiskKey %+v differs from store.KeyOf", k.DiskKey())
+	}
+	sum := sha256.Sum256(canonical)
+	if k.Hex() != hex.EncodeToString(sum[:]) {
+		t.Fatalf("Hex %s is not the digest's hex", k.Hex())
+	}
+	if w := k.DiskKey().Word(); w != binary.BigEndian.Uint64(sum[:8]) {
+		t.Fatalf("Word %#x is not the digest's first 8 bytes", w)
 	}
 }
 

@@ -204,7 +204,7 @@ func New(cfg Config) *Server {
 	reg := cfg.Registry
 	s.shed = reg.Counter("serve_shed_total", "Requests shed with 429 at admission.")
 	s.queueWait = reg.HistogramVec("serve_queue_wait_seconds",
-		"Admission queue wait from Submit to job start, by route.", "route")
+		"Admission queue wait from SubmitWait to job start, by route.", "route")
 	reg.RegisterGatherer(obs.GathererFunc(s.gather))
 	// The scheduler exposes its work-stealing internals (deque
 	// depths, steal/park ledgers, grain claims) through the same registry.
@@ -495,15 +495,15 @@ func (s *Server) compute(ctx context.Context, route string, k Key, build func(ct
 	inj := s.cfg.Injector
 	trace := obs.TraceIDFromContext(ctx)
 	inj = inj.WithTrace(trace)
-	if f, ok := inj.Hit(fault.SiteServeQueue, fault.Mix2(k.word(), s.admissionAttempt(k))); ok && f.Kind == fault.QueueFull {
+	if f, ok := inj.Hit(fault.SiteServeQueue, fault.Mix2(k.addr.Word(), s.admissionAttempt(k))); ok && f.Kind == fault.QueueFull {
 		// Injected shed: the client's retry lands on a fresh admission
 		// attempt and a fresh decision, so recovery is the client's
 		// backoff — deterministically keyed, like every fault.
 		inj.MarkRetry()
 		return nil, errShed
 	}
-	// The admit span covers the queue wait: opened before Submit, ended
-	// the moment a pool worker picks the job up.
+	// The admit span covers the queue wait: opened before SubmitWait,
+	// ended the moment a pool worker picks the job up.
 	asp, ctx := obs.Default().StartSpan(ctx, obs.PIDServe, obs.LaneFor(trace), "serve", "admit")
 	tc, hasTC := obs.TraceFromContext(ctx)
 	admitAt := time.Now()
@@ -513,8 +513,8 @@ func (s *Server) compute(ctx context.Context, route string, k Key, build func(ct
 	var jobErr error
 	job := func() {
 		asp.End()
-		// Run-queue latency: how long the job sat between Submit and a
-		// pool worker picking it up, exemplared with the request trace.
+		// Run-queue latency: how long the job sat between SubmitWait and
+		// a pool worker picking it up, exemplared with the request trace.
 		s.queueWait.With(route).ObserveTrace(time.Since(admitAt).Seconds(), trace)
 		jctx, cancel := context.WithTimeout(context.Background(), s.cfg.DefaultTimeout)
 		defer cancel()
@@ -527,7 +527,7 @@ func (s *Server) compute(ctx context.Context, route string, k Key, build func(ct
 		if inj != nil {
 			jctx = fault.NewContext(jctx, inj)
 		}
-		if f, ok := inj.Hit(fault.SiteServeBackend, k.word()); ok && f.Kind == fault.BackendSlow {
+		if f, ok := inj.Hit(fault.SiteServeBackend, k.addr.Word()); ok && f.Kind == fault.BackendSlow {
 			// Latency only — the fault mix may slow a response, never
 			// change its bytes.
 			time.Sleep(f.Duration())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -34,6 +35,17 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 		s.Close()
 	})
 	return s, ts
+}
+
+// enqueue admits job on s's runtime without waiting for it to run:
+// SubmitWait with an already-ended ctx enqueues and returns at once.
+func enqueue(t testing.TB, s *Server, job func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.rt.SubmitWait(ctx, job); err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatal(err)
+	}
 }
 
 // TestWorkersDefaultToNumCPU pins the zero-value worker count: the

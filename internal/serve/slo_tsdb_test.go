@@ -165,15 +165,25 @@ func TestDebugTSDBDisabled(t *testing.T) {
 }
 
 // installRecorder installs a flight recorder writing every bundle to a
-// temporary directory, with no rate limit between triggers.
-func installRecorder(t *testing.T, db *tsdb.DB) string {
+// temporary directory, with no rate limit between triggers. dumps reads
+// the recorder's flightrec_dumps_total.
+func installRecorder(t *testing.T, db *tsdb.DB) (dir string, dumps func() float64) {
 	t.Helper()
-	dir := t.TempDir()
-	rec := flightrec.New(flightrec.Config{Registry: obs.NewRegistry(), MinGap: time.Nanosecond, Dir: dir})
+	dir = t.TempDir()
+	reg := obs.NewRegistry()
+	rec := flightrec.New(flightrec.Config{Registry: reg, MinGap: time.Nanosecond, Dir: dir})
 	rec.AttachTSDB(db)
 	flightrec.Install(rec)
 	t.Cleanup(func() { flightrec.Install(nil) })
-	return dir
+	dumps = func() float64 {
+		for _, f := range reg.Gather() {
+			if f.Name == "flightrec_dumps_total" {
+				return f.Points[0].Value
+			}
+		}
+		return 0
+	}
+	return dir, dumps
 }
 
 // bundleFor reads the one postmortem bundle in dir whose reason starts
@@ -273,7 +283,7 @@ func TestDebugSLOEndpoint(t *testing.T) {
 // incident.
 func TestForcedBurnTripEmbedsTSDBWindow(t *testing.T) {
 	s, db, ts := newTSDBServer(t, Config{Workers: 1})
-	dir := installRecorder(t, db)
+	dir, dumpCount := installRecorder(t, db)
 
 	// Force one 504 (the Request-Timeout bound expires before any
 	// compute finishes) so the error series exists, sample the
@@ -311,9 +321,9 @@ func TestForcedBurnTripEmbedsTSDBWindow(t *testing.T) {
 
 	// A second evaluation over the same still-burning window must not
 	// re-trip (rising edge only).
-	dumps := flightrec.Active().Dumps()
+	dumps := dumpCount()
 	s.cfg.rules.Eval(t1)
-	if flightrec.Active().Dumps() != dumps {
+	if dumpCount() != dumps {
 		t.Fatal("steady burn re-tripped; trips must be rising-edge only")
 	}
 }
@@ -363,25 +373,21 @@ func TestInternalErrorBurnsAvailability(t *testing.T) {
 // postmortem embedding the scheduler's queue series.
 func TestWatchdogStallPostmortem(t *testing.T) {
 	s, db, _ := newTSDBServer(t, Config{Workers: 1})
-	dir := installRecorder(t, db)
+	dir, dumpCount := installRecorder(t, db)
 	block := make(chan struct{})
 	t.Cleanup(func() { close(block) }) // runs before the server's Close
 	started := make(chan struct{})
-	if err := s.rt.Submit(func() { close(started); <-block }); err != nil {
-		t.Fatal(err)
-	}
+	enqueue(t, s, func() { close(started); <-block })
 	<-started
-	if err := s.rt.Submit(func() {}); err != nil {
-		t.Fatal(err)
-	}
+	enqueue(t, s, func() {})
 
 	t0 := time.Now().Add(-time.Second)
 	for i := 0; i < slo.StallSamples; i++ {
 		at := t0.Add(time.Duration(i) * 5 * time.Millisecond)
 		db.SampleOnce(at)
 		s.cfg.rules.Eval(at)
-		if dumps := flightrec.Active().Dumps(); (i < slo.StallSamples-1) != (dumps == 0) {
-			t.Fatalf("after %d samples: %d postmortems, want one exactly at sample %d", i+1, dumps, slo.StallSamples)
+		if dumps := dumpCount(); (i < slo.StallSamples-1) != (dumps == 0) {
+			t.Fatalf("after %d samples: %v postmortems, want one exactly at sample %d", i+1, dumps, slo.StallSamples)
 		}
 	}
 	b := bundleFor(t, dir, "watchdog:sched-stall (1 queued, 1 in flight")

@@ -55,29 +55,25 @@ const (
 // stream. Callers heal it by deleting the file and recomputing.
 var ErrCorrupt = errors.New("store: entry failed verification")
 
-// Key is a content address in the persistent tier: the same SHA-256
-// the in-memory cache uses, carried with its precomputed hex form
-// (the file name).
+// Key is the content address of a cached response in both tiers: the
+// SHA-256 of the request's canonical form, carried with its
+// precomputed hex form (the file name here, X-Study-Key in serve).
+// serve.Key wraps one, so the two tiers cannot disagree on an address.
 type Key struct {
 	Sum [sha256.Size]byte
 	Hex string
 }
 
-// NewKey builds a Key from a raw digest.
-func NewKey(sum [sha256.Size]byte) Key {
+// KeyOf hashes a canonical request representation.
+func KeyOf(canonical []byte) Key {
+	sum := sha256.Sum256(canonical)
 	return Key{Sum: sum, Hex: hex.EncodeToString(sum[:])}
 }
 
-// KeyOf hashes a canonical request representation, mirroring the
-// in-memory cache's key derivation.
-func KeyOf(canonical []byte) Key {
-	return NewKey(sha256.Sum256(canonical))
-}
-
-// word folds the digest into the 64-bit key the fault injector draws
-// on — the same fold the serving cache uses, so the two tiers' fault
-// decisions key off identical material.
-func (k Key) word() uint64 {
+// Word folds the digest into the 64-bit key the fault injector draws
+// on. Both tiers fold through it, so their fault decisions key off
+// identical material.
+func (k Key) Word() uint64 {
 	var w uint64
 	for i := 0; i < 8; i++ {
 		w = w<<8 | uint64(k.Sum[i])

@@ -257,7 +257,7 @@ func (s *Store) Get(ctx context.Context, k Key) (body []byte, ok bool, healed bo
 	size := el.Value.(*dent).size
 	s.mu.Unlock()
 
-	if f, hit := s.inj.Hit(fault.SiteStoreRead, fault.Mix2(k.word(), seq)); hit && f.Kind == fault.DiskReadErr {
+	if f, hit := s.inj.Hit(fault.SiteStoreRead, fault.Mix2(k.Word(), seq)); hit && f.Kind == fault.DiskReadErr {
 		// The read "fails": a miss from the caller's perspective, the
 		// recompute serves the request, and the entry stays on disk for
 		// the next probe — recovered by construction.
@@ -280,7 +280,7 @@ func (s *Store) Get(ctx context.Context, k Key) (body []byte, ok bool, healed bo
 		s.cReadErrs.Inc()
 		return nil, false, false
 	}
-	if f, hit := s.inj.Hit(fault.SiteStoreCorrupt, fault.Mix2(k.word(), seq)); hit && f.Kind == fault.CacheCorrupt {
+	if f, hit := s.inj.Hit(fault.SiteStoreCorrupt, fault.Mix2(k.Word(), seq)); hit && f.Kind == fault.CacheCorrupt {
 		// Simulated bit rot on the file image: corrupt a copy so the
 		// verification below finds the damage, exactly like the
 		// in-memory cache's cache-corrupt site. The flipped byte is the
@@ -306,7 +306,7 @@ func (s *Store) Get(ctx context.Context, k Key) (body []byte, ok bool, healed bo
 		s.cHealed.Inc()
 		s.inj.MarkRetry()
 		flightrec.Active().Event(flightrec.KindCorruptionHealed, string(fault.SiteStoreCorrupt),
-			k.word(), obs.TraceIDFromContext(ctx))
+			k.Word(), obs.TraceIDFromContext(ctx))
 		return nil, false, true
 	}
 
@@ -394,7 +394,7 @@ func (s *Store) doPut(k Key, body []byte) {
 	if exists {
 		return
 	}
-	if f, hit := s.inj.Hit(fault.SiteStoreWrite, k.word()); hit && f.Kind == fault.DiskWriteErr {
+	if f, hit := s.inj.Hit(fault.SiteStoreWrite, k.Word()); hit && f.Kind == fault.DiskWriteErr {
 		// The spill is dropped: a future miss recomputes, so nothing is
 		// lost but a disk hit.
 		s.writeErrs.Add(1)
