@@ -13,9 +13,11 @@ import (
 // and returns the human-readable verdict lines plus whether the gate
 // fails. The rules are the repo's perf contract:
 //
-//   - names match with the trailing "-N" GOMAXPROCS suffix stripped
-//     (`go test` omits it at GOMAXPROCS 1), so a baseline recorded on a
-//     one-CPU host still matches a run on a larger one;
+//   - results match on (package, name), names with the trailing "-N"
+//     GOMAXPROCS suffix stripped (`go test` omits it at GOMAXPROCS 1),
+//     so a baseline recorded on a one-CPU host still matches a run on a
+//     larger one; a baseline result without a package (recorded before
+//     results carried one) matches on the name alone;
 //   - allocs/op may not grow at all, on every matched benchmark — in
 //     particular, a disabled-path benchmark that was 0 allocs/op must
 //     stay at 0. Allocation counts are deterministic, so any increase
@@ -36,22 +38,23 @@ import (
 // standard noise-robust benchmark statistic: interference only ever
 // slows an iteration down, so the minimum is the cleanest observation.
 func compareDocs(old, new Document, tolerance float64) (lines []string, fail bool) {
-	oldByName := foldMin(old.Results)
-	newByName := foldMin(new.Results)
-	names := make([]string, 0, len(newByName))
-	for name := range newByName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	compared := 0
-	for _, name := range names {
-		nr := newByName[name]
-		or, ok := oldByName[name]
-		if !ok {
-			lines = append(lines, fmt.Sprintf("  new   %s: no baseline (%.1f ns/op)", name, nr.NsPerOp))
+	oldByKey := foldMin(old.Results)
+	newByKey := foldMin(new.Results)
+	keys := sortedKeys(newByKey)
+	matched := make(map[benchKey]bool, len(oldByKey))
+	for _, k := range keys {
+		nr := newByKey[k]
+		match := k
+		or, found := oldByKey[match]
+		if !found {
+			match = benchKey{name: k.name}
+			or, found = oldByKey[match]
+		}
+		if !found {
+			lines = append(lines, fmt.Sprintf("  new   %s: no baseline (%.1f ns/op)", k, nr.NsPerOp))
 			continue
 		}
-		compared++
+		matched[match] = true
 		bad := false
 		var detail string
 		_, oldProcs := splitProcs(or.Name)
@@ -81,19 +84,15 @@ func compareDocs(old, new Document, tolerance float64) (lines []string, fail boo
 			verdict = "  REGRESSED "
 			fail = true
 		}
-		lines = append(lines, verdict+name+": "+detail)
+		lines = append(lines, verdict+k.String()+": "+detail)
 	}
-	goneNames := make([]string, 0)
-	for name := range oldByName {
-		if _, ok := newByName[name]; !ok {
-			goneNames = append(goneNames, name)
+	for _, k := range sortedKeys(oldByKey) {
+		if !matched[k] {
+			lines = append(lines, fmt.Sprintf("  gone  %s: missing from new run", k))
 		}
 	}
-	sort.Strings(goneNames)
-	for _, name := range goneNames {
-		lines = append(lines, fmt.Sprintf("  gone  %s: missing from new run", name))
-	}
-	lines = append(lines, fmt.Sprintf("compared %d of %d baseline entries", compared, len(oldByName)))
+	compared := len(matched)
+	lines = append(lines, fmt.Sprintf("compared %d of %d baseline entries", compared, len(oldByKey)))
 	if compared == 0 {
 		lines = append(lines, "no benchmark in the run matches the baseline: nothing was compared")
 		fail = true
@@ -113,17 +112,39 @@ func splitProcs(name string) (base string, procs int) {
 	return name, 1
 }
 
-// foldMin collapses repeated benchmark names, GOMAXPROCS suffix
-// stripped, to the run with the smallest ns/op.
-func foldMin(results []Result) map[string]Result {
-	m := make(map[string]Result, len(results))
+// benchKey is a result's match key: its package and its name with the
+// GOMAXPROCS suffix stripped.
+type benchKey struct{ pkg, name string }
+
+func (k benchKey) String() string {
+	if k.pkg == "" {
+		return k.name
+	}
+	return k.pkg + "." + k.name
+}
+
+// foldMin collapses repeated benchmarks of one package and name,
+// GOMAXPROCS suffix stripped, to the run with the smallest ns/op.
+func foldMin(results []Result) map[benchKey]Result {
+	m := make(map[benchKey]Result, len(results))
 	for _, r := range results {
 		base, _ := splitProcs(r.Name)
-		if prev, ok := m[base]; !ok || r.NsPerOp < prev.NsPerOp {
-			m[base] = r
+		k := benchKey{r.Pkg, base}
+		if prev, ok := m[k]; !ok || r.NsPerOp < prev.NsPerOp {
+			m[k] = r
 		}
 	}
 	return m
+}
+
+// sortedKeys lists m's keys in report order.
+func sortedKeys(m map[benchKey]Result) []benchKey {
+	keys := make([]benchKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	return keys
 }
 
 // loadDoc reads one benchjson document from disk.

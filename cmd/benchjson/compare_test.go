@@ -116,6 +116,36 @@ func TestCompareNsOnlyOnSameCPU(t *testing.T) {
 	}
 }
 
+// TestCompareMatchesOnPackage: one benchmark name in two packages is
+// two entries, each gated against its own package's baseline; a
+// baseline recorded without packages still matches on the name alone.
+func TestCompareMatchesOnPackage(t *testing.T) {
+	old := doc(
+		Result{Pkg: "p/a", Name: "BenchmarkX-2", NsPerOp: 100},
+		Result{Pkg: "p/b", Name: "BenchmarkX-2", NsPerOp: 1000},
+	)
+	new := doc(
+		Result{Pkg: "p/a", Name: "BenchmarkX-2", NsPerOp: 900},
+		Result{Pkg: "p/b", Name: "BenchmarkX-2", NsPerOp: 100},
+	)
+	lines, fail := compareDocs(old, new, 0.20)
+	joined := strings.Join(lines, "\n")
+	if !fail || !strings.Contains(joined, "REGRESSED p/a.BenchmarkX:") || !strings.Contains(joined, "compared 2 of 2") {
+		t.Fatalf("p/a's 9x not gated against p/a's own baseline:\n%s", joined)
+	}
+	if strings.Contains(joined, "REGRESSED p/b") {
+		t.Fatalf("p/b gated against another package's baseline:\n%s", joined)
+	}
+
+	old = doc(Result{Name: "BenchmarkX-2", NsPerOp: 100}, Result{Name: "BenchmarkY-2", NsPerOp: 100})
+	new = doc(Result{Pkg: "p/a", Name: "BenchmarkX-2", NsPerOp: 100}, Result{Pkg: "p/c", Name: "BenchmarkY-2", NsPerOp: 100})
+	lines, fail = compareDocs(old, new, 0.20)
+	joined = strings.Join(lines, "\n")
+	if fail || !strings.Contains(joined, "compared 2 of 2") || strings.Contains(joined, "gone") {
+		t.Fatalf("package-less baseline did not match on names:\n%s", joined)
+	}
+}
+
 func TestCompareFoldsRepeatedRunsToMin(t *testing.T) {
 	// A -count=3 run with one interference spike: the minimum is clean,
 	// so no regression.

@@ -16,7 +16,9 @@
 //
 //	go run ./cmd/benchjson -compare old.json new.json -tolerance 0.20
 //
-// Names match with the "-N" GOMAXPROCS suffix stripped. allocs/op may
+// Results match on (package, name), names with the "-N" GOMAXPROCS
+// suffix stripped; a baseline result recorded without its package
+// matches on the name alone. allocs/op may
 // not grow at all (the disabled-path benchmarks pin 0 allocs/op); ns/op
 // may grow by at most the tolerance fraction, and is compared only when
 // the baseline ran on the same cpu at the same GOMAXPROCS. A run that
@@ -35,6 +37,9 @@ import (
 
 // Result is one parsed `Benchmark...` line.
 type Result struct {
+	// Pkg is the `pkg:` line in force when the result was printed; a
+	// multi-package run prints one per package.
+	Pkg        string  `json:"pkg,omitempty"`
 	Name       string  `json:"name"`
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
@@ -48,7 +53,6 @@ type Result struct {
 type Document struct {
 	Goos      string   `json:"goos,omitempty"`
 	Goarch    string   `json:"goarch,omitempty"`
-	Pkg       string   `json:"pkg,omitempty"`
 	CPU       string   `json:"cpu,omitempty"`
 	Results   []Result `json:"results"`
 	RawOutput []string `json:"raw_output"`
@@ -124,6 +128,7 @@ func main() {
 	}
 
 	doc := Document{Results: []Result{}, RawOutput: []string{}}
+	var pkg string
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -136,11 +141,12 @@ func main() {
 		case strings.HasPrefix(line, "goarch:"):
 			doc.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			doc.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		default:
 			if r, ok := parseLine(line); ok {
+				r.Pkg = pkg
 				doc.Results = append(doc.Results, r)
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"time"
 
 	"pblparallel/internal/core"
 	"pblparallel/internal/engine"
@@ -128,14 +127,10 @@ func cmdChaos(args []string) {
 		if err != nil {
 			fail(err)
 		}
-		metrics := engine.NewMetrics()
-		if pi == 0 {
-			obs.Metrics().RegisterGatherer(metrics)
-		}
 		engOpts := []engine.Option{
 			engine.WithWorkers(w),
-			engine.WithMetrics(metrics),
-			engine.WithRetry(o.retries, 100*time.Microsecond),
+			engine.WithMetrics(obs.Metrics()),
+			engine.WithRetry(o.retries),
 		}
 		var rt *sched.Runtime
 		if len(workerCounts) > 0 {
@@ -170,7 +165,6 @@ func cmdChaos(args []string) {
 			}
 		}
 		stats := inj.Stats()
-		snap := metrics.Snapshot()
 
 		report := chaosJSON{
 			Seeds:     o.seeds,
@@ -183,7 +177,7 @@ func cmdChaos(args []string) {
 				"panic": *panicP, "slow": *slow, "runfail": *runfail,
 			},
 			Faults:        stats,
-			RunsRetried:   snap.Retried,
+			RunsRetried:   attempts - len(chaosRes.Runs),
 			AttemptsTotal: attempts,
 			FailedRuns:    failed,
 			DriftedSeeds:  drifted,
@@ -240,7 +234,7 @@ type chaosJSON struct {
 	FaultSeed     int64               `json:"fault_seed"`
 	Plan          map[string]float64  `json:"plan"`
 	Faults        fault.StatsSnapshot `json:"faults"`
-	RunsRetried   int64               `json:"runs_retried"`
+	RunsRetried   int                 `json:"runs_retried"`
 	AttemptsTotal int                 `json:"attempts_total"`
 	FailedRuns    int                 `json:"failed_runs"`
 	DriftedSeeds  []int64             `json:"drifted_seeds,omitempty"`

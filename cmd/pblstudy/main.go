@@ -3,7 +3,7 @@
 // Usage:
 //
 //	pblstudy [run] [-seed N] [-students N] [-uncalibrated] [-json]
-//	pblstudy sensitivity [-seeds N] [-start S] [-workers N] [-json] [-metrics]
+//	pblstudy sensitivity [-seeds N] [-start S] [-workers N] [-json]
 //	pblstudy cohort [-students N] [-seed S] [-workerset 1,2,8] [-faults P] [-json]
 //	pblstudy serve [-addr HOST:PORT] [-workers N] [-queue N]
 //	pblstudy instrument
@@ -127,19 +127,14 @@ func cmdRun(args []string) {
 	fs.Parse(args)
 	startObs(obsCLI)
 
-	opts := []core.Option{core.WithCalibration(!*uncal)}
+	// The stage timings feed engine_stage_duration_seconds in the
+	// -metrics-out and -pprof expositions.
+	opts := []core.Option{core.WithCalibration(!*uncal), core.WithStageObserver(engine.StageObserver(obs.Metrics()))}
 	if *seed != 0 {
 		opts = append(opts, core.WithSeed(*seed))
 	}
 	if *students != 0 {
 		opts = append(opts, core.WithCohortSize(*students))
-	}
-	// With a metrics sink requested, time the pipeline stages so the
-	// exported exposition carries engine_stage_duration_seconds.
-	if obsCLI.MetricsPath != "" || obsCLI.PprofAddr != "" {
-		m := engine.NewMetrics()
-		obs.Metrics().RegisterGatherer(m)
-		opts = append(opts, core.WithStageObserver(m.ObserveStage))
 	}
 	study := core.NewStudy(opts...)
 	outcome, err := study.Run(context.Background())
@@ -168,16 +163,11 @@ func cmdSensitivity(args []string) {
 	start := fs.Int64("start", 20180800, "first seed of the sweep")
 	workers := fs.Int("workers", 0, "engine worker pool size (0 = all CPUs)")
 	asJSON := fs.Bool("json", false, "emit the distributions as JSON instead of the report")
-	metrics := fs.Bool("metrics", false, "print engine metrics (per-stage histograms, throughput) to stderr after the sweep")
 	obsCLI := obs.BindFlags(fs)
 	fs.Parse(args)
 	startObs(obsCLI)
 
-	opts := sensitivity.Options{Workers: *workers}
-	if *metrics || obsCLI.MetricsPath != "" || obsCLI.PprofAddr != "" {
-		opts.Metrics = engine.NewMetrics()
-		obs.Metrics().RegisterGatherer(opts.Metrics)
-	}
+	opts := sensitivity.Options{Workers: *workers, Metrics: obs.Metrics()}
 	// Ctrl-C cancels the sweep through the engine: in-flight runs stop
 	// at their next stage boundary and the error reports the partial
 	// completion count.
@@ -191,13 +181,6 @@ func cmdSensitivity(args []string) {
 		emitJSON(r)
 	} else {
 		fmt.Print(r.Render())
-	}
-	if *metrics {
-		// Diagnostics go to stderr: `pblstudy sensitivity -json -metrics`
-		// keeps stdout pure JSON for piping into jq or a file.
-		if err := opts.Metrics.Render(os.Stderr); err != nil {
-			fail(err)
-		}
 	}
 	closeObs()
 }
@@ -234,7 +217,7 @@ func cmdSpring2019(args []string) {
 	fmt.Printf("\nchanges vs Fall 2018: %d new assignment(s) %v, +%d questions, +%d materials\n\n",
 		len(diff.AddedAssignments), diff.AddedAssignments,
 		diff.AddedQuestionCount, diff.AddedMaterialCount)
-	proj, err := whatif.Project(whatif.TeamworkReinforcement(), *n, *seed)
+	proj, err := whatif.Project(context.Background(), engine.New(), whatif.TeamworkReinforcement(), *n, *seed)
 	if err != nil {
 		fail(err)
 	}

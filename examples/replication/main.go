@@ -40,7 +40,7 @@ func main() {
 		},
 		// 2. The Spring 2019 projection.
 		func() (string, error) {
-			proj, err := whatif.Project(whatif.TeamworkReinforcement(), 2000, 7)
+			proj, err := whatif.Project(ctx, eng, whatif.TeamworkReinforcement(), 2000, 7)
 			if err != nil {
 				return "", err
 			}

@@ -14,6 +14,7 @@ import (
 	"pblparallel/internal/analysis"
 	"pblparallel/internal/core"
 	"pblparallel/internal/drugdesign"
+	"pblparallel/internal/engine"
 	"pblparallel/internal/paperdata"
 	"pblparallel/internal/patternlets"
 	"pblparallel/internal/pbl"
@@ -129,7 +130,7 @@ func TestStudyAndProjectionCoherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj, err := whatif.Project(whatif.TeamworkReinforcement(), 2000, 5)
+	proj, err := whatif.Project(context.Background(), engine.New(), whatif.TeamworkReinforcement(), 2000, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

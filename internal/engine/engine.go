@@ -1,7 +1,7 @@
 // Package engine is the parallel study-execution engine: it fans
 // core.Study runs out over a bounded worker pool with deterministic seed
-// streams, context cancellation with partial-result collection, and an
-// observability surface (Metrics).
+// streams, context cancellation with partial-result collection, and run
+// and stage metrics recorded into an obs registry (WithMetrics).
 //
 // Determinism is the design constraint the whole API serves. Every
 // multi-run path in the repo (the sensitivity sweep, the what-if
@@ -50,10 +50,29 @@ func SequentialSeeds(start int64) SeedStream {
 // not usable; construct with New.
 type Engine struct {
 	workers int
-	metrics *Metrics
+	metrics *metrics
 	retries int
-	backoff time.Duration
 	rt      *sched.Runtime
+}
+
+// retryBackoff is the base sleep before a retried attempt; attempt a
+// sleeps retryBackoff<<a.
+const retryBackoff = 100 * time.Microsecond
+
+// metrics are the engine's instruments on one obs registry. A nil
+// *metrics records nothing.
+type metrics struct {
+	started, completed, failed, retried *obs.Counter
+	run                                 *obs.Hist
+	stage                               core.StageObserver
+}
+
+// StageObserver records each pipeline stage's wall time into reg's
+// engine_stage_duration_seconds family; an engine built WithMetrics(reg)
+// installs it on every run.
+func StageObserver(reg *obs.Registry) core.StageObserver {
+	stages := reg.HistogramVec("engine_stage_duration_seconds", "Per-stage wall time of the study pipeline.", "stage")
+	return func(stage string, d time.Duration) { stages.With(stage).Observe(d.Seconds()) }
 }
 
 // Option configures an Engine.
@@ -68,25 +87,38 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithMetrics attaches an observability sink shared by every run.
-func WithMetrics(m *Metrics) Option {
-	return func(e *Engine) { e.metrics = m }
+// WithMetrics records the engine's runs into reg: the counters
+// engine_runs_{started,completed,failed,retried}_total and the
+// histograms engine_run_duration_seconds and
+// engine_stage_duration_seconds{stage}. A nil reg records nothing.
+func WithMetrics(reg *obs.Registry) Option {
+	return func(e *Engine) {
+		if reg == nil {
+			e.metrics = nil
+			return
+		}
+		e.metrics = &metrics{
+			started:   reg.Counter("engine_runs_started_total", "Study runs started."),
+			completed: reg.Counter("engine_runs_completed_total", "Study runs completed successfully."),
+			failed:    reg.Counter("engine_runs_failed_total", "Study runs that returned an error."),
+			retried:   reg.Counter("engine_runs_retried_total", "Transient-failure retries across all runs."),
+			run:       reg.Histogram("engine_run_duration_seconds", "Whole-run wall time."),
+			stage:     StageObserver(reg),
+		}
+	}
 }
 
 // WithRetry re-executes a run that failed with a transient error
 // (fault.IsTransient: injected faults, delivery exhaustion, per-run
-// deadline expiry) up to n more times, sleeping backoff<<attempt
+// deadline expiry) up to n more times, sleeping retryBackoff<<attempt
 // between attempts. Permanent errors are never retried. Each attempt
 // draws a freshly forked fault stream keyed by (run index, attempt), so
 // retry outcomes — like everything else in a sweep — are deterministic
 // and worker-count independent.
-func WithRetry(n int, backoff time.Duration) Option {
+func WithRetry(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
 			e.retries = n
-		}
-		if backoff > 0 {
-			e.backoff = backoff
 		}
 	}
 }
@@ -186,21 +218,25 @@ func (e *Engine) Sweep(ctx context.Context, cfg core.StudyConfig, seeds SeedStre
 	e.mapIndexed(ctx, n, func(runCtx context.Context, i, worker int) {
 		seed := seeds(i)
 		opts := []core.Option{core.WithConfig(cfg), core.WithSeed(seed)}
-		if e.metrics != nil {
-			opts = append(opts, core.WithStageObserver(e.metrics.ObserveStage))
+		m := e.metrics
+		if m != nil {
+			opts = append(opts, core.WithStageObserver(m.stage))
+			m.started.Inc()
 		}
 		// One span per run on the worker's lane: the trace shows pool
 		// utilization directly (gaps = idle workers).
 		sp, runCtx := obs.Default().StartSpan(runCtx, obs.PIDEngine, uint32(worker)+1, "engine", "run")
 		sp = sp.Int("index", int64(i)).Int("seed", seed)
-		e.metrics.runStarted()
 		start := time.Now()
 		out, err, attempts := e.runWithRetry(runCtx, faultBase, i, opts)
 		elapsed := time.Since(start)
-		if err != nil {
-			e.metrics.runFailed(elapsed)
-		} else {
-			e.metrics.runCompleted(elapsed)
+		if m != nil {
+			m.run.Observe(elapsed.Seconds())
+			if err != nil {
+				m.failed.Inc()
+			} else {
+				m.completed.Inc()
+			}
 		}
 		sp.End()
 		results[i] = RunResult{Index: i, Seed: seed, Outcome: out, Err: err, Elapsed: elapsed, Attempts: attempts}
@@ -266,12 +302,12 @@ func (e *Engine) nextAttempt(ctx context.Context, faultBase *fault.Injector, att
 	if attempt >= e.retries || !fault.IsTransient(err) || ctx.Err() != nil {
 		return err, false
 	}
-	e.metrics.runRetried()
+	if e.metrics != nil {
+		e.metrics.retried.Inc()
+	}
 	faultBase.MarkRetry()
 	flightrec.Active().Event(flightrec.KindRetry, "engine.run", uint64(attempt), obs.TraceIDFromContext(ctx))
-	if e.backoff > 0 {
-		time.Sleep(e.backoff << uint(attempt))
-	}
+	time.Sleep(retryBackoff << uint(attempt))
 	return nil, true
 }
 

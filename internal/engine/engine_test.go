@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pblparallel/internal/core"
+	"pblparallel/internal/obs"
 )
 
 // testConfig is a small, uncalibrated study configuration: fast enough
@@ -81,14 +82,15 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 // and returns the completed prefix of work with the sentinel error.
 func TestSweepCancellation(t *testing.T) {
 	const n = 200
-	m := NewMetrics()
-	eng := New(WithWorkers(2), WithMetrics(m))
+	reg := obs.NewRegistry()
+	eng := New(WithWorkers(2), WithMetrics(reg))
+	completed := reg.Counter("engine_runs_completed_total", "")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// Cancel as soon as a few runs have completed, so some work is done
 	// and much is provably not.
 	go func() {
-		for m.Snapshot().Completed < 3 {
+		for completed.Value() < 3 {
 			time.Sleep(time.Millisecond)
 		}
 		cancel()
@@ -175,53 +177,45 @@ func TestMapOrderingAndFailFast(t *testing.T) {
 	}
 }
 
+// TestMetrics: an engine handed a registry records every run and every
+// pipeline stage into its exposition; a nil registry records nothing
+// and costs the sweep nothing.
 func TestMetrics(t *testing.T) {
-	m := NewMetrics()
-	eng := New(WithWorkers(2), WithMetrics(m))
+	reg := obs.NewRegistry()
+	eng := New(WithWorkers(2), WithMetrics(reg))
 	const n = 6
 	sweep, err := eng.Sweep(context.Background(), testConfig(), SequentialSeeds(40), n)
 	if err != nil || sweep.FirstErr() != nil {
 		t.Fatal(err, sweep.FirstErr())
 	}
-	s := m.Snapshot()
-	if s.Started != n || s.Completed != n || s.Failed != 0 {
-		t.Fatalf("counters started=%d completed=%d failed=%d", s.Started, s.Completed, s.Failed)
-	}
-	if s.Run.Count() != n || s.Run.Sum() <= 0 || s.Run.Max() < s.Run.Min() {
-		t.Fatalf("run histogram count=%d sum=%v min=%v max=%v", s.Run.Count(), s.Run.Sum(), s.Run.Min(), s.Run.Max())
-	}
-	if s.Throughput <= 0 {
-		t.Fatalf("throughput %v", s.Throughput)
-	}
-	for _, stage := range core.Stages {
-		h, ok := s.Stages[stage]
-		if !ok {
-			t.Fatalf("stage %q not observed", stage)
-		}
-		if h.Count() != n {
-			t.Fatalf("stage %q observed %d times, want %d", stage, h.Count(), n)
-		}
-		if q := h.Quantile(0.5); q < h.Min() {
-			t.Fatalf("stage %q median %v below min %v", stage, q, h.Min())
-		}
-	}
 	var sb strings.Builder
-	if err := m.Render(&sb); err != nil {
+	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range append([]string{"engine metrics:", "completed=6", "throughput", "run"}, core.Stages...) {
-		if !strings.Contains(out, want) {
-			t.Fatalf("metrics render missing %q:\n%s", want, out)
+	want := []string{
+		"engine_runs_started_total 6",
+		"engine_runs_completed_total 6",
+		"engine_runs_failed_total 0",
+		"engine_runs_retried_total 0",
+		"engine_run_duration_seconds_count 6",
+		`engine_run_duration_seconds_bucket{le="+Inf"} 6`,
+	}
+	for _, stage := range core.Stages {
+		want = append(want, fmt.Sprintf("engine_stage_duration_seconds_count{stage=%q} 6", stage))
+	}
+	for _, w := range want {
+		if !strings.Contains(out, "\n"+w+"\n") {
+			t.Errorf("exposition missing line %q:\n%s", w, out)
 		}
 	}
-	// A nil sink must be inert, not a crash.
-	var nilM *Metrics
-	nilM.ObserveStage("x", time.Second)
-	nilM.runStarted()
-	nilM.runCompleted(time.Second)
-	if s := nilM.Snapshot(); s.Started != 0 {
-		t.Fatal("nil metrics reported activity")
+	if sum := reg.Histogram("engine_run_duration_seconds", "").Sum(); sum <= 0 {
+		t.Errorf("run duration sum = %v, want > 0", sum)
+	}
+
+	nilSweep, err := New(WithWorkers(2), WithMetrics(nil)).Sweep(context.Background(), testConfig(), SequentialSeeds(40), 2)
+	if err != nil || nilSweep.FirstErr() != nil {
+		t.Fatal(err, nilSweep.FirstErr())
 	}
 }
 

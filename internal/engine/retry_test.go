@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pblparallel/internal/fault"
+	"pblparallel/internal/obs"
 )
 
 // runFailPlan arms the engine's own injection site with the given
@@ -35,8 +36,8 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := NewMetrics()
-	eng := New(WithWorkers(2), WithMetrics(m), WithRetry(6, 0))
+	reg := obs.NewRegistry()
+	eng := New(WithWorkers(2), WithMetrics(reg), WithRetry(6))
 	ctx := fault.NewContext(context.Background(), runFailPlan(t, 21, 0.5))
 	chaos, err := eng.Sweep(ctx, testConfig(), SequentialSeeds(900), n)
 	if err != nil {
@@ -45,8 +46,9 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 	if err := chaos.FirstErr(); err != nil {
 		t.Fatalf("retry budget did not absorb injected failures: %v", err)
 	}
-	retriedRuns := 0
+	retriedRuns, attempts := 0, 0
 	for i, r := range chaos.Runs {
+		attempts += r.Attempts
 		if got, want := fingerprint(r.Outcome), fingerprint(clean.Runs[i].Outcome); got != want {
 			t.Errorf("run %d: chaos result diverged:\n  clean: %s\n  chaos: %s", i, want, got)
 		}
@@ -57,8 +59,8 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 	if retriedRuns == 0 {
 		t.Fatal("0.5 failure rate caused no retries; test is vacuous")
 	}
-	if got := m.Snapshot().Retried; got == 0 {
-		t.Fatal("metrics recorded no retries")
+	if got, want := reg.Counter("engine_runs_retried_total", "").Value(), int64(attempts-n); got != want {
+		t.Fatalf("engine_runs_retried_total = %d, want attempts - runs = %d", got, want)
 	}
 }
 
@@ -73,7 +75,7 @@ func TestRetryDeterministicAcrossWorkerCounts(t *testing.T) {
 		attempts int
 	}
 	sweepShapes := func(workers int) []runShape {
-		eng := New(WithWorkers(workers), WithRetry(6, 0))
+		eng := New(WithWorkers(workers), WithRetry(6))
 		ctx := fault.NewContext(context.Background(), runFailPlan(t, 77, 0.5))
 		sweep, err := eng.Sweep(ctx, testConfig(), SequentialSeeds(1200), n)
 		if err != nil {
@@ -113,7 +115,7 @@ func TestRetryDeterministicAcrossWorkerCounts(t *testing.T) {
 // budget and surfaces a transient-classified error with the full
 // attempt count.
 func TestRetryBudgetExhaustion(t *testing.T) {
-	eng := New(WithWorkers(1), WithRetry(2, 0))
+	eng := New(WithWorkers(1), WithRetry(2))
 	ctx := fault.NewContext(context.Background(), runFailPlan(t, 1, 1))
 	sweep, err := eng.Sweep(ctx, testConfig(), SequentialSeeds(1), 1)
 	if err != nil {
@@ -141,7 +143,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 func TestPermanentErrorsAreNotRetried(t *testing.T) {
 	cfg := testConfig()
 	cfg.Cohort.NStudents = -5
-	eng := New(WithWorkers(1), WithRetry(5, 0))
+	eng := New(WithWorkers(1), WithRetry(5))
 	// An armed injector proves the permanent classification is about the
 	// error, not about whether chaos is on.
 	ctx := fault.NewContext(context.Background(), runFailPlan(t, 30, 0))
@@ -168,7 +170,7 @@ func TestPermanentErrorsAreNotRetried(t *testing.T) {
 // TestNoFaultContextMeansNoForks: without an injector in the context
 // the retry machinery stays dormant — single attempts, no ledger.
 func TestNoFaultContextMeansNoForks(t *testing.T) {
-	eng := New(WithWorkers(2), WithRetry(3, 0))
+	eng := New(WithWorkers(2), WithRetry(3))
 	sweep, err := eng.Sweep(context.Background(), testConfig(), SequentialSeeds(40), 4)
 	if err != nil {
 		t.Fatal(err)

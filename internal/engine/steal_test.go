@@ -26,7 +26,7 @@ func TestSweepStealDeterminismBytes(t *testing.T) {
 	sweepBytes := func(workers int) []byte {
 		rt := sched.New(sched.WithWorkers(workers))
 		defer rt.Close()
-		eng := New(WithWorkers(workers), WithRetry(5, 0), WithRuntime(rt))
+		eng := New(WithWorkers(workers), WithRetry(5), WithRuntime(rt))
 		ctx := fault.NewContext(context.Background(), runFailPlan(t, 99, 0.3))
 		sweep, err := eng.Sweep(ctx, testConfig(), mixedSeeds(4242), n)
 		if err != nil {

@@ -107,7 +107,7 @@ type Point struct {
 
 // Family is one named metric with its samples — the exchange format
 // between sources (the registry's own instruments, external Gatherers
-// like engine.Metrics) and the renderers.
+// like the HTTP status counters) and the renderers.
 type Family struct {
 	Name   string
 	Help   string
@@ -116,8 +116,8 @@ type Family struct {
 }
 
 // Gatherer contributes metric families at render time. It is how
-// subsystems that own their instruments (the engine's per-stage
-// histograms, the HTTP status counters) unify into the registry.
+// subsystems that own their instruments (the HTTP status counters, the
+// scheduler ledgers) unify into the registry.
 type Gatherer interface {
 	GatherMetrics() []Family
 }
@@ -203,30 +203,20 @@ func histIndex(v float64) int {
 
 // Hist is the histogram over float64 observations (by convention,
 // seconds), on the shared power-of-two layout above. It keeps the
-// exact count, sum, min and max beside the buckets, so means are exact
-// and only quantiles are bucket-resolution estimates. Each bucket also
-// keeps its most recent exemplar — an observation stamped with the
-// trace that produced it — so the exposition can link latency outliers
-// to their span trees.
+// exact count and sum beside the buckets, so means are exact; quantiles
+// are read from the exposed buckets with BucketQuantile. Each bucket
+// also keeps its most recent exemplar — an observation stamped with
+// the trace that produced it — so the exposition can link latency
+// outliers to their span trees. The zero value is an empty histogram.
 //
-// Observations are lock-free: counts, sum, min and max live on atomics.
-// Only traced observations take the exemplar mutex.
+// Observations are lock-free: counts and sum live on atomics. Only
+// traced observations take the exemplar mutex.
 type Hist struct {
-	counts   [histBuckets]atomic.Uint64
-	sum      atomic.Uint64 // float64 bits
-	min, max atomic.Uint64 // float64 bits; ±Inf until the first observation
+	counts [histBuckets]atomic.Uint64
+	sum    atomic.Uint64 // float64 bits
 
 	exMu      sync.Mutex
 	exemplars [histBuckets]Exemplar
-}
-
-// NewHist builds an empty histogram outside any registry; a subsystem
-// that renders its own families (engine.Metrics) holds these.
-func NewHist() *Hist {
-	h := &Hist{}
-	h.min.Store(math.Float64bits(math.Inf(1)))
-	h.max.Store(math.Float64bits(math.Inf(-1)))
-	return h
 }
 
 // Observe records one value with no exemplar.
@@ -237,19 +227,9 @@ func (h *Hist) Observe(v float64) { h.ObserveTrace(v, TraceID{}) }
 // time lookup and no allocation — the call sites on hot paths pass the
 // request's TraceID, which is zero whenever no trace context flowed in.
 // The bucket count is bumped last, so a reader that sees it also sees
-// the min, max and sum it contributed.
+// the sum it contributed.
 func (h *Hist) ObserveTrace(v float64, trace TraceID) {
 	i := histIndex(v)
-	for old := h.min.Load(); v < math.Float64frombits(old); old = h.min.Load() {
-		if h.min.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-	for old := h.max.Load(); v > math.Float64frombits(old); old = h.max.Load() {
-		if h.max.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
 	for {
 		old := h.sum.Load()
 		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -277,22 +257,6 @@ func (h *Hist) Count() uint64 {
 // Sum is the exact total of the observations.
 func (h *Hist) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Min is the smallest observation; 0 when empty.
-func (h *Hist) Min() float64 {
-	if h.Count() == 0 {
-		return 0
-	}
-	return math.Float64frombits(h.min.Load())
-}
-
-// Max is the largest observation; 0 when empty.
-func (h *Hist) Max() float64 {
-	if h.Count() == 0 {
-		return 0
-	}
-	return math.Float64frombits(h.max.Load())
-}
-
 // Point snapshots the histogram as cumulative buckets carrying labels.
 func (h *Hist) Point(labels ...Label) Point {
 	p := Point{Labels: labels, Sum: h.Sum(), Buckets: make([]Bucket, histBuckets)}
@@ -309,27 +273,6 @@ func (h *Hist) Point(labels ...Label) Point {
 	}
 	h.exMu.Unlock()
 	return p
-}
-
-// Quantile estimates the q-quantile (0..1) with BucketQuantile, clamped
-// to the exact observed [Min, Max]. Bucket edges outside that range
-// give way to Min and Max themselves, so a single observation reads
-// exactly and a rank in the +Inf bucket interpolates toward the exact
-// Max instead of stopping at 16 s. 0 when empty.
-func (h *Hist) Quantile(q float64) float64 {
-	p := h.Point() // counts first: an observation they include has stored its min and max
-	if p.Count == 0 {
-		return 0
-	}
-	lo, hi := math.Float64frombits(h.min.Load()), math.Float64frombits(h.max.Load())
-	bs := append(make([]Bucket, 0, histBuckets+1), Bucket{UpperBound: lo})
-	for _, b := range p.Buckets {
-		if b.UpperBound > lo && b.UpperBound < hi {
-			bs = append(bs, b)
-		}
-	}
-	bs = append(bs, Bucket{UpperBound: hi, CumulativeCount: p.Count})
-	return math.Min(math.Max(BucketQuantile(q, bs), lo), hi)
 }
 
 // BucketQuantile estimates the q-quantile (0..1) of cumulative buckets
@@ -430,6 +373,12 @@ func (r *Registry) HistogramVec(name, help, labelKey string) *HistVec {
 	return v
 }
 
+// Histogram returns the named unlabeled histogram, creating it on first
+// use: a HistogramVec with no label key and one member.
+func (r *Registry) Histogram(name, help string) *Hist {
+	return r.HistogramVec(name, help, "").With("")
+}
+
 // With returns the member histogram for one label value, creating it
 // on first use. Call sites with a static label set should cache the
 // result; the lookup is a mutex + map hit otherwise.
@@ -438,7 +387,7 @@ func (v *HistVec) With(labelValue string) *Hist {
 	defer v.mu.Unlock()
 	h, ok := v.m[labelValue]
 	if !ok {
-		h = NewHist()
+		h = new(Hist)
 		v.m[labelValue] = h
 	}
 	return h
@@ -459,6 +408,10 @@ func (v *HistVec) snapshotFamily(name string) Family {
 	v.mu.Unlock()
 	f := Family{Name: name, Help: v.help, Type: "histogram"}
 	for i, h := range members {
+		if v.labelKey == "" {
+			f.Points = append(f.Points, h.Point())
+			continue
+		}
 		f.Points = append(f.Points, h.Point(Label{Key: v.labelKey, Value: vals[i]}))
 	}
 	return f

@@ -31,8 +31,8 @@ func TestRegistryInstruments(t *testing.T) {
 	h.Observe(0.5)  // exactly 2^-1
 	h.Observe(5)    // (4, 8]
 	p := h.Point()
-	if p.Count != 3 || p.Sum != 5.55 || h.Min() != 0.05 || h.Max() != 5 {
-		t.Fatalf("hist count=%d sum=%v min=%v max=%v", p.Count, p.Sum, h.Min(), h.Max())
+	if p.Count != 3 || p.Sum != 5.55 {
+		t.Fatalf("hist count=%d sum=%v", p.Count, p.Sum)
 	}
 	for i, want := range map[int]uint64{15: 0, 16: 1, 19: 2, 22: 2, 23: 3, histBuckets - 1: 3} {
 		if got := p.Buckets[i].CumulativeCount; got != want {
@@ -46,11 +46,11 @@ func TestRegistryInstruments(t *testing.T) {
 
 // TestHistConcurrentObserve drives the lock-free observe path from
 // several goroutines, traced and untraced, while others snapshot and
-// read quantiles: counts, sum, min and max must come out exact (the
+// read quantiles: counts, sum and buckets must come out exact (the
 // values are binary fractions, so any summation order is exact) and
-// every read in flight must stay inside the observed range.
+// every read in flight must stay inside the observed buckets.
 func TestHistConcurrentObserve(t *testing.T) {
-	h := NewHist()
+	h := new(Hist)
 	trace := NewTraceID()
 	const workers, per = 4, 1000
 	var wg sync.WaitGroup
@@ -78,9 +78,9 @@ func TestHistConcurrentObserve(t *testing.T) {
 				return
 			default:
 			}
-			_ = h.Point()
-			if q := h.Quantile(0.99); q != 0 && (q < 1.0/1024 || q > 64.0/1024) {
-				t.Errorf("in-flight p99 = %v outside the observed range", q)
+			// 1/1024 = 2^-10 lands in the bucket above 2^-11.
+			if q := BucketQuantile(0.99, h.Point().Buckets); q != 0 && (q < 1.0/2048 || q > 64.0/1024) {
+				t.Errorf("in-flight p99 = %v outside the observed buckets", q)
 				return
 			}
 		}
@@ -94,12 +94,50 @@ func TestHistConcurrentObserve(t *testing.T) {
 		wantSum += float64(1+j%64) / 1024
 	}
 	p := h.Point()
-	if p.Count != workers*per || p.Sum != wantSum || h.Min() != 1.0/1024 || h.Max() != 64.0/1024 {
-		t.Fatalf("count=%d sum=%v min=%v max=%v, want %d %v %v %v",
-			p.Count, p.Sum, h.Min(), h.Max(), workers*per, wantSum, 1.0/1024, 64.0/1024)
+	if p.Count != workers*per || p.Sum != wantSum {
+		t.Fatalf("count=%d sum=%v, want %d %v", p.Count, p.Sum, workers*per, wantSum)
+	}
+	// Bound i is 2^(i-20): nothing at or below 2^-11, everything by 2^-4.
+	if p.Buckets[9].CumulativeCount != 0 || p.Buckets[16].CumulativeCount != p.Count {
+		t.Fatalf("observations outside (2^-11, 2^-4]: %+v", p.Buckets)
 	}
 	if p.Buckets[histBuckets-1].CumulativeCount != p.Count || len(p.Exemplars) != histBuckets {
 		t.Fatalf("buckets/exemplars inconsistent: %+v", p)
+	}
+}
+
+// TestHistQuantileInterpolatesWithinBucket: samples spread over several
+// buckets give estimates that are monotone in q and interpolate inside
+// the bucket the rank falls in.
+func TestHistQuantileInterpolatesWithinBucket(t *testing.T) {
+	h := new(Hist)
+	for i := 1; i <= 100; i++ {
+		h.Observe(float64(i) / 1000) // 1..100 ms
+	}
+	bs := h.Point().Buckets
+	prev := 0.0
+	for _, q := range []float64{0.1, 0.5, 0.9, 0.95, 0.99} {
+		got := BucketQuantile(q, bs)
+		if got < prev {
+			t.Errorf("BucketQuantile(%v) = %v < previous %v (not monotone)", q, got, prev)
+		}
+		prev = got
+	}
+	// 1..100 ms: 31 samples at or below 2^-5 s, 62 at or below 2^-4 s,
+	// so p50 (rank 50) reads 2^-5 + 2^-5·(50-31)/(62-31).
+	if got, want := BucketQuantile(0.5, bs), 0.03125+0.03125*19/31; math.Abs(got-want) > 1e-12 {
+		t.Errorf("p50 = %v, want %v", got, want)
+	}
+	// p100 of samples up to 0.1 s reads the top of the (2^-4, 2^-3] bucket.
+	if got := BucketQuantile(1, bs); got != 0.125 {
+		t.Errorf("p100 = %v, want 0.125", got)
+	}
+}
+
+// TestHistQuantileEmptyHistogram: no observations read 0, not a panic.
+func TestHistQuantileEmptyHistogram(t *testing.T) {
+	if got := BucketQuantile(0.5, new(Hist).Point().Buckets); got != 0 {
+		t.Errorf("empty BucketQuantile = %v, want 0", got)
 	}
 }
 

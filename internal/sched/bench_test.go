@@ -80,7 +80,7 @@ func BenchmarkCounterInc(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("atomic/par=%d", par), func(b *testing.B) {
 			// Two adjacent bare atomics sharing a cache line — the
-			// layout engine.Metrics had before the contention pass.
+			// layout the engine's run counters had before the contention pass.
 			var cs struct{ a, z atomic.Int64 }
 			b.SetParallelism(par)
 			b.RunParallel(func(pb *testing.PB) {

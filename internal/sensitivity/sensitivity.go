@@ -11,10 +11,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"pblparallel/internal/core"
 	"pblparallel/internal/engine"
+	"pblparallel/internal/obs"
 	"pblparallel/internal/sched"
 	"pblparallel/internal/stats"
 )
@@ -74,14 +74,13 @@ type Result struct {
 type Options struct {
 	// Workers bounds the engine pool; 0 selects runtime.NumCPU().
 	Workers int
-	// Metrics, when non-nil, collects per-stage wall-time histograms
-	// and run counters across the sweep.
-	Metrics *engine.Metrics
-	// Retries arms the engine's transient-failure retry layer with
-	// Backoff between attempts; 0 disables it. The study service sets
-	// this so sweeps stay byte-identical under injected faults.
+	// Metrics, when non-nil, receives the engine's per-stage wall-time
+	// histograms and run counters across the sweep.
+	Metrics *obs.Registry
+	// Retries arms the engine's transient-failure retry layer; 0
+	// disables it. The study service sets this so sweeps stay
+	// byte-identical under injected faults.
 	Retries int
-	Backoff time.Duration
 	// Runtime, when non-nil, lends its workers to the sweep's engine
 	// instead of the process-default scheduler — the study service
 	// passes its admission pool's runtime so one worker set serves the
@@ -103,7 +102,7 @@ func RunSweep(ctx context.Context, start int64, seeds int, opts Options) (*Resul
 	cfg := core.PaperStudy()
 	engOpts := []engine.Option{engine.WithWorkers(opts.Workers), engine.WithMetrics(opts.Metrics)}
 	if opts.Retries > 0 {
-		engOpts = append(engOpts, engine.WithRetry(opts.Retries, opts.Backoff))
+		engOpts = append(engOpts, engine.WithRetry(opts.Retries))
 	}
 	if opts.Runtime != nil {
 		engOpts = append(engOpts, engine.WithRuntime(opts.Runtime))

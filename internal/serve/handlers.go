@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"pblparallel/internal/cohort/mega"
 	"pblparallel/internal/core"
@@ -16,10 +15,6 @@ import (
 	"pblparallel/internal/sensitivity"
 	"pblparallel/internal/whatif"
 )
-
-// retryBackoff is the deterministic engine backoff between transient
-// retry attempts under the service.
-const retryBackoff = 100 * time.Microsecond
 
 // maxBody bounds a POST body; a larger one is refused with 413.
 const maxBody = 1 << 20
@@ -139,7 +134,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// parallelism, and the engine's retry layer absorbs transient
 		// faults (injected run failures, poisoned barriers) so chaos
 		// never changes bytes.
-		eng := engine.New(engine.WithWorkers(1), engine.WithRetry(s.cfg.Retries, retryBackoff),
+		eng := engine.New(engine.WithWorkers(1), engine.WithRetry(s.cfg.Retries),
 			engine.WithRuntime(s.rt))
 		res, err := eng.Sweep(ctx, cfg, engine.SequentialSeeds(cfg.Seed), 1)
 		if err != nil {
@@ -203,7 +198,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return sensitivity.RunSweep(ctx, p.Start, p.Seeds, sensitivity.Options{
 			Workers: workers,
 			Retries: s.cfg.Retries,
-			Backoff: retryBackoff,
 			Runtime: s.rt,
 		})
 	})
@@ -306,7 +300,7 @@ func (s *Server) handleSpring2019(w http.ResponseWriter, r *http.Request) {
 	}
 	k := NewKey([]byte(fmt.Sprintf("spring2019|n=%d|seed=%d", n, seed)))
 	s.respond(w, r, k, func(ctx context.Context) (any, error) {
-		proj, err := whatif.ProjectOn(ctx, engine.New(engine.WithWorkers(2), engine.WithRuntime(s.rt)),
+		proj, err := whatif.Project(ctx, engine.New(engine.WithWorkers(2), engine.WithRuntime(s.rt)),
 			whatif.TeamworkReinforcement(), int(n), seed)
 		if err != nil {
 			return nil, err

@@ -116,17 +116,10 @@ func adjustTargets(t respond.Targets, iv Intervention) respond.Targets {
 // Fall 2018 calibration and the projected study from the adjusted
 // calibration, analyze both, and extract the targeted skill's rows.
 // n is the cohort size (use a large n for a stable projection; the
-// paper's 124 carries its usual sampling error).
-func Project(iv Intervention, n int, seed int64) (*Projection, error) {
-	return ProjectOn(context.Background(), engine.New(), iv, n, seed)
-}
-
-// ProjectOn is Project running its two branches — baseline calibration
-// + generation, adjusted calibration + generation — as independent
-// jobs on the supplied engine. Each branch derives its randomness only
-// from seed, so the projection is identical to the sequential path
-// regardless of worker count.
-func ProjectOn(ctx context.Context, eng *engine.Engine, iv Intervention, n int, seed int64) (*Projection, error) {
+// paper's 124 carries its usual sampling error). The two branches run
+// as independent jobs on eng; each derives its randomness only from
+// seed, so the projection is identical for any worker count.
+func Project(ctx context.Context, eng *engine.Engine, iv Intervention, n int, seed int64) (*Projection, error) {
 	ins := survey.NewBeyerlein()
 	if err := iv.Validate(ins); err != nil {
 		return nil, err

@@ -1,10 +1,12 @@
 package whatif
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
 
+	"pblparallel/internal/engine"
 	"pblparallel/internal/paperdata"
 	"pblparallel/internal/survey"
 )
@@ -19,7 +21,7 @@ func sharedProjection(t testing.TB) *Projection {
 	t.Helper()
 	projOnce.Do(func() {
 		// Large n keeps the projection free of sampling noise.
-		proj, projErr = Project(TeamworkReinforcement(), 3000, 42)
+		proj, projErr = Project(context.Background(), engine.New(), TeamworkReinforcement(), 3000, 42)
 	})
 	if projErr != nil {
 		t.Fatal(projErr)
@@ -83,10 +85,10 @@ func TestInterventionValidate(t *testing.T) {
 }
 
 func TestProjectValidation(t *testing.T) {
-	if _, err := Project(Intervention{Skill: "X"}, 100, 1); err == nil {
+	if _, err := Project(context.Background(), engine.New(), Intervention{Skill: "X"}, 100, 1); err == nil {
 		t.Fatal("bad intervention accepted")
 	}
-	if _, err := Project(TeamworkReinforcement(), 2, 1); err == nil {
+	if _, err := Project(context.Background(), engine.New(), TeamworkReinforcement(), 2, 1); err == nil {
 		t.Fatal("tiny n accepted")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -79,14 +80,17 @@ func TestTraceCoversAllSubsystems(t *testing.T) {
 }
 
 // TestPrometheusExpositionParses gathers the process registry after a
-// traced sweep and line-checks the text exposition: every sample line is
-// `name{labels} value`, histograms end with +Inf buckets, and the
-// engine's unified families are present.
+// sweep on an engine recording into it and line-checks the text
+// exposition: every sample line is `name{labels} value`, histograms end
+// with +Inf buckets, and the engine's families sit beside the
+// runtimes'.
 func TestPrometheusExpositionParses(t *testing.T) {
-	m := engine.NewMetrics()
 	reg := obs.Metrics()
-	reg.RegisterGatherer(m)
-	e := engine.New(engine.WithWorkers(2), engine.WithMetrics(m))
+	e := engine.New(engine.WithWorkers(2), engine.WithMetrics(reg))
+	// The process registry outlives one test run (-count=N); the
+	// engine's lines are checked against what this sweep adds.
+	practicum := reg.HistogramVec("engine_stage_duration_seconds", "", "stage").With("practicum").Count()
+	completed := reg.Counter("engine_runs_completed_total", "").Value()
 	if _, err := e.Sweep(context.Background(), core.PaperStudy(), engine.SequentialSeeds(7), 3); err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +111,9 @@ func TestPrometheusExpositionParses(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE engine_stage_duration_seconds histogram",
-		`engine_stage_duration_seconds_bucket{stage="practicum",le="+Inf"} 3`,
-		"engine_runs_completed_total 3",
+		fmt.Sprintf(`engine_stage_duration_seconds_bucket{stage="practicum",le="+Inf"} %d`, practicum+3),
+		fmt.Sprintf("engine_runs_completed_total %d", completed+3),
+		"# TYPE engine_run_duration_seconds histogram",
 		"# TYPE core_studies_started_total counter",
 		"# TYPE omp_parallel_regions_total counter",
 		"# TYPE mpi_messages_sent_total counter",
