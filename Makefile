@@ -136,7 +136,9 @@ persist-check:
 ## every deterministic micro benchmark pinned by a committed baseline —
 ## fault hooks, obs spans and histogram observations, the flight
 ## recorder's Event hook, the scheduler's hot paths plus Introspect,
-## the profiler's disabled path, and the serve cache hit. The HTTP load
+## the profiler's disabled path, the serve cache hit, and one whole
+## study (BenchmarkStudyEndToEnd, so the study kernel's allocation
+## count cannot creep back up). The HTTP load
 ## benchmarks are throughput records for EXPERIMENTS.md, far too
 ## machine-sensitive for a 20% gate, so they stay out of the surface.
 GATED_BENCH = { $(GO) test ./internal/fault/ -bench . -benchmem -count $(BENCH_COUNT) -run '^$$' && \
@@ -147,7 +149,8 @@ GATED_BENCH = { $(GO) test ./internal/fault/ -bench . -benchmem -count $(BENCH_C
   $(GO) test ./internal/stats/ -bench 'MomentsAdd|MomentsMerge|CoMomentsAdd' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
   $(GO) test ./internal/store/ -bench 'DiskHit|Compress|Decompress' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
   $(GO) test ./internal/obs/tsdb/ -bench 'TSDBAppend|TSDBQuery' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
-  $(GO) test ./internal/serve/ -bench 'CacheHitDo' -benchmem -count $(BENCH_COUNT) -run '^$$'; }
+  $(GO) test ./internal/serve/ -bench 'CacheHitDo' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
+  $(GO) test . -bench 'StudyEndToEnd' -benchmem -count $(BENCH_COUNT) -run '^$$'; }
 BENCH_COUNT ?= 3
 
 ## bench-record: record the gated union above, single-count, as the

@@ -12,14 +12,15 @@ import (
 
 // FuzzHistQuantile checks the bucket quantile estimate of a histogram
 // against its contract for arbitrary observation sets and quantile
-// requests on the documented 0..1 domain (the fuzzed floats are folded
-// into it; /debug/tsdb rejects any other q): the estimate stays within
-// [0, 16 s], the highest finite bound, it is monotone in q, and an
-// empty histogram reads 0.
+// requests: for any q, NaN and values outside 0..1 included, the
+// estimate stays within [0, 16 s], the highest finite bound; folded
+// into 0..1, it is monotone in q; and an empty histogram reads 0.
 func FuzzHistQuantile(f *testing.F) {
 	f.Add([]byte{100, 0, 0, 0, 200, 0, 0, 0}, 0.5, 0.95)
 	f.Add([]byte{1, 0, 0, 0}, 0.01, 0.99)
 	f.Add([]byte{255, 255, 255, 255, 0, 0, 0, 0}, 1.0, 1.0)
+	f.Add([]byte{100, 0, 0, 0}, math.NaN(), 1.5)
+	f.Add([]byte{100, 0, 0, 0}, -0.5, math.Inf(1))
 	top := histBounds[histBuckets-2]
 	f.Fuzz(func(t *testing.T, data []byte, qa, qb float64) {
 		h := new(Hist)
@@ -36,6 +37,11 @@ func FuzzHistQuantile(f *testing.F) {
 				return 1
 			}
 			return q
+		}
+		for _, q := range []float64{qa, qb} {
+			if got := BucketQuantile(q, bs); !(got >= 0 && got <= top) {
+				t.Fatalf("BucketQuantile(%v) = %v outside [0, %v]", q, got, top)
+			}
 		}
 		lo, hi := norm(qa), norm(qb)
 		if lo > hi {

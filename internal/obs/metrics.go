@@ -279,11 +279,16 @@ func (h *Hist) Point(labels ...Label) Point {
 // sorted by upper bound, the way Prometheus' histogram_quantile does:
 // linear interpolation inside the bucket the rank falls in, from the
 // previous bound (0 below the first). A rank in the +Inf bucket reads
-// as the highest finite bound; no observations read as 0.
+// as the highest finite bound; no observations read as 0. q is clamped
+// into [0, 1], NaN reading as 0, so the estimate is always finite.
 func BucketQuantile(q float64, bs []Bucket) float64 {
 	if len(bs) == 0 || bs[len(bs)-1].CumulativeCount == 0 {
 		return 0
 	}
+	if !(q >= 0) {
+		q = 0
+	}
+	q = math.Min(q, 1)
 	rank := q * float64(bs[len(bs)-1].CumulativeCount)
 	lo, below := 0.0, 0.0
 	for _, b := range bs {

@@ -146,6 +146,10 @@ func (g *Generator) Generate(n int, seed int64) (mid, end survey.WaveData, err e
 	end = survey.WaveData{Wave: survey.EndOfTerm}
 	gamma := g.params.StudentCrossWave
 	carry := math.Sqrt(1 - gamma*gamma)
+	nComps := 0
+	for _, e := range g.ins.Elements {
+		nComps += len(e.Components)
+	}
 	for i := 0; i < n; i++ {
 		// Persistent student effects, correlated across categories.
 		basE := rng.NormFloat64()
@@ -159,14 +163,19 @@ func (g *Generator) Generate(n int, seed int64) (mid, end survey.WaveData, err e
 				sG = gamma*basG + carry*rng.NormFloat64()
 			}
 			sheet := survey.NewSheet(i, wave)
+			// One backing array holds every component score on the sheet:
+			// one allocation per sheet, not one per response.
+			comps := make([]survey.Likert, 2*nComps)
 			for _, e := range g.ins.Elements {
 				rho := wp.Rho[e.Name]
 				z1 := rng.NormFloat64()
 				z2 := rho*z1 + math.Sqrt(1-rho*rho)*rng.NormFloat64()
 				latE := wp.EmphMu[e.Name] + wp.EmphStudentSD*sE + wp.SkillSDE*z1
 				latG := wp.GrowMu[e.Name] + wp.GrowStudentSD*sG + wp.SkillSDG*z2
-				sheet.Set(survey.ClassEmphasis, e.Name, g.itemize(rng, latE, len(e.Components)))
-				sheet.Set(survey.PersonalGrowth, e.Name, g.itemize(rng, latG, len(e.Components)))
+				k := len(e.Components)
+				sheet.Set(survey.ClassEmphasis, e.Name, g.itemize(rng, latE, comps[:k:k]))
+				sheet.Set(survey.PersonalGrowth, e.Name, g.itemize(rng, latG, comps[k:2*k:2*k]))
+				comps = comps[2*k:]
 			}
 			if w == 0 {
 				mid.Sheets = append(mid.Sheets, sheet)
@@ -178,11 +187,12 @@ func (g *Generator) Generate(n int, seed int64) (mid, end survey.WaveData, err e
 	return mid, end, nil
 }
 
-// itemize converts a latent element level into discretized item scores.
-func (g *Generator) itemize(rng *rand.Rand, latent float64, nComponents int) survey.ElementResponse {
+// itemize converts a latent element level into discretized item scores,
+// filling comps with the component scores.
+func (g *Generator) itemize(rng *rand.Rand, latent float64, comps []survey.Likert) survey.ElementResponse {
 	r := survey.ElementResponse{
 		Definition: likertize(latent + g.params.ItemSD*rng.NormFloat64()),
-		Components: make([]survey.Likert, nComponents),
+		Components: comps,
 	}
 	for i := range r.Components {
 		r.Components[i] = likertize(latent + g.params.ItemSD*rng.NormFloat64())

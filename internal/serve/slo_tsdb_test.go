@@ -118,7 +118,8 @@ func TestDebugTSDBRateQuery(t *testing.T) {
 }
 
 // TestDebugTSDBQuantile: the latency histogram answers
-// quantile-over-time with a value inside the observed bucket range.
+// quantile-over-time with a value inside the observed bucket range, and
+// a q outside 0..1, NaN included, is a 400.
 func TestDebugTSDBQuantile(t *testing.T) {
 	_, db, ts := newTSDBServer(t, Config{Workers: 1})
 	t0 := time.Now().Add(-time.Second) // backdated: samples must land inside [now-range, now]
@@ -149,6 +150,14 @@ func TestDebugTSDBQuantile(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no /healthz quantile in results: %s", body)
+	}
+
+	// NaN fails both range comparisons, so it must be rejected by name:
+	// read as a quantile it would put a non-finite value in the JSON.
+	for _, q := range []string{"NaN", "-0.1", "1.5", "Inf"} {
+		if r, body := get(t, ts, ts.URL+"/debug/tsdb?series=http_request_duration_seconds&fn=quantile&q="+q); r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("q=%s status %d, want 400: %s", q, r.StatusCode, body)
+		}
 	}
 }
 

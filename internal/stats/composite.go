@@ -5,17 +5,6 @@ import (
 	"sort"
 )
 
-// CompositeScore implements the Beyerlein et al. composite used by the
-// paper's Tables 5 and 6: the average of the element's 'definition' item
-// score and the mean of its component item scores. It blends a global
-// view (the definition) with a focused view (the components).
-func CompositeScore(definition float64, components []float64) (float64, error) {
-	if len(components) == 0 {
-		return 0, ErrInsufficientData
-	}
-	return (definition + MustMean(components)) / 2, nil
-}
-
 // RankedItem is one row of a Table-5/6 style ranking.
 type RankedItem struct {
 	Rank  int // 1-based; ties share the smallest applicable rank

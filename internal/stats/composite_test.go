@@ -7,23 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestCompositeScoreDefinition(t *testing.T) {
-	// Composite = (definition + mean(components)) / 2.
-	got, err := CompositeScore(4.0, []float64{4.2, 4.4, 4.0, 4.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, (4.0+4.2)/2, 1e-12) {
-		t.Fatalf("composite = %v", got)
-	}
-}
-
-func TestCompositeScoreEmptyComponents(t *testing.T) {
-	if _, err := CompositeScore(4, nil); err != ErrInsufficientData {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestRankOrdering(t *testing.T) {
 	// Table 5, first half: Teamwork 4.38 > Implementation 4.16 > ... >
 	// Evaluation and Decision Making 3.66.

@@ -9,6 +9,8 @@ import (
 // response bytes mapped onto the 1–5 Likert scale: the composite of
 // any valid response must be a finite value inside the scale, and a
 // response with no component items must error rather than produce NaN.
+// The integer-sum averages must also match the float64 arithmetic bit
+// for bit.
 func FuzzSurveyScores(f *testing.F) {
 	f.Add(byte(3), []byte{1, 2, 3})
 	f.Add(byte(5), []byte{5, 5, 5, 5})
@@ -21,6 +23,7 @@ func FuzzSurveyScores(f *testing.F) {
 		if !er.Definition.Valid() {
 			t.Fatalf("constructed invalid definition %d", er.Definition)
 		}
+		assertSameBits(t, er)
 		got, err := er.Composite()
 		if len(er.Components) == 0 {
 			if err == nil {

@@ -30,19 +30,32 @@ func (er ElementResponse) Scores() []float64 {
 	return out
 }
 
-// Average is the mean of all item scores in the element response.
-func (er ElementResponse) Average() float64 {
-	return stats.MustMean(er.Scores())
+// componentSum is the integer sum of the component scores. Scores are
+// small integers, so a mean taken from an integer sum is bit-identical
+// to the compensated float64 sum stats.Mean takes, in any order, and
+// needs no slice.
+func (er ElementResponse) componentSum() int {
+	sum := 0
+	for _, c := range er.Components {
+		sum += int(c)
+	}
+	return sum
 }
 
-// Composite is the Beyerlein composite: the mean of the definition score
-// and the average of the component scores.
+// Average is the mean of all item scores in the element response.
+func (er ElementResponse) Average() float64 {
+	return float64(int(er.Definition)+er.componentSum()) / float64(1+len(er.Components))
+}
+
+// Composite is the Beyerlein et al. composite of the paper's Tables 5
+// and 6: the mean of the definition score (a global view) and the
+// average of the component scores (a focused view). A response with no
+// components has no composite.
 func (er ElementResponse) Composite() (float64, error) {
-	comps := make([]float64, len(er.Components))
-	for i, c := range er.Components {
-		comps[i] = float64(c)
+	if len(er.Components) == 0 {
+		return 0, stats.ErrInsufficientData
 	}
-	return stats.CompositeScore(float64(er.Definition), comps)
+	return (float64(er.Definition) + float64(er.componentSum())/float64(len(er.Components))) / 2, nil
 }
 
 // Sheet is one student's completed survey form for one wave: for every
@@ -121,12 +134,18 @@ func (s *Sheet) Validate(ins *Instrument) error {
 // CategoryAverage is the mean of every item score under the category —
 // the per-student variable Table 1's t-tests compare ("created by
 // averaging all class emphasis question scores").
+// It panics with stats.ErrInsufficientData on a sheet with no responses
+// under the category.
 func (s *Sheet) CategoryAverage(c Category) float64 {
-	var all []float64
+	n, sum := 0, 0
 	for _, r := range s.byCategory(c) {
-		all = append(all, r.Scores()...)
+		n += 1 + len(r.Components)
+		sum += int(r.Definition) + r.componentSum()
 	}
-	return stats.MustMean(all)
+	if n == 0 {
+		panic(stats.ErrInsufficientData)
+	}
+	return float64(sum) / float64(n)
 }
 
 // SkillAverage is the mean of all item scores for one element under one

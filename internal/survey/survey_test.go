@@ -1,11 +1,13 @@
 package survey
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"pblparallel/internal/paperdata"
+	"pblparallel/internal/stats"
 )
 
 func TestNewBeyerleinStructure(t *testing.T) {
@@ -128,10 +130,22 @@ func TestCompositeVsAverageDiffer(t *testing.T) {
 	}
 }
 
+func TestCompositeDefinition(t *testing.T) {
+	// Composite = (definition + mean(components)) / 2.
+	er := ElementResponse{Definition: 3, Components: []Likert{4, 5, 5, 4}}
+	comp, err := er.Composite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comp != (3+4.5)/2 {
+		t.Fatalf("Composite = %v, want %v", comp, (3+4.5)/2)
+	}
+}
+
 func TestCompositeEmptyComponents(t *testing.T) {
 	er := ElementResponse{Definition: 4}
-	if _, err := er.Composite(); err == nil {
-		t.Fatal("expected error on empty components")
+	if _, err := er.Composite(); !errors.Is(err, stats.ErrInsufficientData) {
+		t.Fatalf("err = %v, want ErrInsufficientData", err)
 	}
 }
 

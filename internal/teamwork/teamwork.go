@@ -8,8 +8,8 @@ package teamwork
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
 
 	"pblparallel/internal/teams"
 )
@@ -69,9 +69,17 @@ const (
 	EventVideoCut EventKind = "video-upload"
 )
 
-// kindFor maps each channel to its activity unit.
-func kindFor(c Channel) EventKind {
-	switch c {
+// Event is one logged activity. It holds no pointers, so the GC never
+// scans a log's event slice.
+type Event struct {
+	Week    int
+	Channel Channel
+	Student int
+}
+
+// Kind is the event's activity unit, which its channel determines.
+func (e Event) Kind() EventKind {
+	switch e.Channel {
 	case Slack:
 		return EventMessage
 	case GitHub:
@@ -83,12 +91,26 @@ func kindFor(c Channel) EventKind {
 	}
 }
 
-// Event is one logged activity.
-type Event struct {
-	Week    int
-	Channel Channel
-	Student int
-	Kind    EventKind
+// baseRate is a member's base weekly event count on a channel: Slack
+// chatter is the most frequent, video uploads the rarest.
+func baseRate(c Channel) float64 {
+	switch c {
+	case Slack:
+		return 6
+	case GitHub:
+		return 3
+	case GoogleDocs:
+		return 2
+	case YouTube:
+		return 0.3
+	}
+	return 0
+}
+
+// memberRate scales a member's weekly activity with their aptitude,
+// floored at 0.1.
+func memberRate(aptitude float64) float64 {
+	return math.Max(1+aptitude/4, 0.1)
 }
 
 // Log is a team's activity record for the semester.
@@ -138,23 +160,23 @@ func SimulateTeamActivity(tm teams.Team, weeks int, seed int64) (*Log, error) {
 	if tm.Size() == 0 {
 		return nil, fmt.Errorf("teamwork: empty team %d", tm.ID)
 	}
+	// A member draws int(base·rate + u), u in [0,1), events per channel
+	// per week, at most int(base·rate)+1: size the log once from that.
+	bound := 0
+	for _, m := range tm.Members {
+		for _, ch := range Channels {
+			bound += int(baseRate(ch)*memberRate(m.Aptitude)) + 1
+		}
+	}
 	rng := rand.New(rand.NewSource(seed ^ int64(tm.ID)<<17))
-	log := &Log{TeamID: tm.ID}
+	log := &Log{TeamID: tm.ID, Events: make([]Event, 0, bound*weeks)}
 	for week := 1; week <= weeks; week++ {
 		for _, m := range tm.Members {
-			rate := 1 + m.Aptitude/4
-			if rate < 0.1 {
-				rate = 0.1
-			}
+			rate := memberRate(m.Aptitude)
 			for _, ch := range Channels {
-				// Base weekly events per channel: Slack chatter is the
-				// most frequent, video uploads the rarest.
-				base := map[Channel]float64{Slack: 6, GitHub: 3, GoogleDocs: 2, YouTube: 0.3}[ch]
-				n := int(base*rate + rng.Float64())
+				n := int(baseRate(ch)*rate + rng.Float64())
 				for k := 0; k < n; k++ {
-					log.Events = append(log.Events, Event{
-						Week: week, Channel: ch, Student: m.ID, Kind: kindFor(ch),
-					})
+					log.Events = append(log.Events, Event{Week: week, Channel: ch, Student: m.ID})
 				}
 			}
 		}
@@ -189,18 +211,4 @@ func GroundRules() map[string][]string {
 			"persistent non-cooperation leads to a zero grade per the policy",
 		},
 	}
-}
-
-// sortedStudents returns the log's distinct student IDs, ordered.
-func (l *Log) sortedStudents() []int {
-	set := map[int]bool{}
-	for _, e := range l.Events {
-		set[e.Student] = true
-	}
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -102,9 +102,43 @@ func TestLogAggregations(t *testing.T) {
 			t.Fatalf("%v activity covers %d of %d members", ch, len(counts), tm.Size())
 		}
 	}
-	students := log.sortedStudents()
-	if len(students) != tm.Size() {
-		t.Fatalf("%d active students", len(students))
+	for _, m := range tm.Members {
+		if _, ok := part[m.ID]; !ok {
+			t.Fatalf("member %d has no participation share", m.ID)
+		}
+	}
+	if len(part) != tm.Size() {
+		t.Fatalf("%d active students", len(part))
+	}
+}
+
+func TestEventKindFollowsChannel(t *testing.T) {
+	want := map[Channel]EventKind{Slack: EventMessage, GitHub: EventCommit, GoogleDocs: EventDocEdit, YouTube: EventVideoCut}
+	for ch, kind := range want {
+		if got := (Event{Channel: ch}).Kind(); got != kind {
+			t.Fatalf("%v event kind %q, want %q", ch, got, kind)
+		}
+	}
+}
+
+// The log is sized once from the per-draw bound, so the append loop
+// never regrows it.
+func TestSimulateSizesEventsOnce(t *testing.T) {
+	tm := sampleTeam(t)
+	for _, weeks := range []int{1, 15} {
+		log, err := SimulateTeamActivity(tm, weeks, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := 0
+		for _, m := range tm.Members {
+			for _, ch := range Channels {
+				bound += int(baseRate(ch)*memberRate(m.Aptitude)) + 1
+			}
+		}
+		if cap(log.Events) != bound*weeks {
+			t.Fatalf("%d weeks: %d events in cap %d, want cap %d", weeks, len(log.Events), cap(log.Events), bound*weeks)
+		}
 	}
 }
 
