@@ -64,32 +64,34 @@ bench-vet:
 golden:
 	$(GO) test -run TestGolden .
 
+## FUZZ_TARGETS: every fuzz target as package:Target, the one list
+## fuzz-smoke and fuzz loop over; fuzz-run runs each for $(1) and stops
+## at the first failure.
+FUZZ_TARGETS = \
+	./internal/obs:FuzzHistQuantile \
+	./internal/obs:FuzzTraceparent \
+	./internal/obs:FuzzSpanArgs \
+	./internal/armsim:FuzzAsmParse \
+	./internal/survey:FuzzSurveyScores \
+	./internal/stats:FuzzMomentsMerge \
+	./internal/stats:FuzzCoMomentsMerge \
+	./internal/store:FuzzStoreEntryDecode \
+	./internal/serve:FuzzRequestKey
+fuzz-run = for t in $(FUZZ_TARGETS); do \
+	echo "$(GO) test $${t%:*} -run '^$$' -fuzz $${t\#*:} -fuzztime $(1)"; \
+	$(GO) test $${t%:*} -run '^$$' -fuzz $${t\#*:} -fuzztime $(1) || exit 1; \
+	done
+
 ## fuzz-smoke: 2s of coverage-guided fuzzing per target — enough to
 ## exercise the corpora plus a few thousand mutations in CI.
 fuzz-smoke:
-	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzHistQuantile -fuzztime 2s
-	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzTraceparent -fuzztime 2s
-	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzSpanArgs -fuzztime 2s
-	$(GO) test ./internal/armsim -run '^$$' -fuzz FuzzAsmParse -fuzztime 2s
-	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzSurveyScores -fuzztime 2s
-	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime 2s
-	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzCoMomentsMerge -fuzztime 2s
-	$(GO) test ./internal/store -run '^$$' -fuzz FuzzStoreEntryDecode -fuzztime 2s
-	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzRequestKey -fuzztime 2s
+	@$(call fuzz-run,2s)
 
 ## fuzz: the longer run — 30s per target locally, raised by the
 ## nightly workflow with FUZZTIME=5m.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzHistQuantile -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzTraceparent -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzSpanArgs -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/armsim -run '^$$' -fuzz FuzzAsmParse -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/survey -run '^$$' -fuzz FuzzSurveyScores -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzMomentsMerge -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzCoMomentsMerge -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/store -run '^$$' -fuzz FuzzStoreEntryDecode -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzRequestKey -fuzztime $(FUZZTIME)
+	@$(call fuzz-run,$(FUZZTIME))
 
 ## cover-stats: hold the mergeable-sketch implementation to a >=90%
 ## statement-coverage floor. The sketches are the numeric foundation

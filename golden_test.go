@@ -8,6 +8,7 @@ package pblparallel
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -16,6 +17,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "regenerate golden files instead of comparing")
@@ -39,10 +41,21 @@ func TestGoldenCohortJSON(t *testing.T) {
 	goldenCLI(t, goldenCohortPath, "cohort", "-students", "1200", "-seed", "42", "-json")
 }
 
-// goldenCLI builds the CLI, runs it with args, and compares stdout
-// byte-for-byte against the golden file at path (regenerating under
-// -update, which CI refuses).
-func goldenCLI(t *testing.T, path string, args ...string) {
+// TestCohortCLIRefusesChunkOverflow: one chunk per student would hold
+// 20M chunk partials until the fold, so the CLI must fail with the
+// config's chunk-bound error before computing anything.
+func TestCohortCLIRefusesChunkOverflow(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, buildCLI(t), "cohort", "-batch", "1", "-students", "20000000").CombinedOutput()
+	const want = "mega: Batch 1 splits 20000000 students into more than 2048 chunks"
+	if err == nil || !strings.Contains(string(out), want) {
+		t.Fatalf("pblstudy cohort -batch 1 -students 20000000: err=%v, output %q, want an error containing %q", err, out, want)
+	}
+}
+
+// buildCLI builds cmd/pblstudy into a temp directory and returns its path.
+func buildCLI(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "pblstudy")
 	if runtime.GOOS == "windows" {
@@ -52,7 +65,15 @@ func goldenCLI(t *testing.T, path string, args ...string) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build ./cmd/pblstudy: %v\n%s", err, out)
 	}
-	cmd := exec.Command(bin, args...)
+	return bin
+}
+
+// goldenCLI builds the CLI, runs it with args, and compares stdout
+// byte-for-byte against the golden file at path (regenerating under
+// -update, which CI refuses).
+func goldenCLI(t *testing.T, path string, args ...string) {
+	t.Helper()
+	cmd := exec.Command(buildCLI(t), args...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	got, err := cmd.Output()

@@ -48,7 +48,8 @@ type Config struct {
 	Seed int64 `json:"seed"`
 	// Batch is the reduction grain (students per chunk partial); 0
 	// auto-scales it so the chunk count — and with it peak memory —
-	// stays bounded no matter how large Students is. Batch is part of
+	// stays bounded no matter how large Students is; an explicit Batch
+	// must keep the chunk count within the same bound. Batch is part of
 	// the result's content identity (it fixes how floating-point error
 	// associates); worker count is not.
 	Batch int `json:"batch"`
@@ -92,6 +93,17 @@ func (c Config) Validate() error {
 	if c.Batch < 0 {
 		return fmt.Errorf("mega: Batch %d", c.Batch)
 	}
+	// Students+Batch-1 is the chunk count's numerator, here and in the
+	// scheduler, so it must not overflow.
+	if c.Batch > math.MaxInt-c.Students {
+		return fmt.Errorf("mega: Batch %d overflows the chunk count of %d students", c.Batch, c.Students)
+	}
+	// Every chunk's partial lives until the fold, so an explicit batch
+	// is held to the chunk bound autoBatch keeps.
+	if c.Batch > 0 && (c.Students+c.Batch-1)/c.Batch > maxChunks {
+		return fmt.Errorf("mega: Batch %d splits %d students into more than %d chunks",
+			c.Batch, c.Students, maxChunks)
+	}
 	return nil
 }
 
@@ -103,7 +115,8 @@ func (c Config) cells() int {
 // autoBatch bounds the reduction at maxChunks partials: small runs use
 // minBatch-sized chunks, huge runs grow the chunk instead of the chunk
 // count. Peak memory is O(chunks × cells-touched-per-chunk sketches),
-// so with this bound it is independent of Students.
+// so with this bound it is independent of Students; Validate holds an
+// explicit Batch to the same bound.
 const (
 	minBatch  = 4096
 	maxChunks = 2048

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 
@@ -216,6 +217,32 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := mega.Run(context.Background(), e, cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
+		}
+	}
+}
+
+// TestValidateChunkBound: an explicit Batch may not split Students into
+// more than 2048 chunks, the bound autoBatch keeps, since every chunk's
+// partial lives until the fold; nor may Students+Batch-1, the chunk
+// count's numerator, overflow, which would panic the reduction.
+func TestValidateChunkBound(t *testing.T) {
+	for _, tc := range []struct {
+		students, batch int
+		ok              bool
+	}{
+		{20_000_000, 1, false},
+		{20_000_000, 9765, false}, // 2049 chunks
+		{20_000_000, 9766, true},  // 2048 chunks
+		{2048, 1, true},
+		{2049, 1, false},
+		{0, 1, true},
+		{30_000, math.MaxInt - 30_000, true},
+		{30_000, math.MaxInt, false},
+	} {
+		cfg := mega.DefaultConfig(tc.students, 1)
+		cfg.Batch = tc.batch
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%d students, batch %d: Validate() = %v, want ok=%t", tc.students, tc.batch, err, tc.ok)
 		}
 	}
 }

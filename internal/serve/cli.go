@@ -23,16 +23,17 @@ import (
 func Command(name string, args []string) (err error) {
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	var o Options
+	def := Config{}.withDefaults() // the flag defaults are the Config defaults
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	fs.IntVar(&o.Workers, "workers", 0, "pool workers (0 = all CPUs)")
-	fs.IntVar(&o.Queue, "queue", 32, "admission queue depth; waiting requests beyond it are shed with 429")
-	fs.IntVar(&o.CacheEntries, "cache", 1024, "result cache capacity (entries)")
+	fs.IntVar(&o.Queue, "queue", def.Queue, "admission queue depth; waiting requests beyond it are shed with 429")
+	fs.IntVar(&o.CacheEntries, "cache", def.CacheEntries, "result cache capacity (entries)")
 	fs.StringVar(&o.CacheDir, "cache-dir", "", "persistent cache tier directory: memory misses probe it, computed responses and evictions spill into it, and the warm set survives restarts (empty = memory-only)")
 	fs.Int64Var(&o.CacheDiskMax, "cache-disk-max", store.DefaultMaxBytes, "persistent tier size bound in compressed bytes (LRU eviction past it)")
-	fs.DurationVar(&o.DefaultTimeout, "timeout", 120*time.Second, "default per-request deadline (Request-Timeout header may shorten it)")
-	fs.DurationVar(&o.DrainTimeout, "drain", 30*time.Second, "graceful-drain bound on SIGTERM")
-	fs.IntVar(&o.MaxSweepSeeds, "max-seeds", 1000, "largest accepted /v1/sweep width")
-	fs.IntVar(&o.Retries, "retries", 3, "engine retry budget for transient faults")
+	fs.DurationVar(&o.DefaultTimeout, "timeout", def.DefaultTimeout, "default per-request deadline (Request-Timeout header may shorten it)")
+	fs.DurationVar(&o.DrainTimeout, "drain", def.DrainTimeout, "graceful-drain bound on SIGTERM")
+	fs.IntVar(&o.MaxSweepSeeds, "max-seeds", def.MaxSweepSeeds, "largest accepted /v1/sweep width")
+	fs.IntVar(&o.Retries, "retries", def.Retries, "engine retry budget for transient faults")
 	// The service-layer chaos flags, off by default; arming any
 	// probability installs a deterministic injector across the
 	// admission, backend, and cache sites.

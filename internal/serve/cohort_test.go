@@ -39,6 +39,12 @@ func TestCohortEndpoint(t *testing.T) {
 	if respMiss.Header.Get("X-Study-Key") != respOther.Header.Get("X-Study-Key") {
 		t.Error("worker count changed the content address")
 	}
+	// The GET spelling honours workers too, and addresses the same entry.
+	respGet, bodyGet := get(t, ts1, ts1.URL+"/v1/cohort?students=30000&seed=7&workers=8")
+	if respGet.Header.Get("X-Cache") != string(CacheHit) || !bytes.Equal(bodyMiss, bodyGet) {
+		t.Errorf("GET spelling: status %d, X-Cache %q, same bytes %t",
+			respGet.StatusCode, respGet.Header.Get("X-Cache"), bytes.Equal(bodyMiss, bodyGet))
+	}
 
 	var res mega.Result
 	if err := json.Unmarshal(bodyMiss, &res); err != nil {
@@ -57,6 +63,15 @@ func TestCohortEndpoint(t *testing.T) {
 	}
 	if resp, b := post(t, ts1, "/v1/cohort", `{"batch": -1}`, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative batch: status %d: %s", resp.StatusCode, b)
+	}
+	// One chunk per student would hold 20M partials until the fold; the
+	// chunk bound refuses it before any compute.
+	if resp, b := post(t, ts1, "/v1/cohort", `{"students": 20000000, "batch": 1}`, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("20M students in batches of 1: status %d: %s", resp.StatusCode, b)
+	}
+	// A batch whose chunk count overflows would panic the daemon.
+	if resp, b := post(t, ts1, "/v1/cohort", `{"students": 30000, "batch": 9223372036854775807}`, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("overflowing batch: status %d: %s", resp.StatusCode, b)
 	}
 	if resp, b := post(t, ts1, "/v1/cohort", `{"typo": 1}`, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d: %s", resp.StatusCode, b)

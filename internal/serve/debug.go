@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -56,13 +55,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no spans recorded for trace %s", id)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	b, err := json.MarshalIndent(tree, "", "  ")
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Write(append(b, '\n'))
+	writeJSON(w, http.StatusOK, tree)
 }
 
 // handleDebugFlightrec serves GET /debug/flightrec: an on-demand flight
@@ -97,14 +90,7 @@ func (s *Server) handleDebugFlightrec(w http.ResponseWriter, r *http.Request) {
 // same padded atomics the hot paths write, so serving it never
 // perturbs them.
 func (s *Server) handleDebugSched(w http.ResponseWriter, _ *http.Request) {
-	snap := s.rt.Introspect()
-	w.Header().Set("Content-Type", "application/json")
-	b, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Write(append(b, '\n'))
+	writeJSON(w, http.StatusOK, s.rt.Introspect())
 }
 
 // profIndexEntry is one row of the /debug/prof listing: a snapshot's
@@ -151,16 +137,10 @@ func (s *Server) handleDebugProf(w http.ResponseWriter, r *http.Request) {
 			Seq: sn.Seq, Kind: sn.Kind, At: sn.At, Reason: sn.Reason, Bytes: len(sn.Data),
 		})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	b, err := json.MarshalIndent(struct {
+	writeJSON(w, http.StatusOK, struct {
 		Captures  int64            `json:"captures_total"`
 		Snapshots []profIndexEntry `json:"snapshots"`
-	}{Captures: p.Captures(), Snapshots: index}, "", "  ")
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Write(append(b, '\n'))
+	}{Captures: p.Captures(), Snapshots: index})
 }
 
 // tsdbResponse is the /debug/tsdb range-query document.
@@ -187,13 +167,11 @@ func (s *Server) handleDebugTSDB(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	series := q.Get("series")
 	if series == "" {
-		w.Header().Set("Content-Type", "application/json")
-		b, _ := json.MarshalIndent(struct {
+		writeJSON(w, http.StatusOK, struct {
 			IntervalMS  int64    `json:"interval_ms"`
 			RetentionMS int64    `json:"retention_ms"`
 			Series      []string `json:"series"`
-		}{db.Interval().Milliseconds(), db.Retention().Milliseconds(), db.Keys()}, "", "  ")
-		w.Write(append(b, '\n'))
+		}{db.Interval().Milliseconds(), db.Retention().Milliseconds(), db.Keys()})
 		return
 	}
 	rng := 5 * time.Minute
@@ -231,13 +209,7 @@ func (s *Server) handleDebugTSDB(w http.ResponseWriter, r *http.Request) {
 	if resp.Results == nil {
 		resp.Results = []tsdb.SeriesData{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	b, err := json.MarshalIndent(resp, "", "  ")
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Write(append(b, '\n'))
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleDebugSLO serves GET /debug/slo: every objective's burn rates,
@@ -254,14 +226,8 @@ func (s *Server) handleDebugSLO(w http.ResponseWriter, r *http.Request) {
 	if statuses == nil || r.URL.Query().Get("eval") != "" {
 		statuses = s.cfg.rules.Eval(time.Now())
 	}
-	w.Header().Set("Content-Type", "application/json")
-	b, err := json.MarshalIndent(struct {
+	writeJSON(w, http.StatusOK, struct {
 		At         time.Time    `json:"at"`
 		Objectives []slo.Status `json:"objectives"`
-	}{time.Now(), statuses}, "", "  ")
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Write(append(b, '\n'))
+	}{time.Now(), statuses})
 }

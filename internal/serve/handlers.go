@@ -1,13 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
+	"net/url"
+	"strings"
 
 	"pblparallel/internal/cohort/mega"
 	"pblparallel/internal/core"
@@ -19,51 +21,84 @@ import (
 // maxBody bounds a POST body; a larger one is refused with 413.
 const maxBody = 1 << 20
 
-// decodeParams fills dst from a POST's JSON body; on GET it leaves dst
-// alone and each handler overlays its query parameters inline (the
-// query names match the JSON field tags). An empty body keeps every
-// default. The body must be exactly one JSON value of at most maxBody
-// bytes: trailing data is refused, not ignored. Unknown JSON fields
-// are rejected so typos cannot silently select defaults — a mistyped
-// "students" must not hash to the paper's cohort.
-func decodeParams(w http.ResponseWriter, r *http.Request, dst any) error {
+// decodeParams fills dst from the request's parameters, the one way a
+// compute route reads them. A POST carries them as a JSON body; a GET's
+// query string is first spelt as the JSON object a POST would carry
+// (see queryObject), so both methods meet the same decoder and the
+// same rules. Empty input keeps every default. The input must be
+// exactly one JSON value of at most maxBody bytes: trailing data is
+// refused, not ignored. Unknown fields are rejected so typos cannot
+// silently select defaults — a mistyped "students" must not hash to
+// the paper's cohort. On failure it writes the 400, 405 or 413 and
+// returns false.
+func decodeParams(w http.ResponseWriter, r *http.Request, dst any) bool {
+	var in io.Reader
+	src := "body"
 	switch r.Method {
 	case http.MethodPost:
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(dst); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("parsing body: %w", err)
-		}
-		// Reading on to EOF also enforces maxBody on trailing space.
-		if _, err := dec.Token(); err != io.EOF {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				return fmt.Errorf("parsing body: %w", err)
-			}
-			return errors.New("parsing body: data after the JSON value")
-		}
-		return nil
+		in = http.MaxBytesReader(w, r.Body, maxBody)
 	case http.MethodGet:
-		return nil // callers overlay query params themselves
+		src = "query"
+		obj, err := queryObject(r.URL.RawQuery)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "parsing query: %v", err)
+			return false
+		}
+		in = bytes.NewReader(obj)
 	default:
-		return fmt.Errorf("method %s not allowed", r.Method)
+		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		return false
 	}
+	dec := json.NewDecoder(in)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(dst)
+	if err == nil {
+		// Reading on to EOF also enforces maxBody on trailing space.
+		if _, err = dec.Token(); err != io.EOF && !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err == io.EOF {
+		return true // empty input, or one value and nothing after it
+	}
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, "parsing %s: %v", src, err)
+	return false
 }
 
-// queryInt64 reads an integer query parameter, keeping def when absent.
-func queryInt64(r *http.Request, name string, def int64) (int64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
+// queryObject spells a raw query string as a JSON object, pair by pair
+// in order: a value that is a JSON literal (7, true, "x") is kept as
+// written, any other is quoted as a JSON string. A mistyped value such
+// as seed=abc or uncalibrated=1 therefore reaches the decoder as the
+// wrong JSON type and is refused, and a repeated key keeps its last
+// value, as a repeated body key does.
+func queryObject(raw string) ([]byte, error) {
+	obj := []byte{'{'}
+	for _, pair := range strings.Split(raw, "&") {
+		if pair == "" {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, kerr := url.QueryUnescape(k)
+		v, verr := url.QueryUnescape(v)
+		if err := errors.Join(kerr, verr); err != nil {
+			return nil, err
+		}
+		if len(obj) > 1 {
+			obj = append(obj, ',')
+		}
+		// Marshaling a string cannot fail.
+		kq, _ := json.Marshal(k)
+		vq := []byte(v)
+		if !json.Valid(vq) {
+			vq, _ = json.Marshal(v)
+		}
+		obj = append(append(append(obj, kq...), ':'), vq...)
 	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("invalid %s %q", name, v)
-	}
-	return n, nil
+	return append(obj, '}'), nil
 }
 
 // runParams is the /v1/run request body.
@@ -105,23 +140,8 @@ func normalizeRun(p runParams) (core.StudyConfig, Key, error) {
 // handleRun serves one study.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var p runParams
-	if err := decodeParams(w, r, &p); err != nil {
-		writeError(w, statusForDecode(r, err), "%v", err)
+	if !decodeParams(w, r, &p) {
 		return
-	}
-	if r.Method == http.MethodGet {
-		seed, err := queryInt64(r, "seed", 0)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		students, err := queryInt64(r, "students", 0)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		p.Seed, p.Students = seed, int(students)
-		p.Uncalibrated = r.URL.Query().Get("uncalibrated") == "true"
 	}
 	cfg, k, err := normalizeRun(p)
 	if err != nil {
@@ -162,22 +182,8 @@ type sweepParams struct {
 // handleSweep serves a sensitivity sweep.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var p sweepParams
-	if err := decodeParams(w, r, &p); err != nil {
-		writeError(w, statusForDecode(r, err), "%v", err)
+	if !decodeParams(w, r, &p) {
 		return
-	}
-	if r.Method == http.MethodGet {
-		start, err := queryInt64(r, "start", 0)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		seeds, err := queryInt64(r, "seeds", 0)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		p.Start, p.Seeds = start, int(seeds)
 	}
 	if p.Start == 0 {
 		p.Start = 20180800
@@ -221,27 +227,8 @@ type cohortParams struct {
 // streaming sketch reduction.
 func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 	var p cohortParams
-	if err := decodeParams(w, r, &p); err != nil {
-		writeError(w, statusForDecode(r, err), "%v", err)
+	if !decodeParams(w, r, &p) {
 		return
-	}
-	if r.Method == http.MethodGet {
-		students, err := queryInt64(r, "students", 0)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		seed, err := queryInt64(r, "seed", 0)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		batch, err := queryInt64(r, "batch", 0)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		p.Students, p.Seed, p.Batch = int(students), seed, int(batch)
 	}
 	if p.Students == 0 {
 		p.Students = 100_000
@@ -253,8 +240,12 @@ func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "students %d outside [1, %d]", p.Students, s.cfg.MaxCohortStudents)
 		return
 	}
-	if p.Batch < 0 {
-		writeError(w, http.StatusBadRequest, "batch %d negative", p.Batch)
+	// Validating before hashing refuses a batch whose chunk partials
+	// would outgrow the reduction's memory bound before any compute.
+	cfg := mega.DefaultConfig(p.Students, p.Seed)
+	cfg.Batch = p.Batch
+	if err := cfg.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	workers := p.Workers
@@ -263,11 +254,17 @@ func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 	}
 	k := NewKey([]byte(fmt.Sprintf("cohort|students=%d|seed=%d|batch=%d", p.Students, p.Seed, p.Batch)))
 	s.respond(w, r, k, func(ctx context.Context) (any, error) {
-		cfg := mega.DefaultConfig(p.Students, p.Seed)
-		cfg.Batch = p.Batch
 		eng := engine.New(engine.WithWorkers(workers), engine.WithRuntime(s.rt))
 		return mega.Run(ctx, eng, cfg)
 	})
+}
+
+// spring2019Params is the /v1/spring2019 query.
+type spring2019Params struct {
+	// N is the projected cohort size, in [10, 1000000].
+	N int `json:"n"`
+	// Seed roots the projection's draws.
+	Seed int64 `json:"seed"`
 }
 
 // spring2019Response frames the projection with its inputs.
@@ -284,41 +281,22 @@ func (s *Server) handleSpring2019(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	n, err := queryInt64(r, "n", 3000)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	// Preset to the defaults: an explicit n=0 is refused, not defaulted.
+	p := spring2019Params{N: 3000, Seed: 42}
+	if !decodeParams(w, r, &p) {
 		return
 	}
-	seed, err := queryInt64(r, "seed", 42)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if p.N < 10 || p.N > 1_000_000 {
+		writeError(w, http.StatusBadRequest, "n %d outside [10, 1000000]", p.N)
 		return
 	}
-	if n < 10 || n > 1_000_000 {
-		writeError(w, http.StatusBadRequest, "n %d outside [10, 1000000]", n)
-		return
-	}
-	k := NewKey([]byte(fmt.Sprintf("spring2019|n=%d|seed=%d", n, seed)))
+	k := NewKey([]byte(fmt.Sprintf("spring2019|n=%d|seed=%d", p.N, p.Seed)))
 	s.respond(w, r, k, func(ctx context.Context) (any, error) {
 		proj, err := whatif.Project(ctx, engine.New(engine.WithWorkers(2), engine.WithRuntime(s.rt)),
-			whatif.TeamworkReinforcement(), int(n), seed)
+			whatif.TeamworkReinforcement(), p.N, p.Seed)
 		if err != nil {
 			return nil, err
 		}
-		return spring2019Response{N: int(n), Seed: seed, CorrelationImproved: proj.CorrelationImproved(), Projection: proj}, nil
+		return spring2019Response{N: p.N, Seed: p.Seed, CorrelationImproved: proj.CorrelationImproved(), Projection: proj}, nil
 	})
-}
-
-// statusForDecode maps a decode failure to 413 for an oversize body,
-// 405 for bad methods, and 400 otherwise.
-func statusForDecode(r *http.Request, err error) int {
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooBig):
-		return http.StatusRequestEntityTooLarge
-	case r.Method == http.MethodGet || r.Method == http.MethodPost:
-		return http.StatusBadRequest
-	default:
-		return http.StatusMethodNotAllowed
-	}
 }

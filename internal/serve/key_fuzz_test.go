@@ -12,9 +12,10 @@ import (
 )
 
 // FuzzRequestKey drives a /v1/run body through the serving path's
-// decode → normalize → key steps. No body may panic. For a body the
-// path accepts, the same request spelt another way (fields reordered,
-// defaults made explicit) must hash to the same key, and a request that
+// decode → normalize → key steps, and the same bytes as a raw GET query
+// string. Neither may panic. For a body the path accepts, the same
+// request spelt another way (fields reordered, defaults made explicit,
+// or as a GET query) must hash to the same key, and a request that
 // differs in any one field must hash to a different key.
 func FuzzRequestKey(f *testing.F) {
 	for _, body := range []string{
@@ -32,17 +33,28 @@ func FuzzRequestKey(f *testing.F) {
 		`{"seed": 7.5}`,
 		`{"sede": 7}`,
 		`[1]`,
+		`seed=7&students=124&uncalibrated=true`,
+		`seed=7&seed=8`,
+		`uncalibrated=1`,
+		`studnets=500`,
+		`seed=%zz`,
+		`seed="7"&students=[1]`,
 	} {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		cfg, k, ok := decodeRun(body)
+		getRun(string(body))
+		p, cfg, k, ok := postRun(body)
 		if !ok {
 			return
 		}
-		p := runParams{Seed: cfg.Seed, Students: cfg.Cohort.NStudents, Uncalibrated: !cfg.Calibrate}
+		get := fmt.Sprintf("seed=%d&students=%d&uncalibrated=%t", p.Seed, p.Students, p.Uncalibrated)
+		if _, _, k2, ok := getRun(get); !ok || k2 != k {
+			t.Fatalf("%q and its GET spelling %q address different entries (accepted=%t)", body, get, ok)
+		}
+		p = runParams{Seed: cfg.Seed, Students: cfg.Cohort.NStudents, Uncalibrated: !cfg.Calibrate}
 		same := fmt.Sprintf(`{"uncalibrated": %t, "students": %d, "seed": %d}`, p.Uncalibrated, p.Students, p.Seed)
-		if _, k2, ok := decodeRun([]byte(same)); !ok || k2 != k {
+		if _, _, k2, ok := postRun([]byte(same)); !ok || k2 != k {
 			t.Fatalf("%q and its explicit spelling %q address different entries (accepted=%t)", body, same, ok)
 		}
 		for _, other := range []runParams{
@@ -54,21 +66,32 @@ func FuzzRequestKey(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, k2, ok := decodeRun(b); ok && k2 == k {
+			if _, _, k2, ok := postRun(b); ok && k2 == k {
 				t.Fatalf("%q (%+v) and %s differ in one field but share key %s", body, p, b, k.Hex())
 			}
 		}
 	})
 }
 
-// decodeRun runs body through handleRun's decode and normalize steps,
-// reporting whether both accepted it.
-func decodeRun(body []byte) (core.StudyConfig, Key, bool) {
+// postRun runs body through handleRun's decode and normalize steps as
+// a POST, returning the decoded parameters and reporting whether both
+// steps accepted it.
+func postRun(body []byte) (runParams, core.StudyConfig, Key, bool) {
+	return decodeRun(httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+}
+
+// getRun is postRun for a GET whose raw query string is query.
+func getRun(query string) (runParams, core.StudyConfig, Key, bool) {
+	r := httptest.NewRequest(http.MethodGet, "/v1/run", nil)
+	r.URL.RawQuery = query
+	return decodeRun(r)
+}
+
+func decodeRun(r *http.Request) (runParams, core.StudyConfig, Key, bool) {
 	var p runParams
-	r := httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body))
-	if err := decodeParams(httptest.NewRecorder(), r, &p); err != nil {
-		return core.StudyConfig{}, Key{}, false
+	if !decodeParams(httptest.NewRecorder(), r, &p) {
+		return p, core.StudyConfig{}, Key{}, false
 	}
 	cfg, k, err := normalizeRun(p)
-	return cfg, k, err == nil
+	return p, cfg, k, err == nil
 }

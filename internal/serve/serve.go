@@ -17,6 +17,9 @@
 //	GET  /debug/tsdb        metrics history range queries (rate/increase/avg/quantile)
 //	GET  /debug/slo         SLO burn rates, firing windows, error budgets
 //
+// The three POST routes also answer GET, with the body's fields as
+// query keys (?seed=7); both spellings decode through decodeParams.
+//
 // Two scaling layers sit between the handlers and the engine. A
 // content-addressed result cache keys every response by the SHA-256 of
 // its normalized request (execution knobs like worker count excluded —
@@ -358,15 +361,38 @@ type httpError struct {
 
 // writeError emits a JSON error body with the given status.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
+	writeJSON(w, status, httpError{Error: fmt.Sprintf(format, args...)})
+}
+
+// writeJSON writes v as a JSON reply with the given status; a value
+// that cannot be encoded is answered with a 500.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := encodeJSON(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	b, _ := json.MarshalIndent(httpError{Error: fmt.Sprintf(format, args...)}, "", "  ")
-	w.Write(append(b, '\n'))
+	w.Write(b)
+}
+
+// encodeJSON is the one JSON encoding of every reply, cached or not:
+// two-space indent and a trailing newline, the bytes the golden files
+// pin.
+func encodeJSON(v any) ([]byte, error) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
 }
 
 // requestDeadline resolves the request's wait bound: the
 // Request-Timeout header in (fractional) seconds, clamped to the
-// server's DefaultTimeout.
+// server's DefaultTimeout. The comparison is in seconds, before any
+// conversion: a header past time.Duration's range (inf, 1e300) would
+// overflow to a negative deadline, and it can only shorten the bound.
 func (s *Server) requestDeadline(r *http.Request) (time.Duration, error) {
 	d := s.cfg.DefaultTimeout
 	if h := r.Header.Get("Request-Timeout"); h != "" {
@@ -374,8 +400,8 @@ func (s *Server) requestDeadline(r *http.Request) (time.Duration, error) {
 		if err != nil || secs <= 0 || math.IsNaN(secs) {
 			return 0, fmt.Errorf("invalid Request-Timeout %q", h)
 		}
-		if hd := time.Duration(secs * float64(time.Second)); hd < d {
-			d = hd
+		if secs < d.Seconds() {
+			d = time.Duration(secs * float64(time.Second))
 		}
 	}
 	return d, nil
@@ -540,12 +566,7 @@ func (s *Server) compute(ctx context.Context, route string, k Key, build func(ct
 			return
 		}
 		s.observeCompute(time.Since(start))
-		b, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			jobErr = err
-			return
-		}
-		body = append(b, '\n')
+		body, jobErr = encodeJSON(v)
 	}
 	switch err := s.rt.SubmitWait(ctx, job); {
 	case err == nil:

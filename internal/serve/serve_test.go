@@ -298,6 +298,15 @@ func TestRequestTimeoutHeaderBoundsWait(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus Request-Timeout: status %d: %s, want 400", resp.StatusCode, body)
 	}
+
+	// A header beyond the server bound, even past time.Duration's
+	// range, is ignored rather than overflowing into an instant 504.
+	for _, h := range []string{"inf", "1e300", "9.3e9"} {
+		resp, body = post(t, ts, "/v1/run", `{"seed": 3}`, map[string]string{"Request-Timeout": h})
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("Request-Timeout %s: status %d: %s, want 200", h, resp.StatusCode, body)
+		}
+	}
 }
 
 // TestServerCorruptionHealServesOriginalBytes end-to-end: with the
@@ -523,6 +532,45 @@ func TestRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("DELETE /v1/run = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestQueryDecodesLikeBody: a GET's query reaches the same strict
+// decoder as a POST body. An unknown key or a value of the wrong JSON
+// type is a 400 rather than a silent default, and a valid query
+// addresses the same cache entry, with the same bytes, as its body.
+func TestQueryDecodesLikeBody(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, path := range []string{
+		"/v1/run?studnets=500",
+		"/v1/run?uncalibrated=1",
+		"/v1/run?seed=abc",
+		"/v1/run?seed=%2B5",
+		"/v1/run?seed=05",
+		"/v1/run?seed=",
+		"/v1/run?seed=%zz",
+		"/v1/sweep?seeds=2",
+		"/v1/cohort?batch=-1",
+		"/v1/spring2019?n=20&sed=9",
+		"/v1/spring2019?n=0",
+	} {
+		if resp, body := get(t, ts, ts.URL+path); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET %s = %d (%s), want 400", path, resp.StatusCode, body)
+		}
+	}
+
+	respPost, bodyPost := post(t, ts, "/v1/run", `{"seed": 7}`, nil)
+	for _, query := range []string{"seed=7", "uncalibrated=false&students=124&seed=7", "seed=8&seed=7"} {
+		resp, body := get(t, ts, ts.URL+"/v1/run?"+query)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET ?%s: status %d: %s", query, resp.StatusCode, body)
+		}
+		if k, want := resp.Header.Get("X-Study-Key"), respPost.Header.Get("X-Study-Key"); k != want {
+			t.Errorf("GET ?%s: X-Study-Key %s, POST {\"seed\": 7} %s", query, k, want)
+		}
+		if !bytes.Equal(body, bodyPost) {
+			t.Errorf("GET ?%s: bytes differ from the POST's", query)
+		}
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pblparallel/internal/fault"
@@ -65,8 +64,9 @@ type Options struct {
 	// Injector arms the store.read / store.write / store.corrupt fault
 	// sites. Nil disables injection.
 	Injector *fault.Injector
-	// Registry receives the store_* metric families; nil selects the
-	// process registry (obs.Metrics()).
+	// Registry receives the store_* metric families, which are also the
+	// ledger Stats reads; nil selects the process registry
+	// (obs.Metrics()). Stores sharing a registry share a ledger.
 	Registry *obs.Registry
 }
 
@@ -115,12 +115,7 @@ type Store struct {
 	putc    chan putReq
 	wg      sync.WaitGroup
 
-	// The per-store ledger: Stats() must describe this store even when
-	// several stores share one registry's counters (the chaos restart
-	// phase opens the same directory twice).
-	hits, misses, puts, healed, evicted, readErrs, writeErrs atomic.Int64
-
-	cHits, cMisses, cPuts, cHealed, cEvicted, cReadErrs, cWriteErrs *obs.Counter
+	hits, misses, puts, healed, evicted, readErrs, writeErrs *obs.Counter
 }
 
 // Open builds the store over dir, creating it as needed and indexing
@@ -152,13 +147,13 @@ func Open(dir string, o Options) (*Store, error) {
 		s.readSeq = make(map[string]uint64)
 	}
 	reg := o.Registry
-	s.cHits = reg.Counter("store_disk_hits_total", "Entries served (verified) from the persistent tier.")
-	s.cMisses = reg.Counter("store_disk_misses_total", "Persistent-tier probes that found no entry.")
-	s.cPuts = reg.Counter("store_disk_puts_total", "Entries written to the persistent tier.")
-	s.cHealed = reg.Counter("store_corruptions_healed_total", "Persistent entries that failed verification and were healed by delete + recompute.")
-	s.cEvicted = reg.Counter("store_evictions_total", "Persistent entries evicted by the size bound.")
-	s.cReadErrs = reg.Counter("store_read_errors_total", "Persistent-tier reads that failed (degraded to misses).")
-	s.cWriteErrs = reg.Counter("store_write_errors_total", "Persistent-tier writes that failed (entry not persisted).")
+	s.hits = reg.Counter("store_disk_hits_total", "Entries served (verified) from the persistent tier.")
+	s.misses = reg.Counter("store_disk_misses_total", "Persistent-tier probes that found no entry.")
+	s.puts = reg.Counter("store_disk_puts_total", "Entries written to the persistent tier.")
+	s.healed = reg.Counter("store_corruptions_healed_total", "Persistent entries that failed verification and were healed by delete + recompute.")
+	s.evicted = reg.Counter("store_evictions_total", "Persistent entries evicted by the size bound.")
+	s.readErrs = reg.Counter("store_read_errors_total", "Persistent-tier reads that failed (degraded to misses).")
+	s.writeErrs = reg.Counter("store_write_errors_total", "Persistent-tier writes that failed (entry not persisted).")
 	reg.RegisterGatherer(obs.GathererFunc(s.gather))
 
 	if err := s.scan(); err != nil {
@@ -250,8 +245,7 @@ func (s *Store) Get(ctx context.Context, k Key) (body []byte, ok bool, healed bo
 	}
 	if !exists {
 		s.mu.Unlock()
-		s.misses.Add(1)
-		s.cMisses.Inc()
+		s.misses.Inc()
 		return nil, false, false
 	}
 	size := el.Value.(*dent).size
@@ -261,8 +255,7 @@ func (s *Store) Get(ctx context.Context, k Key) (body []byte, ok bool, healed bo
 		// The read "fails": a miss from the caller's perspective, the
 		// recompute serves the request, and the entry stays on disk for
 		// the next probe — recovered by construction.
-		s.readErrs.Add(1)
-		s.cReadErrs.Inc()
+		s.readErrs.Inc()
 		s.inj.MarkRecovered(1)
 		return nil, false, false
 	}
@@ -272,12 +265,10 @@ func (s *Store) Get(ctx context.Context, k Key) (body []byte, ok bool, healed bo
 		if errors.Is(err, fs.ErrNotExist) {
 			// Raced with an eviction: the index entry is already gone or
 			// about to be; treat as a miss.
-			s.misses.Add(1)
-			s.cMisses.Inc()
+			s.misses.Inc()
 			return nil, false, false
 		}
-		s.readErrs.Add(1)
-		s.cReadErrs.Inc()
+		s.readErrs.Inc()
 		return nil, false, false
 	}
 	if f, hit := s.inj.Hit(fault.SiteStoreCorrupt, fault.Mix2(k.Word(), seq)); hit && f.Kind == fault.CacheCorrupt {
@@ -302,8 +293,7 @@ func (s *Store) Get(ctx context.Context, k Key) (body []byte, ok bool, healed bo
 		// determinism makes the heal exact.
 		s.remove(k.Hex, size)
 		os.Remove(s.path(k.Hex))
-		s.healed.Add(1)
-		s.cHealed.Inc()
+		s.healed.Inc()
 		s.inj.MarkRetry()
 		flightrec.Active().Event(flightrec.KindCorruptionHealed, string(fault.SiteStoreCorrupt),
 			k.Word(), obs.TraceIDFromContext(ctx))
@@ -315,8 +305,7 @@ func (s *Store) Get(ctx context.Context, k Key) (body []byte, ok bool, healed bo
 		s.ll.MoveToFront(el)
 	}
 	s.mu.Unlock()
-	s.hits.Add(1)
-	s.cHits.Inc()
+	s.hits.Inc()
 	return body, true, false
 }
 
@@ -397,8 +386,7 @@ func (s *Store) doPut(k Key, body []byte) {
 	if f, hit := s.inj.Hit(fault.SiteStoreWrite, k.Word()); hit && f.Kind == fault.DiskWriteErr {
 		// The spill is dropped: a future miss recomputes, so nothing is
 		// lost but a disk hit.
-		s.writeErrs.Add(1)
-		s.cWriteErrs.Inc()
+		s.writeErrs.Inc()
 		s.inj.MarkRecovered(1)
 		return
 	}
@@ -406,41 +394,12 @@ func (s *Store) doPut(k Key, body []byte) {
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer bufPool.Put(buf)
-	if err := encodeEntry(k, body, buf); err != nil {
-		s.writeErrs.Add(1)
-		s.cWriteErrs.Inc()
-		return
+	err := encodeEntry(k, body, buf)
+	if err == nil {
+		err = s.writeFile(k.Hex, buf.Bytes())
 	}
-
-	subdir := filepath.Join(s.dir, k.Hex[:2])
-	if err := os.MkdirAll(subdir, 0o755); err != nil {
-		s.writeErrs.Add(1)
-		s.cWriteErrs.Inc()
-		return
-	}
-	tmp, err := os.CreateTemp(subdir, "put-*"+tmpSuffix)
 	if err != nil {
-		s.writeErrs.Add(1)
-		s.cWriteErrs.Inc()
-		return
-	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.writeErrs.Add(1)
-		s.cWriteErrs.Inc()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		s.writeErrs.Add(1)
-		s.cWriteErrs.Inc()
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.path(k.Hex)); err != nil {
-		os.Remove(tmp.Name())
-		s.writeErrs.Add(1)
-		s.cWriteErrs.Inc()
+		s.writeErrs.Inc()
 		return
 	}
 
@@ -460,11 +419,34 @@ func (s *Store) doPut(k Key, body []byte) {
 	s.mu.Unlock()
 	for _, h := range evict {
 		os.Remove(s.path(h))
-		s.evicted.Add(1)
-		s.cEvicted.Inc()
+		s.evicted.Inc()
 	}
-	s.puts.Add(1)
-	s.cPuts.Inc()
+	s.puts.Inc()
+}
+
+// writeFile lands data at hexKey's entry path: a temp file next to it,
+// written and closed, then atomically renamed into place. The temp file
+// is removed on any failure, so a failed write leaves nothing behind.
+func (s *Store) writeFile(hexKey string, data []byte) error {
+	subdir := filepath.Join(s.dir, hexKey[:2])
+	if err := os.MkdirAll(subdir, 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(subdir, "put-*"+tmpSuffix)
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.path(hexKey))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Stats snapshots this store's ledger.
@@ -476,13 +458,13 @@ func (s *Store) Stats() StatsSnapshot {
 	return StatsSnapshot{
 		Entries:           entries,
 		Bytes:             bytes,
-		DiskHits:          s.hits.Load(),
-		DiskMisses:        s.misses.Load(),
-		Puts:              s.puts.Load(),
-		CorruptionsHealed: s.healed.Load(),
-		Evicted:           s.evicted.Load(),
-		ReadErrors:        s.readErrs.Load(),
-		WriteErrors:       s.writeErrs.Load(),
+		DiskHits:          s.hits.Value(),
+		DiskMisses:        s.misses.Value(),
+		Puts:              s.puts.Value(),
+		CorruptionsHealed: s.healed.Value(),
+		Evicted:           s.evicted.Value(),
+		ReadErrors:        s.readErrs.Value(),
+		WriteErrors:       s.writeErrs.Value(),
 	}
 }
 

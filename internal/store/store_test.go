@@ -192,6 +192,53 @@ func TestRealCorruptionHealed(t *testing.T) {
 	}
 }
 
+// TestStatsIsTheRegistryLedger: Stats reads the store_* counters the
+// registry exposes, so after a put, a hit, a miss and a heal the two
+// cannot disagree.
+func TestStatsIsTheRegistryLedger(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := openTest(t, t.TempDir(), Options{Registry: reg})
+	ctx := context.Background()
+	k := KeyOf([]byte("ledger"))
+	s.Put(k, []byte(`{"seed": 3}`))
+	s.Flush()
+	if _, ok, _ := s.Get(ctx, k); !ok {
+		t.Fatal("Get after Put missed")
+	}
+	if _, ok, _ := s.Get(ctx, KeyOf([]byte("absent"))); ok {
+		t.Fatal("Get of an absent key hit")
+	}
+	raw, err := os.ReadFile(s.path(k.Hex))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[headerSize] ^= 0xFF
+	if err := os.WriteFile(s.path(k.Hex), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, healed := s.Get(ctx, k); !healed {
+		t.Fatal("corrupted entry not healed")
+	}
+
+	st := s.Stats()
+	for _, c := range []struct {
+		family      string
+		stats, want int64
+	}{
+		{"store_disk_puts_total", st.Puts, 1},
+		{"store_disk_hits_total", st.DiskHits, 1},
+		{"store_disk_misses_total", st.DiskMisses, 1},
+		{"store_corruptions_healed_total", st.CorruptionsHealed, 1},
+		{"store_evictions_total", st.Evicted, 0},
+		{"store_read_errors_total", st.ReadErrors, 0},
+		{"store_write_errors_total", st.WriteErrors, 0},
+	} {
+		if got := reg.Counter(c.family, "").Value(); c.stats != got || got != c.want {
+			t.Errorf("%s: Stats %d, registry %d, want %d", c.family, c.stats, got, c.want)
+		}
+	}
+}
+
 // TestWrongKeyFile plants a valid entry under another key's file name:
 // the header key check must refuse it, whatever its digests say.
 func TestWrongKeyFile(t *testing.T) {
