@@ -138,9 +138,11 @@ persist-check:
 ## every deterministic micro benchmark pinned by a committed baseline —
 ## fault hooks, obs spans and histogram observations, the flight
 ## recorder's Event hook, the scheduler's hot paths plus Introspect,
-## the profiler's disabled path, the serve cache hit, and one whole
+## the profiler's disabled path, the serve cache hit, one whole
 ## study (BenchmarkStudyEndToEnd, so the study kernel's allocation
-## count cannot creep back up). The HTTP load
+## count cannot creep back up), and the 500k-student cohort at one and
+## two workers (BenchmarkMegaRun, so a lost parallel speedup fails the
+## w2 entry). The HTTP load
 ## benchmarks are throughput records for EXPERIMENTS.md, far too
 ## machine-sensitive for a 20% gate, so they stay out of the surface.
 GATED_BENCH = { $(GO) test ./internal/fault/ -bench . -benchmem -count $(BENCH_COUNT) -run '^$$' && \
@@ -152,6 +154,7 @@ GATED_BENCH = { $(GO) test ./internal/fault/ -bench . -benchmem -count $(BENCH_C
   $(GO) test ./internal/store/ -bench 'DiskHit|Compress|Decompress' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
   $(GO) test ./internal/obs/tsdb/ -bench 'TSDBAppend|TSDBQuery' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
   $(GO) test ./internal/serve/ -bench 'CacheHitDo' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
+  $(GO) test ./internal/cohort/mega/ -bench 'MegaRun' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
   $(GO) test . -bench 'StudyEndToEnd' -benchmem -count $(BENCH_COUNT) -run '^$$'; }
 BENCH_COUNT ?= 3
 

@@ -54,6 +54,19 @@ func TestCohortCLIRefusesChunkOverflow(t *testing.T) {
 	}
 }
 
+// TestCohortCLIRefusesOversizedCohort: a cohort past what a scheduler
+// index pool holds is a config error (exit 1), not a scheduler panic.
+func TestCohortCLIRefusesOversizedCohort(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, buildCLI(t), "cohort", "-students", "3000000000")
+	out, err := cmd.CombinedOutput()
+	const want = "mega: Students 3000000000 outside 0..2147483647"
+	if cmd.ProcessState == nil || cmd.ProcessState.ExitCode() != 1 || !strings.Contains(string(out), want) {
+		t.Fatalf("pblstudy cohort -students 3000000000: err=%v, output %q, want exit 1 and an error containing %q", err, out, want)
+	}
+}
+
 // buildCLI builds cmd/pblstudy into a temp directory and returns its path.
 func buildCLI(t *testing.T) string {
 	t.Helper()

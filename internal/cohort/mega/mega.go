@@ -28,6 +28,7 @@ import (
 	"pblparallel/internal/cohort"
 	"pblparallel/internal/engine"
 	"pblparallel/internal/fault"
+	"pblparallel/internal/sched"
 	"pblparallel/internal/stats"
 )
 
@@ -70,8 +71,8 @@ func DefaultConfig(students int, seed int64) Config {
 
 // Validate rejects impossible scenario grids.
 func (c Config) Validate() error {
-	if c.Students < 0 {
-		return fmt.Errorf("mega: Students %d", c.Students)
+	if c.Students < 0 || c.Students > sched.MaxIndexCount {
+		return fmt.Errorf("mega: Students %d outside 0..%d", c.Students, sched.MaxIndexCount)
 	}
 	if c.Institutions < 1 || c.Semesters < 1 {
 		return fmt.Errorf("mega: grid %d institutions × %d semesters", c.Institutions, c.Semesters)
@@ -388,7 +389,10 @@ func Run(ctx context.Context, e *engine.Engine, cfg Config) (*Result, error) {
 			_, _, pol, av := lay.axes(cell)
 			pre, post := scores(cfg.Seed, cell, within, pol, av)
 			p.at(cell).add(pre, post)
-			return runCtx.Err()
+			if (i+1)%batch == 0 || i+1 == cfg.Students {
+				return runCtx.Err() // once per batch: Err takes the context's mutex
+			}
+			return nil
 		},
 		func(into, part *partial) { into.merge(part) })
 	if err != nil {

@@ -224,7 +224,8 @@ func TestConfigValidation(t *testing.T) {
 // TestValidateChunkBound: an explicit Batch may not split Students into
 // more than 2048 chunks, the bound autoBatch keeps, since every chunk's
 // partial lives until the fold; nor may Students+Batch-1, the chunk
-// count's numerator, overflow, which would panic the reduction.
+// count's numerator, overflow, which would panic the reduction. Nor may
+// Students pass what a scheduler index pool holds (batch 0 is auto).
 func TestValidateChunkBound(t *testing.T) {
 	for _, tc := range []struct {
 		students, batch int
@@ -238,6 +239,9 @@ func TestValidateChunkBound(t *testing.T) {
 		{0, 1, true},
 		{30_000, math.MaxInt - 30_000, true},
 		{30_000, math.MaxInt, false},
+		{sched.MaxIndexCount, 0, true},
+		{sched.MaxIndexCount + 1, 0, false},
+		{3_000_000_000, 0, false},
 	} {
 		cfg := mega.DefaultConfig(tc.students, 1)
 		cfg.Batch = tc.batch

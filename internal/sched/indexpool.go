@@ -33,11 +33,14 @@ type paddedWord struct {
 func pack(lo, hi int) uint64     { return uint64(lo)<<32 | uint64(hi) }
 func unpack(w uint64) (int, int) { return int(w >> 32), int(w & 0xffffffff) }
 
+// MaxIndexCount is the most indices an IndexPool, so one region, holds.
+const MaxIndexCount = 1<<31 - 1
+
 // NewIndexPool partitions [0, count) into parts contiguous
-// grain-aligned shares. count must fit in 31 bits; grain and parts
-// are clamped to at least 1.
+// grain-aligned shares. count must be at most MaxIndexCount; grain and
+// parts are clamped to at least 1.
 func NewIndexPool(count, parts, grain int) *IndexPool {
-	if count < 0 || count >= 1<<31 {
+	if count < 0 || count > MaxIndexCount {
 		panic(fmt.Sprintf("sched: index pool count %d out of range", count))
 	}
 	if grain < 1 {

@@ -15,8 +15,8 @@ type region struct {
 	rt        *Runtime
 	pool      *IndexPool
 	fn        func(i, slot int)
-	ctx       context.Context
-	p         int // max participants
+	stop      <-chan struct{} // ctx.Done(), captured once per region
+	p         int             // max participants
 	slots     atomic.Int32
 	_         [CacheLine - 4]byte
 	remaining atomic.Int64
@@ -47,9 +47,8 @@ func (reg *region) join(ws *workerStats) bool {
 
 // work is one participant's claim-execute loop.
 func (reg *region) work(slot int, ws *workerStats) {
-	ctx := reg.ctx
 	for {
-		if ctx != nil && ctx.Err() != nil {
+		if canceled(reg.stop) {
 			reg.drain()
 			return
 		}
@@ -62,7 +61,7 @@ func (reg *region) work(slot int, ws *workerStats) {
 		}
 		ran := 0
 		for i := start; i < start+k; i++ {
-			if ctx != nil && ctx.Err() != nil {
+			if canceled(reg.stop) {
 				break // unexecuted rest of the chunk counts as drained
 			}
 			reg.fn(i, slot)
@@ -73,6 +72,17 @@ func (reg *region) work(slot int, ws *workerStats) {
 			reg.drain()
 			return
 		}
+	}
+}
+
+// canceled polls a region's ctx.Done(), where a nil stop never fires.
+// Not ctx.Err(): on go1.24 Err takes a mutex every participant shares.
+func canceled(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -124,11 +134,9 @@ func (r *Runtime) ParallelIndexed(ctx context.Context, n, maxPar, grain int, fn 
 	if p < 1 {
 		p = 1
 	}
+	stop := ctx.Done()
 	if p == 1 || r == nil {
-		for i := 0; i < n; i++ {
-			if ctx != nil && ctx.Err() != nil {
-				return
-			}
+		for i := 0; i < n && !canceled(stop); i++ {
 			fn(i, 0)
 		}
 		return
@@ -137,7 +145,7 @@ func (r *Runtime) ParallelIndexed(ctx context.Context, n, maxPar, grain int, fn 
 		rt:   r,
 		pool: NewIndexPool(n, p, grain),
 		fn:   fn,
-		ctx:  ctx,
+		stop: stop,
 		p:    p,
 		done: make(chan struct{}),
 	}

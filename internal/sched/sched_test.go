@@ -270,29 +270,67 @@ func TestParallelIndexedSlotBounds(t *testing.T) {
 
 // TestParallelIndexedCancel: a canceled context stops the handout;
 // the call still returns with every index accounted for and no hang.
+// fn cancels at the k-th executed index. Counting only the indices that
+// start once cancel has returned, a region of p participants may run
+// one chunk per participant (p·grain) by the handout contract, and the
+// in-chunk check holds it to the one index each other participant had
+// already passed its check for (p - 1). The one-participant path stops
+// right after index k. A context whose Done is nil never cancels.
 func TestParallelIndexedCancel(t *testing.T) {
+	const n, k = 10000, 50
 	r := New(WithWorkers(4))
 	defer r.Close()
 
 	// Pre-canceled: nothing runs.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	var ran atomic.Int64
-	r.ParallelIndexed(ctx, 100, 4, 1, func(i, slot int) { ran.Add(1) })
+	r.ParallelIndexed(ended, 100, 4, 1, func(i, slot int) { ran.Add(1) })
 	if got := ran.Load(); got != 0 {
 		t.Fatalf("pre-canceled region ran %d indices", got)
 	}
 
-	// Canceled mid-flight: partial, but returns.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	var ran2 atomic.Int64
-	r.ParallelIndexed(ctx2, 10000, 4, 1, func(i, slot int) {
-		if ran2.Add(1) == 50 {
-			cancel2()
+	// run returns the indices a region executed, and how many of them
+	// started after fn's cancel at the k-th one returned; cancelAt 0
+	// runs under context.Background.
+	run := func(rt *Runtime, maxPar, grain int, cancelAt int64) (ran, after int64) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if cancelAt == 0 {
+			ctx = context.Background()
 		}
-	})
-	if got := ran2.Load(); got < 50 || got == 10000 {
-		t.Fatalf("mid-cancel ran %d indices, want partial >= 50", got)
+		var count, late atomic.Int64
+		var returned atomic.Bool
+		rt.ParallelIndexed(ctx, n, maxPar, grain, func(i, slot int) {
+			if returned.Load() {
+				late.Add(1)
+			}
+			if count.Add(1) == cancelAt {
+				cancel()
+				returned.Store(true)
+			}
+		})
+		return count.Load(), late.Load()
+	}
+	for _, grain := range []int{1, 64} {
+		const p = 4
+		if got, after := run(r, p, grain, k); got < k || got == n || after > p-1 {
+			t.Errorf("grain %d, p %d: canceled at index %d, ran %d, %d after the cancel, want at most %d after",
+				grain, p, k, got, after, p-1)
+		}
+		if got, _ := run(r, p, grain, 0); got != n {
+			t.Errorf("grain %d, p %d: background context ran %d of %d", grain, p, got, n)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		rt     *Runtime
+		maxPar int
+	}{{"maxPar 1", r, 1}, {"nil runtime", nil, 4}} {
+		if got, _ := run(tc.rt, tc.maxPar, 1, k); got != k {
+			t.Errorf("%s: canceled at index %d, ran %d, want exactly %d", tc.name, k, got, k)
+		}
+		if got, _ := run(tc.rt, tc.maxPar, 1, 0); got != n {
+			t.Errorf("%s: background context ran %d of %d", tc.name, got, n)
+		}
 	}
 }
 

@@ -619,3 +619,34 @@ func TestSpring2019Endpoint(t *testing.T) {
 		t.Errorf("response = n=%d seed=%d projection %d bytes", out.N, out.Seed, len(out.Projection))
 	}
 }
+
+// TestEncodeJSONIsMarshalIndent: the pooled encoder writes exactly
+// MarshalIndent's bytes plus a newline (HTML escaping included), and a
+// returned body keeps its bytes after later calls reuse the buffer.
+func TestEncodeJSONIsMarshalIndent(t *testing.T) {
+	big := make([]map[string]float64, 2000)
+	for i := range big {
+		big[i] = map[string]float64{"mean": float64(i) / 3, "sd": 1e21 / float64(i+1)}
+	}
+	vals := []any{map[string]any{"html": "<a & b>", "n": 1}, big, "short"}
+	var got, want [][]byte
+	for _, v := range vals {
+		g, err := encodeJSON(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want = append(got, g), append(want, append(w, '\n'))
+	}
+	for i := range vals {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("value %d: encodeJSON = %q, want %q", i, got[i], want[i])
+		}
+	}
+	if _, err := encodeJSON(func() {}); err == nil {
+		t.Error("encodeJSON(func) succeeded, want the marshal error")
+	}
+}
