@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -208,6 +209,22 @@ func TestCompareShapeChecksPass(t *testing.T) {
 	if failed := c.FailedShape(); len(failed) != 0 {
 		for _, f := range failed {
 			t.Errorf("shape check failed: %s", f.Claim)
+		}
+	}
+}
+
+// TestCompareShapeOrderStable: the shape checks are printed in slice
+// order, so every call on one report must list them identically.
+func TestCompareShapeOrderStable(t *testing.T) {
+	_, ref := sharedDatasets(t)
+	rep, err := Run(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Compare(rep).Shape
+	for i := 0; i < 50; i++ {
+		if got := Compare(rep).Shape; !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: shape checks reordered:\n got %v\nwant %v", i, got, want)
 		}
 	}
 }
