@@ -57,12 +57,13 @@ race:
 bench-vet:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-## golden: byte-compare `pblstudy run -json` and `pblstudy cohort
-## -json` against testdata/golden. Regenerate a deliberately changed
-## baseline with:
+## golden: byte-compare `pblstudy run -json`, the `pblstudy run` text
+## report and `pblstudy cohort -json` against testdata/golden, three
+## times each, so an output that depends on map or scheduling order
+## fails here. Regenerate a deliberately changed baseline with:
 ##   go test -run TestGolden -update .
 golden:
-	$(GO) test -run TestGolden .
+	$(GO) test -run TestGolden -count=3 .
 
 ## FUZZ_TARGETS: every fuzz target as package:Target, the one list
 ## fuzz-smoke and fuzz loop over; fuzz-run runs each for $(1) and stops

@@ -26,6 +26,11 @@ var update = flag.Bool("update", false, "regenerate golden files instead of comp
 // paper's seed and configuration.
 const goldenRunPath = "testdata/golden/run_paper_seed.json"
 
+// goldenRunTextPath is the canonical `pblstudy run` text report: every
+// table, the paper-vs-measured lines, the shape checks in print order,
+// the robustness checks and the section comparison.
+const goldenRunTextPath = "testdata/golden/run_paper_seed.txt"
+
 // goldenCohortPath pins a small `pblstudy cohort -json` run: the
 // mega-cohort reduction's floating-point association (grain order),
 // cell layout, and serialized field set, all byte-for-byte.
@@ -33,6 +38,10 @@ const goldenCohortPath = "testdata/golden/cohort_small.json"
 
 func TestGoldenRunJSON(t *testing.T) {
 	goldenCLI(t, goldenRunPath, "run", "-json")
+}
+
+func TestGoldenRunText(t *testing.T) {
+	goldenCLI(t, goldenRunTextPath, "run")
 }
 
 func TestGoldenCohortJSON(t *testing.T) {
