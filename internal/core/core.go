@@ -69,10 +69,6 @@ type Outcome struct {
 	Dataset    analysis.Dataset
 	Report     *analysis.Report
 	Comparison analysis.Comparison
-	// Robustness holds the normality and CI checks behind the t-tests.
-	Robustness analysis.Robustness
-	// Sections verifies the two-section design introduced no confound.
-	Sections analysis.SectionComparison
 }
 
 // Render writes the full study report: the Fig.-1 timeline, the Fig.-2
@@ -109,29 +105,37 @@ func (o *Outcome) Render(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "\nRobustness:\n"); err != nil {
 		return err
 	}
-	for _, key := range sortedKeys(o.Robustness.Normality) {
-		jb := o.Robustness.Normality[key]
+	robust := o.Report.Robustness
+	for _, key := range sortedKeys(robust.Normality) {
+		jb := robust.Normality[key]
 		if _, err := fmt.Fprintf(w, "  normality %-40s JB=%.2f p=%.3f skew=%+.2f kurt=%+.2f\n",
 			key, jb.Statistic, jb.P, jb.Skewness, jb.Kurtosis); err != nil {
 			return err
 		}
 	}
-	for _, cat := range sortedKeys(o.Robustness.DiffCI95) {
-		ci := o.Robustness.DiffCI95[cat]
+	for _, cat := range sortedKeys(robust.DiffCI95) {
+		ci := robust.DiffCI95[cat]
 		if _, err := fmt.Fprintf(w, "  wave1-wave2 95%% CI %-24s [%.3f, %.3f]\n", cat, ci[0], ci[1]); err != nil {
 			return err
 		}
 	}
-	for _, cat := range sortedKeys(o.Robustness.Wilcoxon) {
-		wx := o.Robustness.Wilcoxon[cat]
+	for _, cat := range sortedKeys(robust.Wilcoxon) {
+		wx := robust.Wilcoxon[cat]
 		if _, err := fmt.Fprintf(w, "  wilcoxon signed-rank %-22s W+=%.0f W-=%.0f z=%.2f p=%.3g\n",
 			cat, wx.WPlus, wx.WMinus, wx.Z, wx.P); err != nil {
 			return err
 		}
 	}
-	_, err = fmt.Fprintf(w, "  section effect: emphasis p=%.3f growth p=%.3f (n=%d/%d) -> %s\n",
-		o.Sections.Emphasis.P, o.Sections.Growth.P, o.Sections.N1, o.Sections.N2,
-		sectionVerdict(o.Sections))
+	line := "one section, nothing to compare"
+	if sec := o.Report.Sections; sec != nil {
+		verdict := "section difference detected (investigate)"
+		if sec.NoSectionEffect(0.05) {
+			verdict = "no section confound"
+		}
+		line = fmt.Sprintf("emphasis p=%.3f growth p=%.3f (n=%d/%d) -> %s",
+			sec.Emphasis.P, sec.Growth.P, sec.N1, sec.N2, verdict)
+	}
+	_, err = fmt.Fprintf(w, "  section effect: %s\n", line)
 	return err
 }
 
@@ -142,11 +146,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func sectionVerdict(s analysis.SectionComparison) string {
-	if s.NoSectionEffect(0.05) {
-		return "no section confound"
-	}
-	return "section difference detected (investigate)"
 }

@@ -135,21 +135,45 @@ func TestRunRejectsBadConfig(t *testing.T) {
 
 func TestRobustnessAndSections(t *testing.T) {
 	o := paperOutcome(t)
-	if len(o.Robustness.Normality) != 4 || len(o.Robustness.DiffCI95) != 2 {
-		t.Fatalf("robustness incomplete: %+v", o.Robustness)
+	robust := o.Report.Robustness
+	if len(robust.Normality) != 4 || len(robust.DiffCI95) != 2 {
+		t.Fatalf("robustness incomplete: %+v", robust)
 	}
 	// The growth CI must confirm Table 1's direction (wave1 < wave2).
-	ci := o.Robustness.DiffCI95["Personal Growth"]
+	ci := robust.DiffCI95["Personal Growth"]
 	if ci[1] >= 0 {
 		t.Fatalf("growth diff CI %v not below zero", ci)
 	}
 	// Same instructor, same methodology: no section confound.
-	if o.Sections.N1 != 62 || o.Sections.N2 != 62 {
-		t.Fatalf("section sizes %d/%d", o.Sections.N1, o.Sections.N2)
+	sec := o.Report.Sections
+	if sec == nil || sec.N1 != 62 || sec.N2 != 62 {
+		t.Fatalf("sections %+v, want 62/62", sec)
 	}
-	if !o.Sections.NoSectionEffect(0.01) {
+	if !sec.NoSectionEffect(0.01) {
 		t.Fatalf("section confound: emphasis p=%v growth p=%v",
-			o.Sections.Emphasis.P, o.Sections.Growth.P)
+			sec.Emphasis.P, sec.Growth.P)
+	}
+}
+
+// TestOneSectionCohort: a one-section cohort is a valid configuration;
+// with nothing to compare the study still succeeds and its report says
+// so.
+func TestOneSectionCohort(t *testing.T) {
+	cfg := PaperStudy()
+	cfg.Cohort.Sections = 1
+	o, err := NewStudy(WithConfig(cfg)).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Report.Sections != nil {
+		t.Fatalf("one section compared with itself: %+v", o.Report.Sections)
+	}
+	var b strings.Builder
+	if err := o.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "section effect: one section, nothing to compare\n"; !strings.Contains(b.String(), want) {
+		t.Fatalf("report lacks %q", want)
 	}
 }
 

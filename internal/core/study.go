@@ -301,24 +301,17 @@ func (s *Study) Run(ctx context.Context) (*Outcome, error) {
 		return nil, err
 	}
 	start, sp = stageBegin(StageAnalysis)
-	ds := analysis.Dataset{Instrument: ins, Mid: mid, End: end}
+	ds := analysis.Dataset{Instrument: ins, Mid: mid, End: end, Section: make([]int, len(end.Sheets))}
+	for i, sheet := range end.Sheets {
+		st, err := coh.ByID(sheet.StudentID)
+		if err != nil {
+			return nil, fmt.Errorf("core: analysis: %w", err)
+		}
+		ds.Section[i] = st.Section
+	}
 	report, err := analysis.Run(ds)
 	if err != nil {
 		return nil, fmt.Errorf("core: analysis: %w", err)
-	}
-	robust, err := analysis.CheckRobustness(ds)
-	if err != nil {
-		return nil, fmt.Errorf("core: robustness: %w", err)
-	}
-	sections, err := analysis.CompareSections(ds, func(id int) (int, error) {
-		st, err := coh.ByID(id)
-		if err != nil {
-			return 0, err
-		}
-		return st.Section, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: sections: %w", err)
 	}
 	stageEnd(StageAnalysis, start, sp)
 
@@ -333,8 +326,6 @@ func (s *Study) Run(ctx context.Context) (*Outcome, error) {
 		Dataset:        ds,
 		Report:         report,
 		Comparison:     analysis.Compare(report),
-		Robustness:     robust,
-		Sections:       sections,
 	}, nil
 }
 
