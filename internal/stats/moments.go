@@ -208,6 +208,8 @@ func MeanCI(xs []float64, confidence float64) (lo, hi float64, err error) {
 }
 
 // studentTQuantile inverts StudentTCDF by bisection; df >= 1 assumed.
+// It stops once the midpoint equals an end of the bracket: no later step
+// can move the bracket's midpoint, so the answer is already final.
 func studentTQuantile(p, df float64) float64 {
 	if p == 0.5 {
 		return 0
@@ -215,6 +217,9 @@ func studentTQuantile(p, df float64) float64 {
 	lo, hi := -1e3, 1e3
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			return mid
+		}
 		if StudentTCDF(mid, df) < p {
 			lo = mid
 		} else {

@@ -244,6 +244,43 @@ func TestMeanCIErrors(t *testing.T) {
 	}
 }
 
+// studentTQuantileFull is studentTQuantile without the early stop: all
+// 200 bisection steps, the reference the stopping rule must match.
+func studentTQuantileFull(p, df float64) float64 {
+	if p == 0.5 {
+		return 0
+	}
+	lo, hi := -1e3, 1e3
+	for i := 0; i < 200; i++ {
+		mid := (lo + hi) / 2
+		if StudentTCDF(mid, df) < p {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// TestStudentTQuantileEarlyStopBitIdentical: stopping at the bisection's
+// fixed point returns the same bits as running every step.
+func TestStudentTQuantileEarlyStopBitIdentical(t *testing.T) {
+	ps := []float64{1e-9, 1e-4, 0.5, 1 - 1e-4, 1 - 1e-9}
+	for k := 1; k < 32; k++ {
+		ps = append(ps, float64(k)/32)
+	}
+	// df 123 at p 0.975 is MeanCI's 95% interval at n = 124.
+	for _, df := range []float64{1, 2, 3, 5, 8, 13, 30, 61, 100, 123, 250, 500, 1000} {
+		for _, p := range append(ps, 0.975) {
+			got, want := studentTQuantile(p, df), studentTQuantileFull(p, df)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("df=%v p=%v: early stop %v (%#x), full bisection %v (%#x)",
+					df, p, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func TestStudentTQuantileInvertsCDF(t *testing.T) {
 	for _, df := range []float64{1, 5, 30, 123} {
 		for _, p := range []float64{0.6, 0.9, 0.95, 0.975, 0.995} {
