@@ -116,3 +116,19 @@ func TestAdjustTargetsDoesNotMutateOriginal(t *testing.T) {
 		t.Fatal("projection mutated paperdata.Table6SecondHalf")
 	}
 }
+
+// TestProjectSmallCohorts: Project accepts n >= 8 and the serving
+// endpoint n >= 10. At those sizes a robustness check of the analysis
+// is often undefined (a student whose category averages did not move
+// leaves Wilcoxon too few differences); the projection must not fail on
+// a check it never reads.
+func TestProjectSmallCohorts(t *testing.T) {
+	eng := engine.New()
+	for _, n := range []int{8, 10} {
+		for seed := int64(1); seed <= 4; seed++ {
+			if _, err := Project(context.Background(), eng, TeamworkReinforcement(), n, seed); err != nil {
+				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
+			}
+		}
+	}
+}
