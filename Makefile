@@ -58,9 +58,11 @@ bench-vet:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 ## golden: byte-compare `pblstudy run -json`, the `pblstudy run` text
-## report and `pblstudy cohort -json` against testdata/golden, three
-## times each, so an output that depends on map or scheduling order
-## fails here. Regenerate a deliberately changed baseline with:
+## report, `pblstudy cohort -json` and the `pblstudy chaos` and
+## `pblstudy chaos -serve` reports (fault ledgers included) against
+## testdata/golden, three times each, so an output that depends on map
+## or scheduling order fails here. Regenerate a deliberately changed
+## baseline with:
 ##   go test -run TestGolden -update .
 golden:
 	$(GO) test -run TestGolden -count=3 .

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"testing"
 
-	"pblparallel/internal/analysis"
 	"pblparallel/internal/cohort"
 	"pblparallel/internal/core"
 	"pblparallel/internal/drugdesign"
@@ -112,21 +111,34 @@ func BenchmarkTable3CohensDGrowth(b *testing.B) {
 
 func BenchmarkTable4Pearson(b *testing.B) {
 	o := paperOutcome(b)
-	var rep *analysis.Report
+	d := o.Dataset
+	rows := make(map[string][2]stats.PearsonResult, len(d.Instrument.Elements))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = analysis.Run(o.Dataset)
-		if err != nil {
-			b.Fatal(err)
+		for _, e := range d.Instrument.Elements {
+			var row [2]stats.PearsonResult // first half, second half
+			for w, wd := range []survey.WaveData{d.Mid, d.End} {
+				es, err := wd.SkillAverages(survey.ClassEmphasis, e.Name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				gs, err := wd.SkillAverages(survey.PersonalGrowth, e.Name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if row[w], err = stats.Pearson(es, gs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			rows[e.Name] = row
 		}
 	}
-	edm := rep.Table4[paperdata.EvaluationDecision]
-	tw := rep.Table4[paperdata.Teamwork]
-	b.ReportMetric(edm.FirstHalf.R, "edm-r-h1")  // paper: 0.73
-	b.ReportMetric(edm.SecondHalf.R, "edm-r-h2") // paper: 0.73
-	b.ReportMetric(tw.FirstHalf.R, "tw-r-h1")    // paper: 0.38
-	b.ReportMetric(tw.SecondHalf.R, "tw-r-h2")   // paper: 0.47
+	edm := rows[paperdata.EvaluationDecision]
+	tw := rows[paperdata.Teamwork]
+	b.ReportMetric(edm[0].R, "edm-r-h1") // paper: 0.73
+	b.ReportMetric(edm[1].R, "edm-r-h2") // paper: 0.73
+	b.ReportMetric(tw[0].R, "tw-r-h1")   // paper: 0.38
+	b.ReportMetric(tw[1].R, "tw-r-h2")   // paper: 0.47
 }
 
 // --- Tables 5-6: composite rankings -----------------------------------

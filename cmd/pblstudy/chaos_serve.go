@@ -70,14 +70,14 @@ func runServeChaos(o serveChaosOpts) serveChaosJSON {
 	}
 	var (
 		passes  [2][][]byte
-		ledgers []serve.Stats // one per daemon, taken before it stops
+		ledgers []serve.Stats // one per daemon, taken after its drain
 		last    *chaosDaemon  // still open when the verdict is taken
 	)
 	for pass := 0; pass < 2; pass++ {
 		if last == nil || o.restart {
 			if last != nil {
-				ledgers = append(ledgers, last.Stats())
 				last.stop()
+				ledgers = append(ledgers, last.Stats())
 			}
 			last = startDaemon(o, inj, dir)
 		}
@@ -86,7 +86,6 @@ func runServeChaos(o serveChaosOpts) serveChaosJSON {
 			fail(fmt.Errorf("chaos serve sweep (pass %d): %w", pass+1, err))
 		}
 	}
-	ledgers = append(ledgers, last.Stats())
 
 	report := serveChaosJSON{
 		Seeds:           o.seeds,
@@ -95,19 +94,7 @@ func runServeChaos(o serveChaosOpts) serveChaosJSON {
 		FaultSeed:       o.faultSeed,
 		Restart:         o.restart,
 		Plan:            o.probs,
-		Faults:          inj.Stats(),
 		RestartDiskHits: last.Stats().Store.DiskHits,
-	}
-	for _, st := range ledgers {
-		report.Shed += st.Shed
-		report.CacheHits += st.Cache.Hits
-		report.CacheMisses += st.Cache.Misses
-		report.CacheCoalesced += st.Cache.Coalesced
-		report.CorruptionHealed += st.Cache.CorruptRecovered
-		report.StorePuts += st.Store.Puts
-		report.StoreHealed += st.Store.CorruptionsHealed
-		report.StoreReadErrors += st.Store.ReadErrors
-		report.StoreWriteErrors += st.Store.WriteErrors
 	}
 	report.judge(baseline, passes)
 	if !report.OK {
@@ -126,7 +113,22 @@ func runServeChaos(o serveChaosOpts) serveChaosJSON {
 			}
 		}
 	}
+	// The ledgers are read after the drain: write-behind spills, and
+	// the store.write faults they draw, land only then.
 	last.stop()
+	ledgers = append(ledgers, last.Stats())
+	report.Faults = inj.Stats()
+	for _, st := range ledgers {
+		report.Shed += st.Shed
+		report.CacheHits += st.Cache.Hits
+		report.CacheMisses += st.Cache.Misses
+		report.CacheCoalesced += st.Cache.Coalesced
+		report.CorruptionHealed += st.Cache.CorruptRecovered
+		report.StorePuts += st.Store.Puts
+		report.StoreHealed += st.Store.CorruptionsHealed
+		report.StoreReadErrors += st.Store.ReadErrors
+		report.StoreWriteErrors += st.Store.WriteErrors
+	}
 	if o.asJSON {
 		emitJSON(report)
 	} else {

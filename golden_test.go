@@ -36,6 +36,16 @@ const goldenRunTextPath = "testdata/golden/run_paper_seed.txt"
 // cell layout, and serialized field set, all byte-for-byte.
 const goldenCohortPath = "testdata/golden/cohort_small.json"
 
+// goldenChaosPath pins a small `pblstudy chaos` report at three worker
+// counts: every fault decision is a pure function of the plan, so the
+// fault ledger, retry counts and verdict are the same on every run.
+const goldenChaosPath = "testdata/golden/chaos_small.txt"
+
+// goldenChaosServePath pins the `pblstudy chaos -serve` report at two
+// worker counts, its service and store ledgers read after each
+// daemon's drain.
+const goldenChaosServePath = "testdata/golden/chaos_serve_small.txt"
+
 func TestGoldenRunJSON(t *testing.T) {
 	goldenCLI(t, goldenRunPath, "run", "-json")
 }
@@ -48,6 +58,14 @@ func TestGoldenCohortJSON(t *testing.T) {
 	// 1200 students over the full 72-cell grid keeps the file small
 	// while exercising multi-cell batches and the ordered chunk fold.
 	goldenCLI(t, goldenCohortPath, "cohort", "-students", "1200", "-seed", "42", "-json")
+}
+
+func TestGoldenChaosText(t *testing.T) {
+	goldenCLI(t, goldenChaosPath, "chaos", "-seeds", "20", "-workerset", "1,2,8")
+}
+
+func TestGoldenChaosServeText(t *testing.T) {
+	goldenCLI(t, goldenChaosServePath, "chaos", "-serve", "-seeds", "20", "-workerset", "1,2")
 }
 
 // TestCohortCLIRefusesChunkOverflow: one chunk per student would hold

@@ -38,10 +38,11 @@ type PracticumResult struct {
 // runPracticum executes the practicum stage. Both halves are
 // deterministic: the MPI reduction is order-insensitive integer
 // addition, and the Pi simulation runs in virtual time. When a fault
-// injector is armed, the MPI world runs over a lossy link in reliable
-// mode (drops, delays, and duplicates are absorbed by the seq/ack
-// layer) and the simulated Pi draws per-core slowdowns — the results
-// are identical either way, which is what the chaos sweep asserts.
+// injector is armed, the MPI world runs over a lossy, sequenced link
+// (drops are resent, duplicates discarded by sequence number, delays
+// slept through) and the simulated Pi draws per-core slowdowns — the
+// results are identical either way, which is what the chaos sweep
+// asserts.
 func runPracticum(formation *teams.Formation, activity map[int]*teamwork.Log, inj *fault.Injector, tc obs.TraceContext) (*PracticumResult, error) {
 	counts := make([]int, len(formation.Teams))
 	for i, tm := range formation.Teams {
@@ -52,10 +53,6 @@ func runPracticum(formation *teams.Formation, activity map[int]*teamwork.Log, in
 	padded := append([]int(nil), counts...)
 	for len(padded)%piCores != 0 {
 		padded = append(padded, 0)
-	}
-	mpiOpts := []mpi.RunOption{mpi.WithTrace(tc)}
-	if inj != nil {
-		mpiOpts = append(mpiOpts, mpi.WithFault(inj), mpi.WithReliable(mpi.Reliable{}))
 	}
 	var total int
 	if err := mpi.Run(piCores, func(c *mpi.Comm) error {
@@ -76,7 +73,7 @@ func runPracticum(formation *teams.Formation, activity map[int]*teamwork.Log, in
 			total = sum
 		}
 		return nil
-	}, mpiOpts...); err != nil {
+	}, mpi.WithTrace(tc), mpi.WithFault(inj)); err != nil {
 		return nil, err
 	}
 

@@ -3,8 +3,8 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
-	"time"
 
 	"pblparallel/internal/fault"
 )
@@ -51,9 +51,9 @@ func ringOnce(n int, opts ...RunOption) (int, error) {
 }
 
 // TestReliableRingSurvivesLossyLink is the resilience property test:
-// for any drop rate < 1 with enough retry budget, the ring completes
-// with the same token value as the fault-free run, across many fault
-// seeds and aggressive drop/dup/delay mixes.
+// for a drop rate well below 1, the ring completes with the same token
+// value as the fault-free run, across many fault seeds and aggressive
+// drop/dup/delay mixes.
 func TestReliableRingSurvivesLossyLink(t *testing.T) {
 	const n = 5
 	clean, err := ringOnce(n)
@@ -65,8 +65,7 @@ func TestReliableRingSurvivesLossyLink(t *testing.T) {
 	}
 	for seed := int64(0); seed < 20; seed++ {
 		in := lossyPlan(t, seed, 0.5, 0.3, 0.2)
-		got, err := ringOnce(n, WithFault(in),
-			WithReliable(Reliable{MaxRetries: 64, BaseBackoff: 50 * time.Microsecond}))
+		got, err := ringOnce(n, WithFault(in))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -97,22 +96,11 @@ func TestCollectivesSurviveLossyLink(t *testing.T) {
 	run := func(opts ...RunOption) (int, error) {
 		total := 0
 		err := Run(size, func(c *Comm) error {
-			part, err := Scatter(c, 0, data)
-			if err != nil {
-				return err
-			}
-			local := 0
-			for _, v := range part {
-				local += v
-			}
-			sum, err := Allreduce(c, local, func(a, b int) int { return a + b })
-			if err != nil {
-				return err
-			}
+			sum, err := scatterAllreduce(c, data)
 			if c.Rank() == 0 {
 				total = sum
 			}
-			return nil
+			return err
 		}, opts...)
 		return total, err
 	}
@@ -125,8 +113,7 @@ func TestCollectivesSurviveLossyLink(t *testing.T) {
 	}
 	for seed := int64(100); seed < 115; seed++ {
 		in := lossyPlan(t, seed, 0.4, 0.25, 0.15)
-		got, err := run(WithFault(in),
-			WithReliable(Reliable{MaxRetries: 64, BaseBackoff: 50 * time.Microsecond}))
+		got, err := run(WithFault(in))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -136,9 +123,85 @@ func TestCollectivesSurviveLossyLink(t *testing.T) {
 	}
 }
 
+// scatterAllreduce is the study practicum's MPI shape: scatter data
+// from rank 0, sum each part locally, and allreduce the sums.
+func scatterAllreduce(c *Comm, data []int) (int, error) {
+	part, err := Scatter(c, 0, data)
+	if err != nil {
+		return 0, err
+	}
+	local := 0
+	for _, v := range part {
+		local += v
+	}
+	return Allreduce(c, local, func(a, b int) int { return a + b })
+}
+
+// TestLossyLedgerIsPureFunctionOfPlan: the fault ledger of a lossy
+// Scatter + Allreduce depends on the plan alone. Two runs read the
+// same Stats, every retry is one drop's resend, and every receiver
+// takes each sequence number of each sender exactly once: the high-water
+// mark reaches the sender's last seq, nothing waits unmatched, and what
+// is left in the inbox is only duplicates.
+func TestLossyLedgerIsPureFunctionOfPlan(t *testing.T) {
+	const size = 4
+	data := make([]int, size*3)
+	for i := range data {
+		data[i] = i
+	}
+	run := func() fault.StatsSnapshot {
+		in := lossyPlan(t, 42, 0.4, 0.25, 0.15)
+		sent := make([][]uint64, size) // sent[r][to]: r's last seq to rank to
+		seen := make([][]uint64, size) // seen[r][from]: r's high-water mark for from
+		err := Run(size, func(c *Comm) error {
+			if _, err := scatterAllreduce(c, data); err != nil {
+				return err
+			}
+			// After the barrier every Send, duplicates included, has
+			// enqueued.
+			c.Barrier()
+			if len(c.pending) != 0 {
+				return fmt.Errorf("%d messages left unmatched", len(c.pending))
+			}
+			for inbox := c.w.inboxes[c.Rank()]; len(inbox) > 0; {
+				if m := <-inbox; m.seq > c.seen[m.from] {
+					return fmt.Errorf("seq %d from rank %d never received", m.seq, m.from)
+				}
+			}
+			sent[c.Rank()], seen[c.Rank()] = c.nextSeq, c.seen
+			return nil
+		}, WithFault(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < size; r++ {
+			for from := 0; from < size; from++ {
+				if seen[r][from] != sent[from][r] {
+					t.Fatalf("rank %d saw seq %d from rank %d, which sent %d", r, seen[r][from], from, sent[from][r])
+				}
+			}
+		}
+		return in.Stats()
+	}
+	a, b := run(), run()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("one plan, two ledgers:\n%+v\n%+v", a, b)
+	}
+	if a.ByKind["msg-drop"] == 0 || a.ByKind["msg-dup"] == 0 {
+		t.Fatalf("plan injected no drops or no duplicates: %+v", a)
+	}
+	if a.Retries != a.ByKind["msg-drop"] {
+		t.Fatalf("retries %d, want one per drop (%d)", a.Retries, a.ByKind["msg-drop"])
+	}
+	if a.Recovered != a.Injected {
+		t.Fatalf("recovered %d of %d injected faults", a.Recovered, a.Injected)
+	}
+}
+
 // TestReliableDeliveryExhaustsAsTransient pins the failure mode: a
-// wire that drops everything exhausts the retry budget and surfaces a
-// transient error — the class the engine's retry layer re-executes.
+// wire that drops everything exhausts the constant resend budget and
+// surfaces a transient error — the class the engine's retry layer
+// re-executes.
 func TestReliableDeliveryExhaustsAsTransient(t *testing.T) {
 	in, err := fault.New(fault.Plan{Seed: 1, Rules: []fault.Rule{
 		{Site: fault.SiteMPISend, Kind: fault.MsgDrop, Prob: 1},
@@ -153,7 +216,7 @@ func TestReliableDeliveryExhaustsAsTransient(t *testing.T) {
 		// Rank 1 never receives: the wire eats everything. It must not
 		// block forever on Recv, so it just returns.
 		return nil
-	}, WithFault(in), WithReliable(Reliable{MaxRetries: 3, BaseBackoff: 10 * time.Microsecond}))
+	}, WithFault(in))
 	if err == nil {
 		t.Fatal("total loss delivered anyway")
 	}
@@ -164,38 +227,37 @@ func TestReliableDeliveryExhaustsAsTransient(t *testing.T) {
 	if !errors.As(err, &re) || re.Rank != 0 {
 		t.Fatalf("error lost rank attribution: %v", err)
 	}
-	if s := in.Stats(); s.Retries != 3 {
-		t.Fatalf("retry ledger %d, want 3", s.Retries)
+	if s := in.Stats(); s.Retries != maxResends || s.ByKind["msg-drop"] != maxResends+1 {
+		t.Fatalf("ledger %+v, want %d retries of %d drops", s, maxResends, maxResends+1)
 	}
 }
 
-// TestUnreliableDelayOnlyKeepsSemantics checks the non-reliable armed
-// path: delay faults slow Send but never change delivery, and drop/dup
-// rules are ignored rather than corrupting an unsequenced fabric.
-func TestUnreliableDelayOnlyKeepsSemantics(t *testing.T) {
-	in := lossyPlan(t, 7, 1, 1, 1) // drop rule first and certain — must be ignored
-	got, err := ringOnce(4, WithFault(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 4 {
-		t.Fatalf("ring token %d under delay-only injection", got)
-	}
-}
-
-// TestReliableCleanWireIsTransparent: reliable mode with no injector
-// behaves exactly like the plain fabric (the seq/ack layer is pure
-// overhead, not semantics).
+// TestReliableCleanWireIsTransparent: an armed wire whose plan never
+// fires behaves exactly like the plain fabric (sequencing is pure
+// overhead, not semantics), and both keep per-sender order.
 func TestReliableCleanWireIsTransparent(t *testing.T) {
-	got, err := ringOnce(6, WithReliable(Reliable{}))
+	quiet := lossyPlan(t, 3, 0, 0, 0)
+	got, err := ringOnce(6, WithFault(quiet))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 6 {
-		t.Fatalf("ring token %d over clean reliable wire", got)
+		t.Fatalf("ring token %d over clean armed wire", got)
 	}
-	// Ordering guarantee survives the NIC hop.
-	err = Run(2, func(c *Comm) error {
+	if s := quiet.Stats(); s.Injected != 0 {
+		t.Fatalf("zero-probability plan injected %d faults", s.Injected)
+	}
+	for _, opts := range [][]RunOption{nil, {WithFault(quiet)}} {
+		if err := orderedPair(opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// orderedPair sends 50 numbered messages from rank 0 to rank 1 and
+// fails unless they arrive in order.
+func orderedPair(opts ...RunOption) error {
+	return Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < 50; i++ {
 				if err := c.Send(1, 0, i); err != nil {
@@ -214,8 +276,5 @@ func TestReliableCleanWireIsTransparent(t *testing.T) {
 			}
 		}
 		return nil
-	}, WithReliable(Reliable{}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, opts...)
 }

@@ -16,7 +16,6 @@ import (
 	"reflect"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pblparallel/internal/fault"
 	"pblparallel/internal/obs"
@@ -74,9 +73,9 @@ func payloadBytes(v any) int64 {
 	}
 }
 
-// message is one point-to-point transfer. seq is non-zero only under
-// reliable delivery, where it orders and dedups the (from, receiver)
-// pair's traffic.
+// message is one point-to-point transfer. seq is non-zero only on an
+// armed wire (WithFault), where it orders and dedups the (from,
+// receiver) pair's traffic.
 type message struct {
 	from, tag int
 	data      any
@@ -90,14 +89,7 @@ type world struct {
 	barrier  *centralBarrier
 	laneBase uint32           // base of this world's trace-lane block (0 = untraced)
 	tc       obs.TraceContext // request correlation handed in by WithTrace
-
-	// Fault injection and reliable delivery (see reliable.go); all nil /
-	// false on the default path.
-	inj       *fault.Injector
-	reliable  bool
-	rel       Reliable
-	transport []chan message // lossy wire, drained by per-rank NICs
-	acks      []chan ackMsg  // indexed by the *sender* awaiting the ack
+	inj      *fault.Injector  // arms sequenced delivery (see reliable.go); nil on the default path
 }
 
 // Comm is one rank's communicator handle.
@@ -107,8 +99,9 @@ type Comm struct {
 	tc   obs.TraceContext // rank-span trace context; stamps per-rank spans
 	// pending holds messages received ahead of a matching Recv.
 	pending []message
-	// nextSeq is the per-destination sequence counter (reliable mode).
-	nextSeq []uint64
+	// nextSeq is the per-destination sequence counter and seen the
+	// highest sequence received per sender (armed wire only).
+	nextSeq, seen []uint64
 }
 
 // lane is the rank's trace lane within the world's block.
@@ -151,28 +144,8 @@ func (c *Comm) Send(to, tag int, data any) error {
 		tr.Span(obs.PIDMPI, c.lane(), "mpi", "send").Trace(c.tc).
 			Int("to", int64(to)).Int("tag", int64(tag)).Int("bytes", nb).Emit()
 	}
-	if c.w.reliable {
-		return c.sendReliable(to, tag, data)
-	}
 	if c.w.inj != nil {
-		// Without reliable delivery only delay faults are honoured: a
-		// dropped or duplicated message with no sequencing protocol
-		// would deadlock or corrupt the application rather than test
-		// its resilience.
-		c.nextSeq[to]++
-		if f, ok := c.w.inj.Hit(fault.SiteMPISend,
-			fault.Mix4(uint64(c.rank), uint64(to), c.nextSeq[to], 0)); ok && f.Kind == fault.MsgDelay {
-			d := f.Duration()
-			if tr := obs.Default(); tr != nil {
-				sp := tr.Span(obs.PIDMPI, c.lane(), "fault", "msg-delay").Trace(c.tc).
-					Int("to", int64(to)).Int("tag", int64(tag))
-				time.Sleep(d)
-				sp.End()
-			} else {
-				time.Sleep(d)
-			}
-			c.w.inj.MarkRecovered(1)
-		}
+		return c.sendArmed(to, tag, data)
 	}
 	c.w.inboxes[to] <- message{from: c.rank, tag: tag, data: data}
 	return nil
@@ -184,7 +157,8 @@ func isInternalTag(tag int) bool {
 
 // Recv blocks until a message matching (from, tag) arrives and returns
 // its payload and actual source. Use AnySource/AnyTag as wildcards.
-// Messages from the same sender are received in the order sent.
+// Messages from the same sender are received in the order sent, and on
+// an armed wire each exactly once.
 func (c *Comm) Recv(from, tag int) (data any, source int, err error) {
 	if from != AnySource && (from < 0 || from >= c.w.size) {
 		return nil, 0, fmt.Errorf("mpi: recv from rank %d of %d", from, c.w.size)
@@ -211,6 +185,14 @@ func (c *Comm) Recv(from, tag int) (data any, source int, err error) {
 	}
 	for {
 		m := <-c.w.inboxes[c.rank]
+		if m.seq != 0 {
+			// A sender enqueues its sequences in order, so a seq at or
+			// below the high-water mark is an injected duplicate.
+			if m.seq <= c.seen[m.from] {
+				continue
+			}
+			c.seen[m.from] = m.seq
+		}
 		if match(m) {
 			return deliver(m)
 		}
@@ -292,9 +274,8 @@ func (e *RankError) Unwrap() error { return e.Err }
 // Run launches size ranks, each executing body with its own
 // communicator, and joins them. The first failing rank's error is
 // returned (lowest rank wins); a panic on any rank is converted to an
-// error on that rank. Options arm fault injection and reliable
-// delivery; with none, the fabric is the historical direct-channel
-// path.
+// error on that rank. Options arm fault injection and tracing; with
+// none, the fabric is the historical direct-channel path.
 func Run(size int, body func(c *Comm) error, opts ...RunOption) error {
 	if size < 1 {
 		return fmt.Errorf("mpi: world size %d", size)
@@ -313,16 +294,6 @@ func Run(size int, body func(c *Comm) error, opts ...RunOption) error {
 	for i := range w.inboxes {
 		w.inboxes[i] = make(chan message, 1024)
 	}
-	var nics *sync.WaitGroup
-	if w.reliable {
-		w.transport = make([]chan message, size)
-		w.acks = make([]chan ackMsg, size)
-		for i := range w.transport {
-			w.transport[i] = make(chan message, 1024)
-			w.acks[i] = make(chan ackMsg, 1024)
-		}
-		nics = w.startNICs()
-	}
 	worldsRun.Inc()
 	tr := obs.Default()
 	if tr != nil {
@@ -337,8 +308,9 @@ func Run(size int, body func(c *Comm) error, opts ...RunOption) error {
 		go func(rank int) {
 			defer wg.Done()
 			c := &Comm{w: w, rank: rank}
-			if w.reliable || w.inj != nil {
+			if w.inj != nil {
 				c.nextSeq = make([]uint64, size)
+				c.seen = make([]uint64, size)
 			}
 			rsp := tr.Span(obs.PIDMPI, c.lane(), "mpi", "rank").Trace(worldTC).Int("rank", int64(rank))
 			defer rsp.End()
@@ -354,12 +326,6 @@ func Run(size int, body func(c *Comm) error, opts ...RunOption) error {
 		}(r)
 	}
 	wg.Wait()
-	if nics != nil {
-		for _, t := range w.transport {
-			close(t)
-		}
-		nics.Wait()
-	}
 	worldSpan.End()
 	for _, err := range errs {
 		if err != nil {

@@ -2,65 +2,29 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"pblparallel/internal/fault"
 	"pblparallel/internal/obs"
 )
 
-// Reliable configures the communicator's reliable-delivery mode: every
-// point-to-point message carries a per-(sender,receiver) sequence
-// number, the receiving side acknowledges it, and the sender re-sends
-// on ack timeout with deterministic exponential backoff. With an
-// injected drop rate below 1 and a sufficient retry budget, delivery is
-// guaranteed and duplicates are suppressed, so collectives built on
-// Send/Recv survive a lossy link unchanged — the protocol lesson the
-// flaky-Pi lab teaches by accident.
-type Reliable struct {
-	// MaxRetries bounds re-sends after the first attempt (default 16).
-	MaxRetries int
-	// BaseBackoff is the first ack wait; it doubles per retry (default
-	// 200µs). The schedule is deterministic: attempt k waits
-	// min(BaseBackoff<<k, MaxBackoff).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the wait (default 20ms).
-	MaxBackoff time.Duration
-}
+// maxResends bounds the re-draws of one dropped message: after the
+// first attempt and this many resends all drop, Send gives up with a
+// transient error.
+const maxResends = 16
 
-// withDefaults fills unset fields.
-func (r Reliable) withDefaults() Reliable {
-	if r.MaxRetries <= 0 {
-		r.MaxRetries = 16
-	}
-	if r.BaseBackoff <= 0 {
-		r.BaseBackoff = 200 * time.Microsecond
-	}
-	if r.MaxBackoff <= 0 {
-		r.MaxBackoff = 20 * time.Millisecond
-	}
-	return r
-}
-
-// backoff is the deterministic wait before re-sending attempt k.
-func (r Reliable) backoff(attempt int) time.Duration {
-	d := r.BaseBackoff
-	for i := 0; i < attempt && d < r.MaxBackoff; i++ {
-		d *= 2
-	}
-	if d > r.MaxBackoff {
-		d = r.MaxBackoff
-	}
-	return d
-}
-
-// RunOption configures one Run's world (fault injection, reliable
-// delivery). The zero-option call is byte-for-byte the historical path.
+// RunOption configures one Run's world (fault injection, tracing). The
+// zero-option call is byte-for-byte the historical path.
 type RunOption func(*world)
 
-// WithFault arms the world with a fault injector: sends draw
-// drop/delay/duplication faults at the wire boundary, keyed
-// deterministically by (sender, receiver, sequence, attempt). A nil
+// WithFault arms the world with a fault injector and sequenced
+// delivery: every point-to-point message carries a per-(sender,
+// receiver) sequence number, sends draw drop/delay/duplication faults
+// at the wire boundary, keyed by (sender, receiver, sequence, attempt),
+// and receivers discard duplicates. A drop is the only loss on this
+// in-memory fabric and the sender draws it itself, so it resends at
+// once and needs no acknowledgement; every fault decision, and with it
+// the fault ledger, is a pure function of the plan. A nil
 // injector is a no-op, so call sites can pass one unconditionally.
 func WithFault(in *fault.Injector) RunOption {
 	return func(w *world) { w.inj = in }
@@ -72,132 +36,52 @@ func WithTrace(tc obs.TraceContext) RunOption {
 	return func(w *world) { w.tc = tc }
 }
 
-// WithReliable turns on reliable delivery with the given configuration
-// (zero values select defaults). Drop and duplication faults are only
-// meaningful under this mode; without it they are ignored rather than
-// deadlocking the application on a message that will never arrive.
-func WithReliable(r Reliable) RunOption {
-	return func(w *world) {
-		w.reliable = true
-		w.rel = r.withDefaults()
-	}
-}
-
-// ackMsg acknowledges receipt of (sender's) seq by rank from.
-type ackMsg struct {
-	from int
-	seq  uint64
-}
-
-// startNICs launches one delivery goroutine per rank. The NIC is the
-// receiving side of the reliable protocol: it dedups by the highest
-// sequence seen per sender (sequences are strictly increasing and at
-// most one is in flight per pair, so a simple high-water mark
-// suffices), forwards fresh messages to the rank's inbox, and
-// acknowledges everything it sees — re-acking duplicates covers the
-// case where the data arrived but the ack was lost.
-func (w *world) startNICs() *sync.WaitGroup {
-	var wg sync.WaitGroup
-	for r := 0; r < w.size; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			seen := make([]uint64, w.size)
-			for m := range w.transport[rank] {
-				fresh := m.seq > seen[m.from]
-				if fresh {
-					seen[m.from] = m.seq
-				}
-				// Non-blocking ack: a full ack buffer just costs the
-				// sender a retry.
-				select {
-				case w.acks[m.from] <- ackMsg{from: rank, seq: m.seq}:
-				default:
-				}
-				if fresh {
-					w.inboxes[rank] <- m
-				}
-			}
-		}(r)
-	}
-	return &wg
-}
-
-// sendReliable drives one message through the lossy wire until it is
-// acknowledged or the retry budget runs out. Fault draws are keyed by
-// (sender, receiver, seq, attempt): fully deterministic, and a retry is
-// a fresh draw, so a dropped message is not doomed to drop forever.
-func (c *Comm) sendReliable(to, tag int, data any) error {
+// sendArmed drives one message through the lossy wire. A dropped
+// attempt is redrawn at once, up to maxResends times; a retry is a
+// fresh draw, so a dropped message is not doomed to drop forever.
+func (c *Comm) sendArmed(to, tag int, data any) error {
 	c.nextSeq[to]++
 	seq := c.nextSeq[to]
 	m := message{from: c.rank, tag: tag, data: data, seq: seq}
-	rel := c.w.rel
 	tr := obs.Default()
-	dropped := 0
 	for attempt := 0; ; attempt++ {
-		delivered := true
-		if f, ok := c.w.inj.Hit(fault.SiteMPISend,
-			fault.Mix4(uint64(c.rank), uint64(to), seq, uint64(attempt))); ok {
-			switch f.Kind {
-			case fault.MsgDrop:
-				delivered = false
-				dropped++
-				if tr != nil {
-					tr.Span(obs.PIDMPI, c.lane(), "fault", "msg-drop").Trace(c.tc).
-						Int("to", int64(to)).Int("seq", int64(seq)).Int("attempt", int64(attempt)).Emit()
-				}
-			case fault.MsgDelay:
-				d := f.Duration()
-				if tr != nil {
-					sp := tr.Span(obs.PIDMPI, c.lane(), "fault", "msg-delay").Trace(c.tc).
-						Int("to", int64(to)).Int("seq", int64(seq))
-					time.Sleep(d)
-					sp.End()
-				} else {
-					time.Sleep(d)
-				}
-				c.w.inj.MarkRecovered(1)
-			case fault.MsgDup:
-				if tr != nil {
-					tr.Span(obs.PIDMPI, c.lane(), "fault", "msg-dup").Trace(c.tc).
-						Int("to", int64(to)).Int("seq", int64(seq)).Emit()
-				}
-				c.w.transport[to] <- m
-				c.w.inj.MarkRecovered(1)
+		f, hit := c.w.inj.Hit(fault.SiteMPISend,
+			fault.Mix4(uint64(c.rank), uint64(to), seq, uint64(attempt)))
+		switch {
+		case hit && f.Kind == fault.MsgDrop:
+			if tr != nil {
+				tr.Span(obs.PIDMPI, c.lane(), "fault", "msg-drop").Trace(c.tc).
+					Int("to", int64(to)).Int("seq", int64(seq)).Int("attempt", int64(attempt)).Emit()
 			}
-		}
-		if delivered {
-			c.w.transport[to] <- m
-		}
-		if c.awaitAck(to, seq, rel.backoff(attempt)) {
-			// Every absorbed drop is a recovered fault once the message
-			// finally lands.
-			c.w.inj.MarkRecovered(dropped)
-			return nil
-		}
-		if attempt >= rel.MaxRetries {
-			return fmt.Errorf("mpi: rank %d: delivery to rank %d (tag %d, seq %d) failed after %d attempts: %w",
-				c.rank, to, tag, seq, attempt+1, fault.ErrTransient)
-		}
-		c.w.inj.MarkRetry()
-	}
-}
-
-// awaitAck waits up to timeout for the ack matching (to, seq). Stale
-// acks — duplicates of earlier handshakes — are discarded; each send
-// completes its handshake before the next begins, so nothing later ever
-// needs them.
-func (c *Comm) awaitAck(to int, seq uint64, timeout time.Duration) bool {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for {
-		select {
-		case a := <-c.w.acks[c.rank]:
-			if a.from == to && a.seq == seq {
-				return true
+			if attempt == maxResends {
+				return fmt.Errorf("mpi: rank %d: delivery to rank %d (tag %d, seq %d) failed after %d attempts: %w",
+					c.rank, to, tag, seq, attempt+1, fault.ErrTransient)
 			}
-		case <-timer.C:
-			return false
+			c.w.inj.MarkRetry()
+			continue
+		case hit && f.Kind == fault.MsgDelay:
+			d := f.Duration()
+			if tr != nil {
+				sp := tr.Span(obs.PIDMPI, c.lane(), "fault", "msg-delay").Trace(c.tc).
+					Int("to", int64(to)).Int("seq", int64(seq))
+				time.Sleep(d)
+				sp.End()
+			} else {
+				time.Sleep(d)
+			}
+			c.w.inj.MarkRecovered(1)
+		case hit && f.Kind == fault.MsgDup:
+			if tr != nil {
+				tr.Span(obs.PIDMPI, c.lane(), "fault", "msg-dup").Trace(c.tc).
+					Int("to", int64(to)).Int("seq", int64(seq)).Emit()
+			}
+			c.w.inboxes[to] <- m
+			c.w.inj.MarkRecovered(1)
 		}
+		// Every earlier attempt was a drop, and each is a recovered
+		// fault now that the message lands.
+		c.w.inj.MarkRecovered(attempt)
+		c.w.inboxes[to] <- m
+		return nil
 	}
 }
