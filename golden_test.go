@@ -9,6 +9,7 @@ package pblparallel
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -58,6 +59,35 @@ func TestGoldenCohortJSON(t *testing.T) {
 	// 1200 students over the full 72-cell grid keeps the file small
 	// while exercising multi-cell batches and the ordered chunk fold.
 	goldenCLI(t, goldenCohortPath, "cohort", "-students", "1200", "-seed", "42", "-json")
+}
+
+// TestGoldenCohortDigests pins two multi-chunk cohorts by the SHA-256
+// of their `pblstudy cohort -json` bytes. cohort_small.json is a
+// single chunk, so only these exercise the chunk kernel's merges: 123
+// auto-sized chunks of the bench workload's 500k students, and 100
+// explicit chunks of 1000. Digests rather than files: the 500k reply
+// is 88 KB, and the bench's reply check recomputes with the same
+// checkout, so it cannot see a change in the bits.
+func TestGoldenCohortDigests(t *testing.T) {
+	bin := buildCLI(t)
+	for _, c := range []struct {
+		args []string
+		sum  string
+	}{
+		{[]string{"-students", "500000", "-seed", "42"},
+			"8cd111d29add6d6da14d7f8180a44db13472549120b2de4b208a61bd5dfc4626"},
+		{[]string{"-students", "100000", "-seed", "42", "-batch", "1000"},
+			"2af1ca623e6750a366c13143bc59335e3f5a4b128cfc7a715a4a1624f5e313a8"},
+	} {
+		args := append(append([]string{"cohort"}, c.args...), "-json")
+		out, err := exec.Command(bin, args...).Output()
+		if err != nil {
+			t.Fatalf("pblstudy %s: %v", strings.Join(args, " "), err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != c.sum {
+			t.Errorf("pblstudy %s: sha256 %s, want %s", strings.Join(args, " "), got, c.sum)
+		}
+	}
 }
 
 func TestGoldenChaosText(t *testing.T) {

@@ -148,14 +148,6 @@ type Summary struct {
 	PearsonR   float64 `json:"pearson_r"`
 }
 
-func (s *Summary) add(pre, post float64) {
-	s.Students++
-	s.Pre.Add(pre)
-	s.Post.Add(post)
-	s.Gain.Add(post - pre)
-	s.PrePost.Add(pre, post)
-}
-
 // Merge folds another population summary into s (sketch merges only;
 // call Finalize afterwards to refresh the derived fields). This is the
 // operation cluster shards will apply to combine per-node results.
@@ -233,6 +225,14 @@ func (l layout) cellOf(i int) (cell, within int) {
 	return l.extra + i/l.base, i % l.base
 }
 
+// size is the number of students in cell.
+func (l layout) size(cell int) int {
+	if cell < l.extra {
+		return l.base + 1
+	}
+	return l.base
+}
+
 // axes decodes a cell index into its scenario coordinates (the inverse
 // of the institution-major, assessment-minor enumeration).
 func (l layout) axes(cell int) (inst, sem int, pol cohort.FormationPolicy, av cohort.AssessmentVariant) {
@@ -268,7 +268,10 @@ func norms(key uint64, i uint64) (z1, z2 float64) {
 	u1 := unit(splitmix64(key + (i+1)*gamma))
 	u2 := unit(splitmix64(key + (i+2)*gamma))
 	r := math.Sqrt(-2 * math.Log(u1))
-	return r * math.Cos(2*math.Pi*u2), r * math.Sin(2*math.Pi*u2)
+	// Sincos shares Sin's and Cos's argument reduction and polynomials,
+	// so the pair is bit for bit theirs at one reduction's cost.
+	sin, cos := math.Sincos(2 * math.Pi * u2)
+	return r * cos, r * sin
 }
 
 func clamp(x, lo, hi float64) float64 {
@@ -299,8 +302,8 @@ func scores(seed int64, cell, within int, pol cohort.FormationPolicy, av cohort.
 }
 
 // partial is one reduction chunk's accumulator: per-cell summaries in
-// ascending cell order. Because students are laid out contiguously and
-// a chunk's indices arrive ascending, cells only ever append.
+// ascending cell order. Students are laid out contiguously, so a chunk
+// holds one run of each cell it touches.
 type partial struct {
 	cells []cellPartial
 }
@@ -310,12 +313,23 @@ type cellPartial struct {
 	sum Summary
 }
 
-func (p *partial) at(cell int) *Summary {
-	if n := len(p.cells); n > 0 && p.cells[n-1].idx == cell {
-		return &p.cells[n-1].sum
+// add appends the summary of cell's students within..within+k-1. From
+// an empty sketch the PairSketch marginals are the Pre and Post
+// Moments and its co-moment is PrePost's, bit for bit, so a run pays
+// one Welford division per marginal instead of two.
+func (p *partial) add(seed int64, lay layout, cell, within, k int) {
+	_, _, pol, av := lay.axes(cell)
+	var (
+		pair stats.PairSketch
+		gain stats.Moments
+	)
+	for j := within; j < within+k; j++ {
+		pre, post := scores(seed, cell, j, pol, av)
+		pair.Add(pre, post)
+		gain.Add(post - pre)
 	}
-	p.cells = append(p.cells, cellPartial{idx: cell})
-	return &p.cells[len(p.cells)-1].sum
+	p.cells = append(p.cells, cellPartial{idx: cell, sum: Summary{
+		Students: int64(k), Pre: pair.X, Post: pair.Y, Gain: gain, PrePost: pair.CoMoments()}})
 }
 
 // merge folds o into p, merging summaries of equal cell index and
@@ -381,18 +395,15 @@ func Run(ctx context.Context, e *engine.Engine, cfg Config) (*Result, error) {
 	begin := time.Now()
 
 	total, err := engine.Reduce(ctx, e, cfg.Students, batch,
-		func(runCtx context.Context, i int, p *partial) error {
-			if i%batch == 0 {
-				batchFault(inj, cfg.Seed, i/batch)
+		func(runCtx context.Context, lo, hi int, p *partial) error {
+			batchFault(inj, cfg.Seed, lo/batch)
+			cell, within := lay.cellOf(lo)
+			for i := lo; i < hi; {
+				k := min(hi-i, lay.size(cell)-within)
+				p.add(cfg.Seed, lay, cell, within, k)
+				i, cell, within = i+k, cell+1, 0
 			}
-			cell, within := lay.cellOf(i)
-			_, _, pol, av := lay.axes(cell)
-			pre, post := scores(cfg.Seed, cell, within, pol, av)
-			p.at(cell).add(pre, post)
-			if (i+1)%batch == 0 || i+1 == cfg.Students {
-				return runCtx.Err() // once per batch: Err takes the context's mutex
-			}
-			return nil
+			return runCtx.Err()
 		},
 		func(into, part *partial) { into.merge(part) })
 	if err != nil {

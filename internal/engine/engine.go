@@ -228,7 +228,7 @@ func (e *Engine) Sweep(ctx context.Context, cfg core.StudyConfig, seeds SeedStre
 		sp, runCtx := obs.Default().StartSpan(runCtx, obs.PIDEngine, uint32(worker)+1, "engine", "run")
 		sp = sp.Int("index", int64(i)).Int("seed", seed)
 		start := time.Now()
-		out, err, attempts := e.runWithRetry(runCtx, faultBase, i, opts)
+		out, err, attempts := e.runWithRetry(runCtx, faultBase, i, seed, opts)
 		elapsed := time.Since(start)
 		if m != nil {
 			m.run.Observe(elapsed.Seconds())
@@ -256,20 +256,22 @@ func (e *Engine) Sweep(ctx context.Context, cfg core.StudyConfig, seeds SeedStre
 	return sr, nil
 }
 
-// runWithRetry executes one study run, re-attempting transient
-// failures up to the engine's retry budget. When fault injection is
-// armed each attempt gets its own forked decision stream. Returns the
-// final outcome, error, and attempt count.
-func (e *Engine) runWithRetry(ctx context.Context, faultBase *fault.Injector, i int, opts []core.Option) (*core.Outcome, error, int) {
+// runWithRetry executes run i, a study of seed, re-attempting
+// transient failures up to the engine's retry budget. When fault
+// injection is armed each attempt gets its own forked decision stream,
+// keyed by (seed, attempt): the seed is a pure function of i within a
+// sweep, and unlike i it differs between single-run requests, which
+// are all index 0. Returns the final outcome, error, and attempt count.
+func (e *Engine) runWithRetry(ctx context.Context, faultBase *fault.Injector, i int, seed int64, opts []core.Option) (*core.Outcome, error, int) {
 	for attempt := 0; ; attempt++ {
 		attemptCtx := ctx
 		if faultBase != nil {
-			inj := faultBase.Fork(fault.Mix2(uint64(i), uint64(attempt))).
+			inj := faultBase.Fork(fault.Mix2(uint64(seed), uint64(attempt))).
 				WithTrace(obs.TraceIDFromContext(ctx))
 			attemptCtx = fault.NewContext(ctx, inj)
 			// The engine's own injection site: fail the attempt with a
 			// transient error before the study executes.
-			if f, ok := inj.Hit(fault.SiteEngineRun, fault.Mix2(uint64(i), uint64(attempt))); ok && f.Kind == fault.RunFail {
+			if f, ok := inj.Hit(fault.SiteEngineRun, fault.Mix2(uint64(seed), uint64(attempt))); ok && f.Kind == fault.RunFail {
 				obs.Default().Span(obs.PIDEngine, 0, "fault", "run-fail").
 					Int("index", int64(i)).Int("attempt", int64(attempt)).Emit()
 				if next, retry := e.nextAttempt(ctx, faultBase, attempt,
@@ -320,19 +322,11 @@ func (e *Engine) nextAttempt(ctx context.Context, faultBase *fault.Injector, att
 // attempted at most once, and after ctx ends no further indices are
 // handed out.
 func (e *Engine) mapIndexed(ctx context.Context, n int, fn func(ctx context.Context, i, worker int)) {
-	e.mapIndexedGrain(ctx, n, 1, fn)
-}
-
-// mapIndexedGrain is mapIndexed with an explicit claim grain. The
-// index pool hands out whole grain-aligned chunks, each processed by
-// exactly one participant in ascending index order — the property
-// Reduce's chunk-ordered fold builds its determinism on.
-func (e *Engine) mapIndexedGrain(ctx context.Context, n, grain int, fn func(ctx context.Context, i, worker int)) {
 	rt := e.rt
 	if rt == nil {
 		rt = sched.Default()
 	}
-	rt.ParallelIndexed(ctx, n, e.workers, grain, func(i, slot int) {
+	rt.ParallelIndexed(ctx, n, e.workers, 1, func(i, slot int) {
 		fn(ctx, i, slot)
 	})
 }

@@ -9,35 +9,40 @@ import (
 )
 
 // Reduce executes a deterministic parallel reduction over [0, n): the
-// index space is cut into grain-aligned chunks, each chunk's indices
-// are accumulated — in ascending order, by exactly one worker — into
-// that chunk's private partial of type S, and the per-chunk partials
-// are folded into a single S in ascending chunk order on the calling
+// index space is cut into grain-aligned chunks [lo, hi), each chunk is
+// accumulated — by exactly one worker, in one accum call — into that
+// chunk's private partial of type S, and the per-chunk partials are
+// folded into a single S in ascending chunk order on the calling
 // goroutine.
 //
 // The determinism guarantee is structural, not statistical. The
-// scheduler's index pool only ever hands out whole grain-aligned
-// chunks (claim starts are exactly {0, grain, 2·grain, …} under any
-// amount of work stealing), so the sequence of accum calls feeding
-// each partial is a pure function of (n, grain) — never of the worker
-// count or the interleaving. The final fold visits chunks 0, 1, 2, …
-// sequentially. Together that makes the result byte-identical at any
-// worker count, which is what the mega-cohort runner and the golden
-// tests pin. Changing grain, by contrast, changes how floating-point
-// error associates and is part of the result's content identity.
+// scheduler hands out chunk indices, one claim per chunk, so the
+// bounds each accum call sees are a pure function of (n, grain) —
+// never of the worker count or the interleaving. The final fold visits
+// chunks 0, 1, 2, … sequentially. Together that makes the result
+// byte-identical at any worker count, which is what the mega-cohort
+// runner and the golden tests pin. Changing grain, by contrast,
+// changes how floating-point error associates and is part of the
+// result's content identity.
 //
-// accum folds index i into the chunk partial (zero-valued S at chunk
-// start). merge folds a completed chunk partial into the running
-// total; it must treat a zero S as an identity (stats.Moments and
-// stats.CoMoments guarantee exactly that). Memory is O(ceil(n/grain))
-// partials for the whole reduction and O(1) per worker; callers that
-// need bounded memory at huge n pick grain accordingly.
+// accum folds indices lo..hi-1, in ascending order, into the chunk
+// partial (zero-valued S at chunk start): one call per chunk, so any
+// per-chunk work (a fault decision, a cancellation check, decoding
+// where the chunk starts) is paid once, not per index. merge folds a
+// completed chunk partial into the running total; it must treat a
+// zero S as an identity (stats.Moments and stats.CoMoments guarantee
+// exactly that). Memory is O(ceil(n/grain)) partials for the whole
+// reduction and O(1) per worker; callers that need bounded memory at
+// huge n pick grain accordingly.
 //
 // Reduce is fail-fast like Map: the first accum error (by chunk
 // index, for determinism) cancels the remaining chunks and is
-// returned. On caller cancellation the error wraps ErrCanceled.
+// returned. Cancellation is checked per chunk: once the context is
+// done no further chunk is handed out, while a chunk already running
+// finishes unless accum itself checks ctx. On caller cancellation the
+// error wraps ErrCanceled.
 func Reduce[S any](ctx context.Context, e *Engine, n, grain int,
-	accum func(ctx context.Context, i int, part *S) error,
+	accum func(ctx context.Context, lo, hi int, part *S) error,
 	merge func(into *S, part *S),
 ) (S, error) {
 	var out S
@@ -58,14 +63,9 @@ func Reduce[S any](ctx context.Context, e *Engine, n, grain int,
 	defer cancel()
 	sp, redCtx := obs.Default().StartSpan(redCtx, obs.PIDEngine, 0, "engine", "reduce")
 	sp = sp.Int("indices", int64(n)).Int("grain", int64(grain)).Int("chunks", int64(nChunks))
-	e.mapIndexedGrain(redCtx, n, grain, func(runCtx context.Context, i, worker int) {
-		c := i / grain
-		// Chunk-local state: one worker owns the whole chunk, so these
-		// reads and writes are single-goroutine until the region barrier.
-		if errs[c] != nil {
-			return // an earlier index of this chunk failed; skip the rest
-		}
-		if err := accum(runCtx, i, &partials[c]); err != nil {
+	e.mapIndexed(redCtx, nChunks, func(runCtx context.Context, c, worker int) {
+		lo := c * grain
+		if err := accum(runCtx, lo, lo+min(grain, n-lo), &partials[c]); err != nil {
 			errs[c] = err
 			cancel() // fail fast: stop handing out further chunks
 		}

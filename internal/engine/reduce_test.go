@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pblparallel/internal/sched"
 	"pblparallel/internal/stats"
@@ -40,8 +43,10 @@ func reduceMoments(t *testing.T, workers, n, grain int) stats.Moments {
 	defer rt.Close()
 	e := New(WithWorkers(workers), WithRuntime(rt))
 	m, err := Reduce(context.Background(), e, n, grain,
-		func(_ context.Context, i int, part *stats.Moments) error {
-			part.Add(reduceValue(i))
+		func(_ context.Context, lo, hi int, part *stats.Moments) error {
+			for i := lo; i < hi; i++ {
+				part.Add(reduceValue(i))
+			}
 			return nil
 		},
 		func(into, part *stats.Moments) { into.Merge(*part) })
@@ -99,7 +104,12 @@ func TestReduceMatchesSequentialChunkFold(t *testing.T) {
 
 func TestReduceGrainNormalizationAndEmpty(t *testing.T) {
 	e := New(WithWorkers(2))
-	sum := func(_ context.Context, i int, part *int) error { *part += i; return nil }
+	sum := func(_ context.Context, lo, hi int, part *int) error {
+		for i := lo; i < hi; i++ {
+			*part += i
+		}
+		return nil
+	}
 	merge := func(into, part *int) { *into += *part }
 
 	// grain <= 0 normalizes to 1.
@@ -126,11 +136,13 @@ func TestReduceFailFast(t *testing.T) {
 	e := New(WithWorkers(4))
 	boom := errors.New("boom")
 	_, err := Reduce(context.Background(), e, 100, 10,
-		func(_ context.Context, i int, part *int) error {
-			if i == 37 {
-				return boom
+		func(_ context.Context, lo, hi int, part *int) error {
+			for i := lo; i < hi; i++ {
+				if i == 37 {
+					return boom
+				}
+				*part += i
 			}
-			*part += i
 			return nil
 		},
 		func(into, part *int) { *into += *part })
@@ -147,9 +159,81 @@ func TestReduceCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := Reduce(ctx, e, 1000, 10,
-		func(context.Context, int, *int) error { return nil },
+		func(context.Context, int, int, *int) error { return nil },
 		func(into, part *int) { *into += *part })
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+}
+
+// TestReduceCallsAccumOncePerChunk: each chunk's whole index range
+// reaches accum in exactly one call, with the same bounds at any
+// worker count, the last chunk cut short at n.
+func TestReduceCallsAccumOncePerChunk(t *testing.T) {
+	const n, grain = 1000, 64
+	for _, w := range []int{1, 2, 8} {
+		rt := sched.New(sched.WithWorkers(w))
+		e := New(WithWorkers(w), WithRuntime(rt))
+		var (
+			mu    sync.Mutex
+			calls = map[[2]int]int{}
+		)
+		_, err := Reduce(context.Background(), e, n, grain,
+			func(_ context.Context, lo, hi int, _ *int) error {
+				mu.Lock()
+				calls[[2]int{lo, hi}]++
+				mu.Unlock()
+				return nil
+			},
+			func(into, part *int) {})
+		rt.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if len(calls) != (n+grain-1)/grain {
+			t.Fatalf("workers=%d: %d distinct chunks, want %d", w, len(calls), (n+grain-1)/grain)
+		}
+		for lo := 0; lo < n; lo += grain {
+			if got := calls[[2]int{lo, min(lo+grain, n)}]; got != 1 {
+				t.Fatalf("workers=%d: chunk [%d, %d) accumulated %d times", w, lo, min(lo+grain, n), got)
+			}
+		}
+	}
+}
+
+// TestReduceCancelStopsChunkHandout: cancellation is checked per chunk.
+// Once the caller's context is canceled mid-reduction, each participant
+// starts at most one more chunk (it may have claimed it just before
+// the cancel) and the rest are never handed out.
+func TestReduceCancelStopsChunkHandout(t *testing.T) {
+	const workers, chunks, cancelAt = 4, 400, 50
+	rt := sched.New(sched.WithWorkers(workers))
+	defer rt.Close()
+	e := New(WithWorkers(workers), WithRuntime(rt))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var started, late atomic.Int64
+	var canceled atomic.Bool
+	_, err := Reduce(ctx, e, chunks*10, 10,
+		func(_ context.Context, lo, hi int, part *int) error {
+			if canceled.Load() {
+				late.Add(1)
+			}
+			if started.Add(1) == cancelAt {
+				cancel()
+				canceled.Store(true)
+			}
+			time.Sleep(50 * time.Microsecond) // keep every participant mid-chunk
+			return nil
+		},
+		func(into, part *int) {})
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+	if got := late.Load(); got > workers {
+		t.Fatalf("%d chunks started after the cancel, want at most %d (one per participant)", got, workers)
+	}
+	if got := started.Load(); got >= chunks {
+		t.Fatalf("all %d chunks started despite the cancel at chunk %d", got, cancelAt)
 	}
 }

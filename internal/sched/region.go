@@ -114,7 +114,11 @@ func (reg *region) complete(n int64) {
 // runtime workers join as accelerators when slots remain. ctx
 // cancellation stops the handout of further indices — work already
 // claimed still runs its in-chunk cancellation check — and the call
-// returns once every index is either executed or drained.
+// returns once every index is either executed or drained. The check
+// runs before each index, so when an index is a whole chunk of work
+// (engine.Reduce runs one per chunk at grain 1) cancellation is
+// checked per chunk: after it, each participant starts at most the
+// one index it was already past the check for.
 //
 // fn must treat i as its only input for anything that reaches the
 // output: slots identify participants (useful for lane-indexed traces

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"math"
 	"sync"
 
 	"pblparallel/internal/fault"
@@ -76,7 +77,9 @@ type flightCall struct {
 
 // CacheStats is a point-in-time cache ledger.
 type CacheStats struct {
-	Entries   int
+	Entries int
+	// Bytes is the memory tier's body bytes, held to entries × 4 KiB.
+	Bytes     int64
 	Hits      int64
 	Misses    int64
 	Coalesced int64
@@ -95,6 +98,12 @@ type CacheStats struct {
 // integrity-checked, with singleflight coalescing of concurrent
 // identical requests. All methods are safe for concurrent use.
 //
+// The memory tier is bounded twice: at most capacity entries, and at
+// most capacity × entryBudget bytes of bodies, the newest entry always
+// kept. The byte bound leaves small replies (a /v1/run is about 350 B)
+// to the entry bound, but stops large ones (an 88 KB cohort) from
+// holding RSS in proportion to the request rate.
+//
 // When a persistent tier is attached (disk non-nil), the cache is
 // read-through/write-behind over it: a memory miss probes the disk
 // before computing, a computed response is queued for spill, and a
@@ -103,9 +112,10 @@ type CacheStats struct {
 // both tiers: followers of an in-flight key wait whether the leader is
 // reading disk or computing.
 type Cache struct {
-	cap  int
-	inj  *fault.Injector
-	disk *store.Store
+	cap      int
+	maxBytes int64
+	inj      *fault.Injector
+	disk     *store.Store
 
 	mu      sync.Mutex
 	entries map[string]*list.Element
@@ -115,6 +125,10 @@ type Cache struct {
 	stats   CacheStats
 }
 
+// entryBudget is the body bytes each entry of capacity adds to the
+// memory tier's byte bound.
+const entryBudget = 4 << 10
+
 // NewCache builds a cache bounded to capacity entries (minimum 1). inj
 // arms the cache-corruption injection site; nil disables it.
 func NewCache(capacity int, inj *fault.Injector) *Cache {
@@ -122,11 +136,12 @@ func NewCache(capacity int, inj *fault.Injector) *Cache {
 		capacity = 1
 	}
 	c := &Cache{
-		cap:     capacity,
-		inj:     inj,
-		entries: make(map[string]*list.Element),
-		ll:      list.New(),
-		flight:  make(map[string]*flightCall),
+		cap:      capacity,
+		maxBytes: int64(min(capacity, math.MaxInt/entryBudget)) * entryBudget,
+		inj:      inj,
+		entries:  make(map[string]*list.Element),
+		ll:       list.New(),
+		flight:   make(map[string]*flightCall),
 	}
 	if inj != nil {
 		c.hitSeq = make(map[string]uint64)
@@ -167,6 +182,7 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func() ([]byte, error)) (
 		// makes the heal exact — the recomputed bytes equal the originals.
 		c.ll.Remove(el)
 		delete(c.entries, k.addr.Hex)
+		c.stats.Bytes -= int64(len(e.body))
 		c.stats.CorruptRecovered++
 		c.inj.MarkRetry()
 		flightrec.Active().Event(flightrec.KindCorruptionHealed, "serve.cache", k.addr.Word(),
@@ -223,9 +239,11 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func() ([]byte, error)) (
 	if err == nil {
 		sum := sha256.Sum256(body)
 		c.entries[k.addr.Hex] = c.ll.PushFront(&entry{ck: k, body: body, sum: sum})
-		for c.ll.Len() > c.cap {
+		c.stats.Bytes += int64(len(body))
+		for c.ll.Len() > c.cap || (c.ll.Len() > 1 && c.stats.Bytes > c.maxBytes) {
 			old := c.ll.Remove(c.ll.Back()).(*entry)
 			delete(c.entries, old.ck.Hex())
+			c.stats.Bytes -= int64(len(old.body))
 			c.stats.Evicted++
 			spill = append(spill, old)
 		}

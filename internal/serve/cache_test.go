@@ -109,6 +109,73 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// fill computes body into c under key name, failing the test on error.
+func fill(t *testing.T, c *Cache, name string, size int) CacheStatus {
+	t.Helper()
+	_, status, err := c.Do(context.Background(), NewKey([]byte(name)),
+		func() ([]byte, error) { return make([]byte, size), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status
+}
+
+// TestCacheByteBoundEvictsLRU: past capacity × entryBudget bytes of
+// bodies, entries leave in LRU order even below the entry bound.
+func TestCacheByteBoundEvictsLRU(t *testing.T) {
+	c := NewCache(4, nil) // 16 KiB of bodies
+	const size = 5 << 10
+	fill(t, c, "a", size)
+	fill(t, c, "b", size)
+	fill(t, c, "c", size)
+	fill(t, c, "a", size) // refresh a: b becomes LRU
+	fill(t, c, "d", size) // 20 KiB: evicts b only
+	if s := c.Stats(); s.Entries != 3 || s.Bytes != 3*size || s.Evicted != 1 {
+		t.Fatalf("stats %+v, want 3 entries, %d bytes, 1 evicted", s, 3*size)
+	}
+	for _, k := range []string{"a", "c", "d"} {
+		if st := fill(t, c, k, size); st != CacheHit {
+			t.Fatalf("key %s: %v, want hit", k, st)
+		}
+	}
+	if st := fill(t, c, "b", size); st != CacheMiss {
+		t.Fatalf("key b: %v, want miss (the LRU entry goes first)", st)
+	}
+}
+
+// TestCacheByteBoundKeepsNewestEntry: a lone body over the whole byte
+// budget is still cached, and the next entry evicts it instead.
+func TestCacheByteBoundKeepsNewestEntry(t *testing.T) {
+	c := NewCache(2, nil) // 8 KiB of bodies
+	fill(t, c, "big", 10<<10)
+	if s := c.Stats(); s.Entries != 1 || s.Bytes != 10<<10 || s.Evicted != 0 {
+		t.Fatalf("stats %+v, want the lone oversized entry kept", s)
+	}
+	if st := fill(t, c, "big", 10<<10); st != CacheHit {
+		t.Fatalf("oversized entry: %v, want hit", st)
+	}
+	fill(t, c, "small", 100)
+	if s := c.Stats(); s.Entries != 1 || s.Bytes != 100 || s.Evicted != 1 {
+		t.Fatalf("stats %+v, want only the newest entry left", s)
+	}
+}
+
+// TestCacheByteBoundSparesSmallReplies: at the default 1024 entries,
+// /v1/run-sized replies (348 B) only ever meet the entry bound.
+func TestCacheByteBoundSparesSmallReplies(t *testing.T) {
+	c := NewCache(1024, nil)
+	for i := 0; i < 1024; i++ {
+		fill(t, c, fmt.Sprint("run", i), 348)
+	}
+	if s := c.Stats(); s.Entries != 1024 || s.Bytes != 1024*348 || s.Evicted != 0 {
+		t.Fatalf("stats %+v, want 1024 entries and nothing evicted", s)
+	}
+	fill(t, c, "run1024", 348)
+	if s := c.Stats(); s.Entries != 1024 || s.Evicted != 1 {
+		t.Fatalf("stats %+v, want the entry bound to evict one", s)
+	}
+}
+
 // TestCacheSingleflightComputesOnce is the coalescing contract: N
 // concurrent identical requests execute the compute exactly once. The
 // leader blocks until every follower is provably waiting, so the

@@ -84,6 +84,26 @@ func TestCacheEvictionSpillsToDisk(t *testing.T) {
 	}
 }
 
+// TestCacheByteEvictionSpillsToDisk: an entry the byte bound evicts,
+// below the entry bound, counts in Evicted and spills like any other.
+func TestCacheByteEvictionSpillsToDisk(t *testing.T) {
+	c := NewCache(2, nil) // 8 KiB of bodies
+	c.disk = openTestStore(t, t.TempDir())
+	fill(t, c, "bytes|a", 6<<10)
+	fill(t, c, "bytes|b", 6<<10) // 12 KiB: evicts a by bytes
+	if s := c.Stats(); s.Entries != 1 || s.Evicted != 1 {
+		t.Fatalf("stats %+v, want a evicted by bytes", s)
+	}
+	c.disk.Flush()
+	got, status, err := c.Do(context.Background(), NewKey([]byte("bytes|a")), func() ([]byte, error) {
+		t.Fatal("compute ran for a spilled entry")
+		return nil, nil
+	})
+	if err != nil || status != CacheDiskHit || !bytes.Equal(got, make([]byte, 6<<10)) {
+		t.Fatalf("spilled read: status=%v err=%v len=%d", status, err, len(got))
+	}
+}
+
 // TestServerRestartServesFromDisk is the in-process shape of the
 // cache-persistence CI job: a second server over the same cache
 // directory answers with byte-identical responses, marked X-Cache:

@@ -292,6 +292,7 @@ func (s *Server) gather() []obs.Family {
 		family("counter", "serve_cache_misses_total", "Responses computed and stored.", float64(cs.Misses)),
 		family("counter", "serve_cache_coalesced_total", "Requests coalesced onto an identical in-flight computation.", float64(cs.Coalesced)),
 		family("counter", "serve_cache_corruption_healed_total", "Cache integrity failures healed by recompute.", float64(cs.CorruptRecovered)),
+		family("gauge", "serve_cache_bytes", "Response body bytes held in the memory cache tier.", float64(cs.Bytes)),
 	}
 }
 

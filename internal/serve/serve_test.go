@@ -342,6 +342,11 @@ func TestServerCorruptionHealServesOriginalBytes(t *testing.T) {
 	if want := "serve_cache_corruption_healed_total 1\n"; !strings.Contains(string(text), want) {
 		t.Errorf("exposition lacks %q", want)
 	}
+	// The healed entry replaced the dropped one: the memory tier holds
+	// one body's bytes, not two.
+	if want := fmt.Sprintf("serve_cache_bytes %d\n", len(first)); !strings.Contains(string(text), want) {
+		t.Errorf("exposition lacks %q", want)
+	}
 }
 
 // TestGracefulDrainFinishesInFlightWork cancels Serve's context while a

@@ -240,6 +240,38 @@ func (cm *CoMoments) Merge(other CoMoments) {
 	cm.N += other.N
 }
 
+// PairSketch is CoMoments held as its two marginal Moments plus the
+// co-moment C. From an empty start, CoMoments.Add applies to each
+// marginal exactly the Welford step Moments.Add applies, so X and Y
+// are bit for bit CoMoments' marginals and a caller that already
+// keeps both Moments pays one division per marginal, not two.
+// CoMoments converts it. The zero value is an empty sketch.
+type PairSketch struct {
+	X, Y Moments
+	C    float64
+}
+
+// Add folds one (x, y) observation into the sketch.
+func (p *PairSketch) Add(x, y float64) {
+	if p.X.N == 0 {
+		p.X.Add(x)
+		p.Y.Add(y)
+		return
+	}
+	dx := (x - p.X.Mean) - p.X.MeanC
+	p.X.Add(x)
+	p.Y.Add(y)
+	// dx is pre-update, the y delta post-update: CoMoments.Add's term.
+	p.C += dx * ((y - p.Y.Mean) - p.Y.MeanC)
+}
+
+// CoMoments returns the sketch as the CoMoments that Adding the same
+// pairs, in the same order, would have built.
+func (p PairSketch) CoMoments() CoMoments {
+	return CoMoments{N: p.X.N, MeanX: p.X.Mean, MeanXC: p.X.MeanC, MeanY: p.Y.Mean,
+		MeanYC: p.Y.MeanC, M2X: p.X.M2, M2Y: p.Y.M2, C: p.C}
+}
+
 // Covariance returns the unbiased sample covariance.
 func (cm CoMoments) Covariance() (float64, error) {
 	if cm.N < 2 {

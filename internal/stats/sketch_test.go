@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -379,5 +380,56 @@ func TestMomentsString(t *testing.T) {
 	m := MomentsOf([]float64{1, 2, 3, 4})
 	if s := m.String(); s == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+// coMomentsBits is cm's fields as raw bits, so a comparison tells -0
+// from +0 and is bit for bit rather than ==.
+func coMomentsBits(cm CoMoments) [8]uint64 {
+	return [8]uint64{uint64(cm.N), math.Float64bits(cm.MeanX), math.Float64bits(cm.MeanXC),
+		math.Float64bits(cm.MeanY), math.Float64bits(cm.MeanYC), math.Float64bits(cm.M2X),
+		math.Float64bits(cm.M2Y), math.Float64bits(cm.C)}
+}
+
+// TestPairSketchMatchesCoMoments pins PairSketch bit for bit against
+// CoMoments.Add after every observation of random streams (N = 1 and 2
+// included) and of the property cases, and its marginals against
+// Moments.Add: the mega-cohort kernel relies on both identities to
+// keep its output bytes.
+func TestPairSketchMatchesCoMoments(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261019))
+	streams := map[string][2][]float64{}
+	for _, n := range []int{1, 2, 3, 17, 4096} {
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i] = 1 + 4*rng.Float64()
+			ys[i] = xs[i] + 0.5*rng.NormFloat64()
+		}
+		streams["random-"+strconv.Itoa(n)] = [2][]float64{xs, ys}
+	}
+	for name, xs := range propertyCases(t) {
+		streams[name] = [2][]float64{xs, pairFor(xs, int64(len(xs)))}
+	}
+	for name, s := range streams {
+		var (
+			p      PairSketch
+			cm     CoMoments
+			mx, my Moments
+		)
+		for i := range s[0] {
+			p.Add(s[0][i], s[1][i])
+			cm.Add(s[0][i], s[1][i])
+			mx.Add(s[0][i])
+			my.Add(s[1][i])
+			if coMomentsBits(p.CoMoments()) != coMomentsBits(cm) {
+				t.Fatalf("%s: after %d pairs PairSketch %+v, CoMoments %+v", name, i+1, p.CoMoments(), cm)
+			}
+			if p.X != mx || p.Y != my {
+				t.Fatalf("%s: after %d pairs marginals %+v %+v, Moments %+v %+v", name, i+1, p.X, p.Y, mx, my)
+			}
+		}
+	}
+	if (PairSketch{}).CoMoments() != (CoMoments{}) {
+		t.Fatal("empty PairSketch is not the empty CoMoments")
 	}
 }
