@@ -75,6 +75,7 @@ FUZZ_TARGETS = \
 	./internal/obs:FuzzTraceparent \
 	./internal/obs:FuzzSpanArgs \
 	./internal/armsim:FuzzAsmParse \
+	./internal/omp:FuzzDispatch \
 	./internal/survey:FuzzSurveyScores \
 	./internal/stats:FuzzMomentsMerge \
 	./internal/stats:FuzzCoMomentsMerge \

@@ -297,13 +297,13 @@ func BenchmarkA5LigandLen7(b *testing.B) {
 func BenchmarkA3Scheduling(b *testing.B) {
 	m := a5Machine(b)
 	skewed := pisim.SkewedCosts(400, 100, 50)
-	policies := map[string]pisim.Policy{
-		"static":   pisim.StaticPolicy{},
-		"static1":  pisim.StaticChunkPolicy{Chunk: 1},
-		"dynamic1": pisim.DynamicPolicy{Chunk: 1},
-		"dynamic2": pisim.DynamicPolicy{Chunk: 2},
-		"dynamic3": pisim.DynamicPolicy{Chunk: 3},
-		"guided1":  pisim.GuidedPolicy{MinChunk: 1},
+	policies := map[string]omp.Schedule{
+		"static":   omp.Static{},
+		"static1":  omp.StaticChunk{Chunk: 1},
+		"dynamic1": omp.Dynamic{Chunk: 1},
+		"dynamic2": omp.Dynamic{Chunk: 2},
+		"dynamic3": omp.Dynamic{Chunk: 3},
+		"guided1":  omp.Guided{MinChunk: 1},
 	}
 	results := map[string]pisim.LoopResult{}
 	b.ResetTimer()
@@ -409,7 +409,7 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range chunks {
-			r, err := m.RunLoop(uniform, pisim.DynamicPolicy{Chunk: c})
+			r, err := m.RunLoop(uniform, omp.Dynamic{Chunk: c})
 			if err != nil {
 				b.Fatal(err)
 			}

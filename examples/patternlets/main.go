@@ -8,6 +8,7 @@ import (
 	"log"
 	"os"
 
+	"pblparallel/internal/omp"
 	"pblparallel/internal/patternlets"
 	"pblparallel/internal/pisim"
 )
@@ -33,12 +34,12 @@ func main() {
 	fmt.Println("=== scheduling on the simulated Pi (virtual cycles) ===")
 	skewed := pisim.SkewedCosts(240, 200, 40)
 	uniform := pisim.UniformCosts(240, 5000)
-	for _, pol := range []pisim.Policy{
-		pisim.StaticPolicy{},
-		pisim.StaticChunkPolicy{Chunk: 1},
-		pisim.DynamicPolicy{Chunk: 1},
-		pisim.DynamicPolicy{Chunk: 3},
-		pisim.GuidedPolicy{MinChunk: 1},
+	for _, pol := range []omp.Schedule{
+		omp.Static{},
+		omp.StaticChunk{Chunk: 1},
+		omp.Dynamic{Chunk: 1},
+		omp.Dynamic{Chunk: 3},
+		omp.Guided{MinChunk: 1},
 	} {
 		rs, err := m.RunLoop(skewed, pol)
 		if err != nil {

@@ -15,6 +15,7 @@ import (
 	"pblparallel/internal/core"
 	"pblparallel/internal/drugdesign"
 	"pblparallel/internal/engine"
+	"pblparallel/internal/omp"
 	"pblparallel/internal/paperdata"
 	"pblparallel/internal/patternlets"
 	"pblparallel/internal/pbl"
@@ -187,7 +188,7 @@ func TestScalingCurveMatchesAmdahlEstimate(t *testing.T) {
 	cfg.DispatchOverhead = 0
 	cfg.BarrierCost = 0
 	costs := pisim.UniformCosts(4096, 1000)
-	points, err := pisim.StrongScaling(cfg, costs, pisim.StaticPolicy{}, []int{4})
+	points, err := pisim.StrongScaling(cfg, costs, omp.Static{}, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}

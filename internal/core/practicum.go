@@ -4,6 +4,7 @@ import (
 	"pblparallel/internal/fault"
 	"pblparallel/internal/mpi"
 	"pblparallel/internal/obs"
+	"pblparallel/internal/omp"
 	"pblparallel/internal/pisim"
 	"pblparallel/internal/teams"
 	"pblparallel/internal/teamwork"
@@ -90,11 +91,11 @@ func runPracticum(formation *teams.Formation, activity map[int]*teamwork.Log, in
 	if err != nil {
 		return nil, err
 	}
-	static, err := m.RunLoop(costs, pisim.StaticPolicy{})
+	static, err := m.RunLoop(costs, omp.Static{})
 	if err != nil {
 		return nil, err
 	}
-	dynamic, err := m.RunLoop(costs, pisim.DynamicPolicy{Chunk: 1})
+	dynamic, err := m.RunLoop(costs, omp.Dynamic{Chunk: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package drugdesign
 import (
 	"fmt"
 
+	"pblparallel/internal/omp"
 	"pblparallel/internal/pisim"
 )
 
@@ -104,7 +105,7 @@ func RunVirtual(m *pisim.Machine, p Problem, approach Approach, threads int) (Vi
 		if err != nil {
 			return VirtualTiming{}, err
 		}
-		r, err := eff.RunLoop(costs, pisim.DynamicPolicy{Chunk: 1})
+		r, err := eff.RunLoop(costs, omp.Dynamic{Chunk: 1})
 		if err != nil {
 			return VirtualTiming{}, err
 		}

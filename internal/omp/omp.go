@@ -1,9 +1,10 @@
 // Package omp is a small OpenMP-like shared-memory runtime on top of
 // goroutines. It provides the constructs the course's patternlets
 // exercise: fork-join parallel regions with a thread team, work-sharing
-// parallel-for loops with static, static-chunked, dynamic, and guided
-// schedules, reductions with deterministic combine order, barriers,
-// critical sections, single/master blocks, sections, and locks.
+// parallel-for loops with static, static-chunked, dynamic, guided, and
+// work-stealing schedules, reductions with deterministic combine order,
+// barriers, critical sections, single/master blocks, sections, and
+// locks.
 //
 // The analogy is structural, not syntactic: an OpenMP "#pragma omp
 // parallel" becomes omp.Parallel(func(tc *omp.ThreadContext) { ... }),
@@ -191,26 +192,8 @@ type team struct {
 	sectionsMu     sync.Mutex
 	sectionTickets map[int]*int
 	loopMu         sync.Mutex
-	loops          map[int]*loopShared
-	orderedMu      sync.Mutex
-	ordered        map[int]*orderedState
-	tasks          *taskPool // lazily created under mu by pool()
-}
-
-// loopShared returns the shared scheduling state for the loop at the
-// given call epoch, creating it on first use.
-func (tm *team) loopShared(epoch int) *loopShared {
-	tm.loopMu.Lock()
-	defer tm.loopMu.Unlock()
-	if tm.loops == nil {
-		tm.loops = make(map[int]*loopShared)
-	}
-	sh, ok := tm.loops[epoch]
-	if !ok {
-		sh = new(loopShared)
-		tm.loops[epoch] = sh
-	}
-	return sh
+	loops          map[int]*loop // work-sharing loops by epoch; see ThreadContext.nextLoop
+	tasks          *taskPool     // lazily created under mu by pool()
 }
 
 // criticalFor returns the mutex guarding the named critical section,

@@ -614,8 +614,8 @@ func TestScheduleNames(t *testing.T) {
 		"steal,4":   Steal{Chunk: 4},
 	}
 	for want, s := range cases {
-		if got := s.name(); got != want {
-			t.Fatalf("name = %q, want %q", got, want)
+		if got := s.Name(); got != want {
+			t.Fatalf("Name = %q, want %q", got, want)
 		}
 	}
 }

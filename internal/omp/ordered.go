@@ -1,14 +1,5 @@
 package omp
 
-import "sync"
-
-// orderedState sequences the ordered sections of one loop.
-type orderedState struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	next int
-}
-
 // ForOrdered is the work-sharing loop with an ordered clause: iterations
 // run in parallel per the schedule, but each body may call ordered(f)
 // exactly once, and those f calls execute in ascending iteration order —
@@ -19,45 +10,30 @@ type orderedState struct {
 // iteration; skipping it stalls all higher iterations (as in OpenMP,
 // where an ordered loop requires the ordered region to be reached).
 func (tc *ThreadContext) ForOrdered(lo, hi int, sched Schedule, body func(i int, ordered func(f func()))) error {
-	st := tc.team.orderedFor(tc.loopCount)
-	// tc.For consumes the loop epoch and runs the distribution.
-	return tc.For(lo, hi, sched, func(i int) {
+	l, err := tc.nextLoop(lo, hi, sched)
+	if err != nil {
+		return err
+	}
+	return tc.run(l, lo, hi, sched, func(i int) {
 		called := false
 		body(i, func(f func()) {
 			if called {
 				panic("omp: ordered called twice in one iteration")
 			}
 			called = true
-			st.mu.Lock()
-			for st.next != i-lo {
-				st.cond.Wait()
+			l.mu.Lock()
+			for l.turn != i-lo {
+				l.cond.Wait()
 			}
-			st.mu.Unlock()
+			l.mu.Unlock()
 			f()
-			st.mu.Lock()
-			st.next++
-			st.cond.Broadcast()
-			st.mu.Unlock()
+			l.mu.Lock()
+			l.turn++
+			l.cond.Broadcast()
+			l.mu.Unlock()
 		})
 		if !called {
 			panic("omp: ordered not called in iteration")
 		}
 	})
-}
-
-// orderedFor returns the shared ordering state for the loop at the given
-// call epoch.
-func (tm *team) orderedFor(epoch int) *orderedState {
-	tm.orderedMu.Lock()
-	defer tm.orderedMu.Unlock()
-	if tm.ordered == nil {
-		tm.ordered = make(map[int]*orderedState)
-	}
-	st, ok := tm.ordered[epoch]
-	if !ok {
-		st = &orderedState{}
-		st.cond = sync.NewCond(&st.mu)
-		tm.ordered[epoch] = st
-	}
-	return st
 }

@@ -1,9 +1,6 @@
 package omp
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // ForReduce is the reduction-clause loop ("when loops have
 // dependencies"): iterations are distributed per the schedule, each
@@ -24,32 +21,13 @@ func ForReduce[T any](lo, hi int, sched Schedule, identity T,
 	if combine == nil || body == nil {
 		return zero, fmt.Errorf("omp: ForReduce requires combine and body")
 	}
-	var (
-		mu       sync.Mutex
-		partials map[int]T
-	)
-	err := Parallel(func(tc *ThreadContext) {
-		acc := identity
-		ferr := tc.For(lo, hi, sched, func(i int) {
-			acc = body(i, acc)
-		})
-		if ferr != nil {
-			panic(ferr)
-		}
-		mu.Lock()
-		if partials == nil {
-			partials = make(map[int]T)
-		}
-		partials[tc.ThreadNum()] = acc
-		mu.Unlock()
-	}, opts...)
+	parts, err := partials(lo, hi, sched, identity, body, opts)
 	if err != nil {
 		return zero, err
 	}
 	result := identity
-	n := len(partials)
-	for tid := 0; tid < n; tid++ {
-		result = combine(result, partials[tid])
+	for _, p := range parts {
+		result = combine(result, p)
 	}
 	return result, nil
 }
@@ -63,31 +41,9 @@ func ForReduceTree[T any](lo, hi int, sched Schedule, identity T,
 	if combine == nil || body == nil {
 		return zero, fmt.Errorf("omp: ForReduceTree requires combine and body")
 	}
-	var (
-		mu       sync.Mutex
-		partials map[int]T
-	)
-	err := Parallel(func(tc *ThreadContext) {
-		acc := identity
-		ferr := tc.For(lo, hi, sched, func(i int) {
-			acc = body(i, acc)
-		})
-		if ferr != nil {
-			panic(ferr)
-		}
-		mu.Lock()
-		if partials == nil {
-			partials = make(map[int]T)
-		}
-		partials[tc.ThreadNum()] = acc
-		mu.Unlock()
-	}, opts...)
+	level, err := partials(lo, hi, sched, identity, body, opts)
 	if err != nil {
 		return zero, err
-	}
-	level := make([]T, len(partials))
-	for tid := 0; tid < len(partials); tid++ {
-		level[tid] = partials[tid]
 	}
 	for len(level) > 1 {
 		next := make([]T, 0, (len(level)+1)/2)
@@ -104,6 +60,26 @@ func ForReduceTree[T any](lo, hi int, sched Schedule, identity T,
 		return identity, nil
 	}
 	return combine(identity, level[0]), nil
+}
+
+// partials runs the reduction loop on a team and returns each thread's
+// private accumulator in thread order. Thread 0 sizes the slice before
+// the loop and thread tid writes only slot tid after the loop's
+// barrier, so the slots need no lock.
+func partials[T any](lo, hi int, sched Schedule, identity T,
+	body func(i int, acc T) T, opts []Option) ([]T, error) {
+	var out []T
+	err := Parallel(func(tc *ThreadContext) {
+		if tc.ThreadNum() == 0 {
+			out = make([]T, tc.NumThreads())
+		}
+		acc := identity
+		if err := tc.For(lo, hi, sched, func(i int) { acc = body(i, acc) }); err != nil {
+			panic(err)
+		}
+		out[tc.ThreadNum()] = acc
+	}, opts...)
+	return out, err
 }
 
 // ForReduceCritical folds every iteration straight into one shared

@@ -21,8 +21,9 @@ func TestStealScheduleValidation(t *testing.T) {
 // behind the steal schedule: whatever the team size and however steals
 // interleave, every claim starts on an absolute Chunk boundary, so the
 // set of claim starts — the (epoch, start) fault-injection keys — is
-// exactly {0, c, 2c, ...} for every run. White-box: drives newRunner
-// directly so the claims themselves are observable.
+// exactly {0, c, 2c, ...} for every run. White-box: drives the
+// schedule's dispatcher from one goroutine per thread so the claims
+// themselves are observable.
 func TestStealClaimStartsGrainAligned(t *testing.T) {
 	for _, shape := range []struct{ count, chunk, threads int }{
 		{100, 10, 1}, {100, 10, 4}, {97, 8, 3}, {1000, 16, 8}, {5, 3, 6},
@@ -30,15 +31,17 @@ func TestStealClaimStartsGrainAligned(t *testing.T) {
 		var mu sync.Mutex
 		var starts []int
 		covered := make([]int, shape.count)
-		sh := new(loopShared)
+		d, err := NewDispatcher(Steal{Chunk: shape.chunk}, shape.count, shape.threads)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var wg sync.WaitGroup
 		for tid := 0; tid < shape.threads; tid++ {
 			wg.Add(1)
 			go func(tid int) {
 				defer wg.Done()
-				next := Steal{Chunk: shape.chunk}.newRunner(shape.count, tid, shape.threads, sh)
 				for {
-					start, length := next()
+					start, length := d.Next(tid)
 					if length == 0 {
 						return
 					}

@@ -141,18 +141,7 @@ func LoopSchedulingTrace(n, nThreads int, sched omp.Schedule) (LoopAssignment, e
 	if err != nil {
 		return LoopAssignment{}, err
 	}
-	switch s := sched.(type) {
-	case omp.Static:
-		la.Schedule = "static"
-	case omp.StaticChunk:
-		la.Schedule = fmt.Sprintf("static,%d", s.Chunk)
-	case omp.Dynamic:
-		la.Schedule = fmt.Sprintf("dynamic,%d", s.Chunk)
-	case omp.Guided:
-		la.Schedule = fmt.Sprintf("guided,%d", s.MinChunk)
-	default:
-		la.Schedule = "unknown"
-	}
+	la.Schedule = sched.Name()
 	return la, nil
 }
 

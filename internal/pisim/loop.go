@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"pblparallel/internal/obs"
+	"pblparallel/internal/omp"
 )
 
 // loopSeq allocates trace lanes: each traced loop simulation claims a
@@ -18,132 +19,9 @@ var loopSeq atomic.Uint32
 var loopsRun = obs.Metrics().Counter("pisim_loops_total",
 	"Work-sharing loops simulated (RunLoop and RunSequential).")
 
-// Policy selects how loop iterations map onto cores, mirroring the
-// schedules of the omp runtime but evaluated in virtual time.
-type Policy interface {
-	// Name labels the policy in results and bench output.
-	Name() string
-	// chunks partitions n iterations into dispatch units. For static
-	// policies the core assignment is fixed (Core >= 0); for dynamic
-	// policies Core is -1 and the simulator assigns greedily.
-	chunks(n, cores int) []chunk
-}
-
-// chunk is one dispatch unit: iterations [Start, Start+Len).
-type chunk struct {
-	Start, Len int
-	Core       int // -1 = first available core
-}
-
-// StaticPolicy is the default OpenMP schedule: one contiguous
-// near-equal block per core.
-type StaticPolicy struct{}
-
-// Name implements Policy.
-func (StaticPolicy) Name() string { return "static" }
-
-func (StaticPolicy) chunks(n, cores int) []chunk {
-	base, extra := n/cores, n%cores
-	out := make([]chunk, 0, cores)
-	start := 0
-	for c := 0; c < cores; c++ {
-		l := base
-		if c < extra {
-			l++
-		}
-		if l == 0 {
-			continue
-		}
-		out = append(out, chunk{Start: start, Len: l, Core: c})
-		start += l
-	}
-	return out
-}
-
-// StaticChunkPolicy deals fixed-size chunks round-robin —
-// schedule(static, Chunk).
-type StaticChunkPolicy struct{ Chunk int }
-
-// Name implements Policy.
-func (p StaticChunkPolicy) Name() string { return fmt.Sprintf("static,%d", p.Chunk) }
-
-func (p StaticChunkPolicy) chunks(n, cores int) []chunk {
-	var out []chunk
-	for i, start := 0, 0; start < n; i, start = i+1, start+p.Chunk {
-		l := p.Chunk
-		if start+l > n {
-			l = n - start
-		}
-		out = append(out, chunk{Start: start, Len: l, Core: i % cores})
-	}
-	return out
-}
-
-// DynamicPolicy hands fixed-size chunks to whichever core frees first —
-// schedule(dynamic, Chunk).
-type DynamicPolicy struct{ Chunk int }
-
-// Name implements Policy.
-func (p DynamicPolicy) Name() string { return fmt.Sprintf("dynamic,%d", p.Chunk) }
-
-func (p DynamicPolicy) chunks(n, cores int) []chunk {
-	var out []chunk
-	for start := 0; start < n; start += p.Chunk {
-		l := p.Chunk
-		if start+l > n {
-			l = n - start
-		}
-		out = append(out, chunk{Start: start, Len: l, Core: -1})
-	}
-	return out
-}
-
-// GuidedPolicy hands out shrinking chunks (remaining/2·cores, floored at
-// MinChunk) to the first free core — schedule(guided, MinChunk).
-type GuidedPolicy struct{ MinChunk int }
-
-// Name implements Policy.
-func (p GuidedPolicy) Name() string { return fmt.Sprintf("guided,%d", p.MinChunk) }
-
-func (p GuidedPolicy) chunks(n, cores int) []chunk {
-	var out []chunk
-	for start := 0; start < n; {
-		l := (n - start) / (2 * cores)
-		if l < p.MinChunk {
-			l = p.MinChunk
-		}
-		if start+l > n {
-			l = n - start
-		}
-		out = append(out, chunk{Start: start, Len: l, Core: -1})
-		start += l
-	}
-	return out
-}
-
-// validatePolicy rejects non-positive chunk sizes.
-func validatePolicy(p Policy) error {
-	switch v := p.(type) {
-	case nil:
-		return fmt.Errorf("pisim: nil policy")
-	case StaticChunkPolicy:
-		if v.Chunk < 1 {
-			return fmt.Errorf("pisim: static chunk %d < 1", v.Chunk)
-		}
-	case DynamicPolicy:
-		if v.Chunk < 1 {
-			return fmt.Errorf("pisim: dynamic chunk %d < 1", v.Chunk)
-		}
-	case GuidedPolicy:
-		if v.MinChunk < 1 {
-			return fmt.Errorf("pisim: guided min chunk %d < 1", v.MinChunk)
-		}
-	}
-	return nil
-}
-
 // LoopResult reports one simulated work-sharing loop.
 type LoopResult struct {
+	// Policy is the schedule's Name, or "sequential" for RunSequential.
 	Policy string
 	Cores  int
 	// Makespan is the virtual time from fork to after the barrier.
@@ -205,27 +83,30 @@ func (h coreHeap) Less(i, j int) bool {
 	}
 	return h[i].id < h[j].id
 }
-func (h coreHeap) Swap(i, j int)        { h[i], h[j] = h[j], h[i] }
-func (h *coreHeap) Push(x any)          { *h = append(*h, x.(coreState)) }
-func (h *coreHeap) Pop() any            { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h coreHeap) Peek() coreState      { return h[0] }
-func (h *coreHeap) Replace(c coreState) { (*h)[0] = c; heap.Fix(h, 0) }
+func (h coreHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *coreHeap) Push(x any)   { *h = append(*h, x.(coreState)) }
+
+// Pop drops the retired core without returning it, so retiring a core
+// does not box its state.
+func (h *coreHeap) Pop() any { *h = (*h)[:len(*h)-1]; return nil }
 
 // RunLoop simulates a work-sharing loop whose iteration i costs costs[i]
-// cycles, under the given policy, and returns the virtual-time result.
-func (m *Machine) RunLoop(costs []Cycles, policy Policy) (LoopResult, error) {
-	if err := validatePolicy(policy); err != nil {
-		return LoopResult{}, err
-	}
+// cycles under the schedule and returns the virtual-time result. It
+// replays the schedule's own omp dispatcher: the earliest-free core (ties
+// to the lowest id) asks it for that core's next chunk, runs it in
+// virtual time, and retires once the dispatcher has none left for it.
+func (m *Machine) RunLoop(costs []Cycles, s omp.Schedule) (LoopResult, error) {
 	for i, c := range costs {
 		if c < 0 {
 			return LoopResult{}, fmt.Errorf("pisim: negative cost at iteration %d", i)
 		}
 	}
 	cores := m.cfg.Cores
+	next, err := omp.NewDispatcher(s, len(costs), cores)
+	if err != nil {
+		return LoopResult{}, err
+	}
 	factor := m.contentionFactor(cores)
-	chunks := policy.chunks(len(costs), cores)
-	busy := make([]Cycles, cores)
 	loopsRun.Inc()
 
 	// Tracing maps the simulation's virtual clock onto trace timelines:
@@ -239,16 +120,6 @@ func (m *Machine) RunLoop(costs []Cycles, policy Policy) (LoopResult, error) {
 		base = loopSeq.Add(uint32(cores)+1) - uint32(cores)
 	}
 	laneOf := func(core int) uint32 { return base + 1 + uint32(core) }
-	emitChunk := func(ch chunk, core int, start, cost Cycles) {
-		if tr == nil {
-			return
-		}
-		tr.SpanAt(obs.PIDPisim, laneOf(core), "pisim", "chunk", m.Duration(start)).
-			Trace(m.tc).
-			Int("iter_start", int64(ch.Start)).Int("iter_len", int64(ch.Len)).
-			Int("cycles", int64(cost)).
-			EndAt(m.Duration(cost))
-	}
 	// Injected per-core slowdowns (nil when fault injection is off): the
 	// multiplier stretches every chunk the core executes, in virtual
 	// time, without touching any other core's schedule.
@@ -258,45 +129,36 @@ func (m *Machine) RunLoop(costs []Cycles, policy Policy) (LoopResult, error) {
 	for i, c := range costs {
 		prefix[i+1] = prefix[i] + c
 	}
-	chunkCost := func(ch chunk, core int) Cycles {
-		work := prefix[ch.Start+ch.Len] - prefix[ch.Start]
-		f := factor
-		if slow != nil {
-			f *= slow[core]
-		}
-		return Cycles(float64(work)*f) + m.cfg.DispatchOverhead
-	}
-	// Static assignments accumulate directly; dynamic ones go through
-	// the availability heap in chunk order (the order a shared ticket
-	// counter would release them).
-	h := make(coreHeap, cores)
+	busy := make([]Cycles, cores)
+	h := make(coreHeap, cores) // all free at 0 in id order: already a heap
 	for i := range h {
 		h[i] = coreState{id: i}
 	}
-	heap.Init(&h)
-	for _, ch := range chunks {
-		if ch.Core >= 0 {
-			cost := chunkCost(ch, ch.Core)
-			emitChunk(ch, ch.Core, busy[ch.Core], cost)
-			busy[ch.Core] += cost
-		}
-	}
-	// Seed heap with static busy times so mixed policies would compose;
-	// for purely static policies the loop below is a no-op.
-	for i := range h {
-		h[i].free = busy[h[i].id]
-	}
-	heap.Init(&h)
-	for _, ch := range chunks {
-		if ch.Core >= 0 {
+	chunks := 0
+	for len(h) > 0 {
+		c := h[0]
+		start, n := next.Next(c.id)
+		if n == 0 {
+			heap.Pop(&h)
 			continue
 		}
-		c := h.Peek()
-		cost := chunkCost(ch, c.id)
-		emitChunk(ch, c.id, c.free, cost)
-		busy[c.id] += cost
+		f := factor
+		if slow != nil {
+			f *= slow[c.id]
+		}
+		cost := Cycles(float64(prefix[start+n]-prefix[start])*f) + m.cfg.DispatchOverhead
+		if tr != nil {
+			tr.SpanAt(obs.PIDPisim, laneOf(c.id), "pisim", "chunk", m.Duration(c.free)).
+				Trace(m.tc).
+				Int("iter_start", int64(start)).Int("iter_len", int64(n)).
+				Int("cycles", int64(cost)).
+				EndAt(m.Duration(cost))
+		}
 		c.free += cost
-		h.Replace(c)
+		busy[c.id] = c.free
+		h[0] = c
+		heap.Fix(&h, 0)
+		chunks++
 	}
 	var maxBusy Cycles
 	for _, b := range busy {
@@ -305,6 +167,7 @@ func (m *Machine) RunLoop(costs []Cycles, policy Policy) (LoopResult, error) {
 		}
 	}
 	makespan := maxBusy + m.cfg.BarrierCost
+	name := s.Name()
 	if tr != nil {
 		for id, b := range busy {
 			if b < maxBusy {
@@ -314,19 +177,19 @@ func (m *Machine) RunLoop(costs []Cycles, policy Policy) (LoopResult, error) {
 			tr.SpanAt(obs.PIDPisim, laneOf(id), "pisim", "barrier", m.Duration(maxBusy)).
 				Trace(m.tc).EndAt(m.Duration(m.cfg.BarrierCost))
 		}
-		tr.SpanAt(obs.PIDPisim, base, "pisim", "loop."+policy.Name(), 0).
+		tr.SpanAt(obs.PIDPisim, base, "pisim", "loop."+name, 0).
 			Trace(m.tc).
-			Int("cores", int64(cores)).Int("chunks", int64(len(chunks))).
+			Int("cores", int64(cores)).Int("chunks", int64(chunks)).
 			Int("makespan_cycles", int64(makespan)).
 			EndAt(m.Duration(makespan))
 	}
 	return LoopResult{
-		Policy:         policy.Name(),
+		Policy:         name,
 		Cores:          cores,
 		Makespan:       makespan,
 		CoreBusy:       busy,
 		SequentialCost: prefix[len(costs)],
-		Chunks:         len(chunks),
+		Chunks:         chunks,
 	}, nil
 }
 

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"pblparallel/internal/omp"
 )
 
 func pi(t testing.TB) *Machine {
@@ -75,7 +77,7 @@ func TestStaticUniformSpeedup(t *testing.T) {
 	// overheads and contention.
 	m := pi(t)
 	costs := UniformCosts(4000, 1000)
-	r, err := m.RunLoop(costs, StaticPolicy{})
+	r, err := m.RunLoop(costs, omp.Static{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +99,11 @@ func TestDynamicBeatsStaticOnSkew(t *testing.T) {
 	// lesson the scheduling patternlet teaches.
 	m := pi(t)
 	costs := SkewedCosts(400, 100, 50)
-	stat, err := m.RunLoop(costs, StaticPolicy{})
+	stat, err := m.RunLoop(costs, omp.Static{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := m.RunLoop(costs, DynamicPolicy{Chunk: 1})
+	dyn, err := m.RunLoop(costs, omp.Dynamic{Chunk: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +119,11 @@ func TestStaticChunkRoundRobinHelpsSkew(t *testing.T) {
 	// Round-robin small chunks also mitigate linear skew vs one block.
 	m := pi(t)
 	costs := SkewedCosts(400, 100, 50)
-	block, err := m.RunLoop(costs, StaticPolicy{})
+	block, err := m.RunLoop(costs, omp.Static{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := m.RunLoop(costs, StaticChunkPolicy{Chunk: 1})
+	rr, err := m.RunLoop(costs, omp.StaticChunk{Chunk: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +137,11 @@ func TestFinerDynamicChunksCostMoreOverheadOnUniform(t *testing.T) {
 	// chunk 3 — the overhead-vs-balance tradeoff of Assignment 3.
 	m := pi(t)
 	costs := UniformCosts(1200, 500)
-	c1, err := m.RunLoop(costs, DynamicPolicy{Chunk: 1})
+	c1, err := m.RunLoop(costs, omp.Dynamic{Chunk: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c3, err := m.RunLoop(costs, DynamicPolicy{Chunk: 3})
+	c3, err := m.RunLoop(costs, omp.Dynamic{Chunk: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +156,11 @@ func TestFinerDynamicChunksCostMoreOverheadOnUniform(t *testing.T) {
 func TestGuidedFewerChunksThanDynamicOne(t *testing.T) {
 	m := pi(t)
 	costs := UniformCosts(1000, 500)
-	g, err := m.RunLoop(costs, GuidedPolicy{MinChunk: 1})
+	g, err := m.RunLoop(costs, omp.Guided{MinChunk: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := m.RunLoop(costs, DynamicPolicy{Chunk: 1})
+	d, err := m.RunLoop(costs, omp.Dynamic{Chunk: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,23 +174,23 @@ func TestRunLoopValidation(t *testing.T) {
 	if _, err := m.RunLoop(UniformCosts(5, 1), nil); err == nil {
 		t.Fatal("nil policy accepted")
 	}
-	if _, err := m.RunLoop(UniformCosts(5, 1), DynamicPolicy{}); err == nil {
+	if _, err := m.RunLoop(UniformCosts(5, 1), omp.Dynamic{}); err == nil {
 		t.Fatal("zero chunk accepted")
 	}
-	if _, err := m.RunLoop(UniformCosts(5, 1), StaticChunkPolicy{}); err == nil {
+	if _, err := m.RunLoop(UniformCosts(5, 1), omp.StaticChunk{}); err == nil {
 		t.Fatal("zero static chunk accepted")
 	}
-	if _, err := m.RunLoop(UniformCosts(5, 1), GuidedPolicy{}); err == nil {
+	if _, err := m.RunLoop(UniformCosts(5, 1), omp.Guided{}); err == nil {
 		t.Fatal("zero guided chunk accepted")
 	}
-	if _, err := m.RunLoop([]Cycles{1, -2}, StaticPolicy{}); err == nil {
+	if _, err := m.RunLoop([]Cycles{1, -2}, omp.Static{}); err == nil {
 		t.Fatal("negative cost accepted")
 	}
 }
 
 func TestEmptyLoop(t *testing.T) {
 	m := pi(t)
-	r, err := m.RunLoop(nil, StaticPolicy{})
+	r, err := m.RunLoop(nil, omp.Static{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,9 +202,13 @@ func TestEmptyLoop(t *testing.T) {
 	}
 }
 
-// Property: every policy conserves work — total busy time equals the
-// contention-scaled work plus per-chunk overhead; and makespan is at
-// least busy_max and at most sequential-with-overheads.
+// Property: every schedule conserves work — total busy time equals the
+// contention-scaled work plus per-chunk overhead, summed over the
+// schedule's chunks; and makespan is busy_max plus the barrier. The
+// expected chunks come from draining a fresh dispatcher thread by
+// thread, an order RunLoop never uses: every schedule's chunk set is
+// the same in any claim order (steal's splits stay on chunk
+// boundaries).
 func TestLoopConservationProperty(t *testing.T) {
 	m := pi(t)
 	f := func(nRaw, chunkRaw, kind uint8, seed int64) bool {
@@ -214,16 +220,18 @@ func TestLoopConservationProperty(t *testing.T) {
 			v = v*6364136223846793005 + 1442695040888963407
 			costs[i] = Cycles((v>>33)%1000) + 1
 		}
-		var pol Policy
-		switch kind % 4 {
+		var pol omp.Schedule
+		switch kind % 5 {
 		case 0:
-			pol = StaticPolicy{}
+			pol = omp.Static{}
 		case 1:
-			pol = StaticChunkPolicy{Chunk: chunkSize}
+			pol = omp.StaticChunk{Chunk: chunkSize}
 		case 2:
-			pol = DynamicPolicy{Chunk: chunkSize}
+			pol = omp.Dynamic{Chunk: chunkSize}
+		case 3:
+			pol = omp.Guided{MinChunk: chunkSize}
 		default:
-			pol = GuidedPolicy{MinChunk: chunkSize}
+			pol = omp.Steal{Chunk: chunkSize}
 		}
 		r, err := m.RunLoop(costs, pol)
 		if err != nil {
@@ -237,30 +245,38 @@ func TestLoopConservationProperty(t *testing.T) {
 			}
 		}
 		factor := 1 + float64(m.Cores()-1)*m.Config().MemoryContention
-		// Work conservation within rounding: each chunk rounds its
-		// scaled cost down once.
-		scaledWork := Cycles(0)
-		// Recompute per-chunk to match simulator rounding exactly.
-		chunks := pol.(interface {
-			chunks(n, cores int) []chunk
-		}).chunks(len(costs), m.Cores())
 		prefix := make([]Cycles, len(costs)+1)
 		for i, c := range costs {
 			prefix[i+1] = prefix[i] + c
 		}
-		for _, ch := range chunks {
-			work := prefix[ch.Start+ch.Len] - prefix[ch.Start]
-			scaledWork += Cycles(float64(work)*factor) + m.Config().DispatchOverhead
+		// Work conservation within rounding: each chunk rounds its
+		// scaled cost down once.
+		d, err := omp.NewDispatcher(pol, len(costs), m.Cores())
+		if err != nil {
+			return false
 		}
-		if busyTotal != scaledWork {
+		var scaledWork Cycles
+		chunks, covered := 0, 0
+		for tid := 0; tid < m.Cores(); tid++ {
+			for {
+				start, l := d.Next(tid)
+				if l == 0 {
+					break
+				}
+				scaledWork += Cycles(float64(prefix[start+l]-prefix[start])*factor) + m.Config().DispatchOverhead
+				chunks++
+				covered += l
+			}
+		}
+		if covered != n || busyTotal != scaledWork {
 			return false
 		}
 		if r.Makespan != busyMax+m.Config().BarrierCost {
 			return false
 		}
-		return r.Chunks == len(chunks)
+		return r.Chunks == chunks
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -268,12 +284,12 @@ func TestLoopConservationProperty(t *testing.T) {
 func TestLoopDeterminism(t *testing.T) {
 	m := pi(t)
 	costs := SkewedCosts(500, 10, 7)
-	a, err := m.RunLoop(costs, GuidedPolicy{MinChunk: 2})
+	a, err := m.RunLoop(costs, omp.Guided{MinChunk: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		b, err := m.RunLoop(costs, GuidedPolicy{MinChunk: 2})
+		b, err := m.RunLoop(costs, omp.Guided{MinChunk: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +309,7 @@ func TestMoreCoresFasterUniform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := m.RunLoop(costs, StaticPolicy{})
+		r, err := m.RunLoop(costs, omp.Static{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,30 +326,16 @@ func TestContentionReducesSpeedup(t *testing.T) {
 	noContention.MemoryContention = 0
 	m0, _ := NewMachine(noContention)
 	m1 := pi(t)
-	r0, err := m0.RunLoop(costs, StaticPolicy{})
+	r0, err := m0.RunLoop(costs, omp.Static{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := m1.RunLoop(costs, StaticPolicy{})
+	r1, err := m1.RunLoop(costs, omp.Static{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Speedup() >= r0.Speedup() {
 		t.Fatalf("contended speedup %.3f not below uncontended %.3f", r1.Speedup(), r0.Speedup())
-	}
-}
-
-func TestPolicyNames(t *testing.T) {
-	cases := map[string]Policy{
-		"static":    StaticPolicy{},
-		"static,2":  StaticChunkPolicy{Chunk: 2},
-		"dynamic,3": DynamicPolicy{Chunk: 3},
-		"guided,2":  GuidedPolicy{MinChunk: 2},
-	}
-	for want, p := range cases {
-		if got := p.Name(); got != want {
-			t.Fatalf("Name = %q, want %q", got, want)
-		}
 	}
 }
 

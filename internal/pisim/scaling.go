@@ -1,6 +1,10 @@
 package pisim
 
-import "fmt"
+import (
+	"fmt"
+
+	"pblparallel/internal/omp"
+)
 
 // ScalingPoint is one core count's result in a scaling study.
 type ScalingPoint struct {
@@ -13,10 +17,10 @@ type ScalingPoint struct {
 }
 
 // StrongScaling runs the same workload on growing machines (1..maxCores
-// with the base config's overheads) under the policy — the classic
+// with the base config's overheads) under the schedule — the classic
 // fixed-problem-size curve behind "what applications benefit from
 // multi-core?".
-func StrongScaling(base Config, costs []Cycles, policy Policy, coreCounts []int) ([]ScalingPoint, error) {
+func StrongScaling(base Config, costs []Cycles, s omp.Schedule, coreCounts []int) ([]ScalingPoint, error) {
 	if len(coreCounts) == 0 {
 		return nil, fmt.Errorf("pisim: no core counts")
 	}
@@ -29,7 +33,7 @@ func StrongScaling(base Config, costs []Cycles, policy Policy, coreCounts []int)
 		if err != nil {
 			return nil, err
 		}
-		r, err := m.RunLoop(costs, policy)
+		r, err := m.RunLoop(costs, s)
 		if err != nil {
 			return nil, err
 		}
@@ -42,7 +46,7 @@ func StrongScaling(base Config, costs []Cycles, policy Policy, coreCounts []int)
 		if err != nil {
 			return nil, err
 		}
-		r, err := m.RunLoop(costs, policy)
+		r, err := m.RunLoop(costs, s)
 		if err != nil {
 			return nil, err
 		}
@@ -65,7 +69,7 @@ func StrongScaling(base Config, costs []Cycles, policy Policy, coreCounts []int)
 // keeps makespan flat; the returned Speedup field holds the "scaled
 // speedup" (1-core makespan of the *scaled* problem over the parallel
 // makespan), Gustafson's quantity.
-func WeakScaling(base Config, perCore int, cost Cycles, policy Policy, coreCounts []int) ([]ScalingPoint, error) {
+func WeakScaling(base Config, perCore int, cost Cycles, s omp.Schedule, coreCounts []int) ([]ScalingPoint, error) {
 	if perCore < 1 || cost < 0 {
 		return nil, fmt.Errorf("pisim: bad weak-scaling workload (%d per core, cost %d)", perCore, cost)
 	}
@@ -81,7 +85,7 @@ func WeakScaling(base Config, perCore int, cost Cycles, policy Policy, coreCount
 		if err != nil {
 			return nil, err
 		}
-		r, err := m.RunLoop(costs, policy)
+		r, err := m.RunLoop(costs, s)
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +95,7 @@ func WeakScaling(base Config, perCore int, cost Cycles, policy Policy, coreCount
 		if err != nil {
 			return nil, err
 		}
-		r1, err := m1.RunLoop(costs, policy)
+		r1, err := m1.RunLoop(costs, s)
 		if err != nil {
 			return nil, err
 		}

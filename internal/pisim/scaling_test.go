@@ -1,10 +1,14 @@
 package pisim
 
-import "testing"
+import (
+	"testing"
+
+	"pblparallel/internal/omp"
+)
 
 func TestStrongScalingCurve(t *testing.T) {
 	costs := UniformCosts(4096, 1000)
-	points, err := StrongScaling(PaperPi3B(), costs, StaticPolicy{}, []int{1, 2, 4, 8})
+	points, err := StrongScaling(PaperPi3B(), costs, omp.Static{}, []int{1, 2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +37,7 @@ func TestStrongScalingCurve(t *testing.T) {
 }
 
 func TestWeakScalingFlatMakespan(t *testing.T) {
-	points, err := WeakScaling(PaperPi3B(), 256, 1000, StaticPolicy{}, []int{1, 2, 4})
+	points, err := WeakScaling(PaperPi3B(), 256, 1000, omp.Static{}, []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,22 +58,22 @@ func TestWeakScalingFlatMakespan(t *testing.T) {
 }
 
 func TestScalingValidation(t *testing.T) {
-	if _, err := StrongScaling(PaperPi3B(), UniformCosts(4, 1), StaticPolicy{}, nil); err == nil {
+	if _, err := StrongScaling(PaperPi3B(), UniformCosts(4, 1), omp.Static{}, nil); err == nil {
 		t.Fatal("empty core list accepted")
 	}
 	if _, err := StrongScaling(PaperPi3B(), UniformCosts(4, 1), nil, []int{1}); err == nil {
 		t.Fatal("nil policy accepted")
 	}
-	if _, err := StrongScaling(PaperPi3B(), UniformCosts(4, 1), StaticPolicy{}, []int{0}); err == nil {
+	if _, err := StrongScaling(PaperPi3B(), UniformCosts(4, 1), omp.Static{}, []int{0}); err == nil {
 		t.Fatal("zero cores accepted")
 	}
-	if _, err := WeakScaling(PaperPi3B(), 0, 1, StaticPolicy{}, []int{1}); err == nil {
+	if _, err := WeakScaling(PaperPi3B(), 0, 1, omp.Static{}, []int{1}); err == nil {
 		t.Fatal("zero per-core accepted")
 	}
-	if _, err := WeakScaling(PaperPi3B(), 4, -1, StaticPolicy{}, []int{1}); err == nil {
+	if _, err := WeakScaling(PaperPi3B(), 4, -1, omp.Static{}, []int{1}); err == nil {
 		t.Fatal("negative cost accepted")
 	}
-	if _, err := WeakScaling(PaperPi3B(), 4, 1, StaticPolicy{}, nil); err == nil {
+	if _, err := WeakScaling(PaperPi3B(), 4, 1, omp.Static{}, nil); err == nil {
 		t.Fatal("empty core list accepted")
 	}
 }
@@ -79,7 +83,7 @@ func TestStrongScalingAmdahlCeiling(t *testing.T) {
 	// speedup no matter the cores: Amdahl's law in the simulator.
 	costs := UniformCosts(1000, 100)
 	costs[0] = 50000 // the serial chunk: half the total work
-	points, err := StrongScaling(PaperPi3B(), costs, DynamicPolicy{Chunk: 1}, []int{1, 4, 16, 64})
+	points, err := StrongScaling(PaperPi3B(), costs, omp.Dynamic{Chunk: 1}, []int{1, 4, 16, 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,14 +38,13 @@ const MaxIndexCount = 1<<31 - 1
 
 // NewIndexPool partitions [0, count) into parts contiguous
 // grain-aligned shares. count must be at most MaxIndexCount; grain and
-// parts are clamped to at least 1.
+// parts are clamped to at least 1, and grain to at most count, so the
+// chunk arithmetic cannot overflow.
 func NewIndexPool(count, parts, grain int) *IndexPool {
 	if count < 0 || count > MaxIndexCount {
 		panic(fmt.Sprintf("sched: index pool count %d out of range", count))
 	}
-	if grain < 1 {
-		grain = 1
-	}
+	grain = min(max(grain, 1), max(count, 1))
 	if parts < 1 {
 		parts = 1
 	}

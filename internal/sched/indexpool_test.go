@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,7 @@ func TestIndexPoolExactlyOnce(t *testing.T) {
 	shapes := []struct{ count, parts, grain int }{
 		{0, 1, 1}, {1, 1, 1}, {1, 8, 1}, {7, 3, 1}, {100, 4, 1},
 		{100, 4, 7}, {1000, 8, 3}, {1000, 2, 1000}, {64, 64, 1},
-		{9973, 5, 16},
+		{9973, 5, 16}, {10, 4, math.MaxInt},
 	}
 	for _, sh := range shapes {
 		p := NewIndexPool(sh.count, sh.parts, sh.grain)
