@@ -153,7 +153,7 @@ GATED_BENCH = { $(GO) test ./internal/fault/ -bench . -benchmem -count $(BENCH_C
   $(GO) test ./internal/obs/ -bench 'Span|Hist' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
   $(GO) test ./internal/obs/flightrec/ -bench Event -benchmem -count $(BENCH_COUNT) -run '^$$' && \
   $(GO) test ./internal/obs/prof/ -bench . -benchmem -count $(BENCH_COUNT) -run '^$$' && \
-  $(GO) test ./internal/sched/ -bench 'DequeOwner|IndexPoolNext|StealOverhead|Introspect' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
+  $(GO) test ./internal/sched/ -bench 'IndexPoolNext|StealOverhead|Introspect' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
   $(GO) test ./internal/stats/ -bench 'MomentsAdd|MomentsMerge|CoMomentsAdd' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
   $(GO) test ./internal/store/ -bench 'DiskHit|Compress|Decompress' -benchmem -count $(BENCH_COUNT) -run '^$$' && \
   $(GO) test ./internal/obs/tsdb/ -bench 'TSDBAppend|TSDBQuery' -benchmem -count $(BENCH_COUNT) -run '^$$' && \

@@ -77,20 +77,25 @@ func WithSeed(seed int64) Option {
 	return func(s *Study) { s.cfg.Seed = seed }
 }
 
-// WithCohortSize overrides the cohort size, deriving the gender
-// composition the same way the paper's cohort scales: n/5 females
-// overall, n/10 of them in section 1. The derivation floors at zero for
-// small n, which would silently produce an all-male cohort — so sizes
-// that would do that are rejected here instead.
+// ScaleCohort sizes c to n students with the gender composition the
+// paper's cohort scales by: n/5 females overall, n/10 of them in
+// section 1. The derivation floors at zero for small n, which would
+// silently produce an all-male cohort — so sizes that would do that are
+// rejected instead, leaving c unchanged.
+func ScaleCohort(c *cohort.Config, n int) error {
+	if n%2 != 0 || n < 10 {
+		return fmt.Errorf("core: cohort size %d: must be even and >= 10 so the derived female counts (n/5 overall, n/10 in section 1) stay positive", n)
+	}
+	c.NStudents, c.NFemale, c.Section1Females = n, n/5, n/10
+	return nil
+}
+
+// WithCohortSize overrides the cohort size through ScaleCohort.
 func WithCohortSize(n int) Option {
 	return func(s *Study) {
-		if n%2 != 0 || n < 10 {
-			s.fail(fmt.Errorf("core: cohort size %d: must be even and >= 10 so the derived female counts (n/5 overall, n/10 in section 1) stay positive", n))
-			return
+		if err := ScaleCohort(&s.cfg.Cohort, n); err != nil {
+			s.fail(err)
 		}
-		s.cfg.Cohort.NStudents = n
-		s.cfg.Cohort.NFemale = n / 5
-		s.cfg.Cohort.Section1Females = n / 10
 	}
 }
 

@@ -80,14 +80,14 @@ func TestPoolRunsEveryJob(t *testing.T) {
 	if got := ran.Load(); got != jobs {
 		t.Fatalf("ran %d jobs, want %d", got, jobs)
 	}
-	s := rt.Stats()
+	s := rt.Introspect()
 	if s.Submitted != jobs || s.Completed != jobs || s.InFlight != 0 || s.Queued != 0 {
 		t.Fatalf("stats after drain: %+v", s)
 	}
 }
 
 // TestPoolStatsConsistentUnderHammer: while submitters race admitted
-// jobs that each fan a Map out over the same runtime, every Stats
+// jobs that each fan a Map out over the same runtime, every Introspect
 // snapshot stays within the pool's own bounds. Region work run by the
 // workers must never leak into the admission columns.
 func TestPoolStatsConsistentUnderHammer(t *testing.T) {
@@ -118,7 +118,7 @@ func TestPoolStatsConsistentUnderHammer(t *testing.T) {
 	deadline := time.Now().Add(200 * time.Millisecond)
 	var snapshots int
 	for time.Now().Before(deadline) {
-		s := rt.Stats()
+		s := rt.Introspect()
 		snapshots++
 		if s.InFlight < 0 || s.InFlight > workers {
 			t.Fatalf("snapshot %d: InFlight %d outside [0, %d]: %+v", snapshots, s.InFlight, workers, s)

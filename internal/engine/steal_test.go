@@ -76,7 +76,7 @@ func TestMapStealsUnderImbalance(t *testing.T) {
 			t.Fatalf("index %d produced %d", i, v)
 		}
 	}
-	if got := rt.Stats().RangeSteals; got == 0 {
+	if got := rt.Introspect().RangeSteals; got == 0 {
 		t.Fatal("imbalanced region recorded no range steals")
 	}
 }

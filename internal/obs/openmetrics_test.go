@@ -232,9 +232,9 @@ func TestSchedGathererFamilies(t *testing.T) {
 	if total != 64 { // 1024 indices / grain 16 = 64 chunks, claimed exactly once
 		t.Fatalf("grain claims total = %g, want 64", total)
 	}
-	depth, ok := byName["sched_worker_deque_depth"]
-	if !ok || len(depth.Points) != 2 {
-		t.Fatalf("deque-depth points = %+v, want one per worker", depth)
+	parked, ok := byName["sched_worker_parked"]
+	if !ok || len(parked.Points) != 2 {
+		t.Fatalf("parked points = %+v, want one per worker", parked)
 	}
 	// The whole sched surface must render through both writers cleanly.
 	var om strings.Builder
@@ -244,7 +244,7 @@ func TestSchedGathererFamilies(t *testing.T) {
 	if _, sawEOF := parseExposition(t, om.String(), true); !sawEOF {
 		t.Fatal("sched exposition missing # EOF")
 	}
-	if !strings.Contains(om.String(), `sched_worker_steals_total{worker="external"}`) {
+	if !strings.Contains(om.String(), `sched_worker_grain_claims_total{worker="external"}`) {
 		t.Fatalf("external participant aggregate missing:\n%s", om.String())
 	}
 }

@@ -8,12 +8,11 @@ import (
 
 // SchedGatherer adapts a scheduler runtime's introspection snapshot
 // into metric families, giving the work-stealing internals a
-// Prometheus surface: per-worker deque depths and parked flags as
-// labeled gauges, per-worker steal/spawn/inline/park/claim ledgers as
-// labeled counters, and the runtime-wide totals. Attached non-worker
-// participants (Do callers, region-calling goroutines) aggregate under
-// worker="external". A nil runtime gathers nothing, so wiring is
-// unconditional.
+// Prometheus surface: per-worker parked flags as labeled gauges,
+// per-worker park/claim ledgers as labeled counters, and the
+// runtime-wide totals. The goroutines that call ParallelIndexed
+// aggregate under worker="external". A nil runtime gathers nothing, so
+// wiring is unconditional.
 func SchedGatherer(rt *sched.Runtime) Gatherer {
 	return GathererFunc(func() []Family {
 		if rt == nil {
@@ -42,12 +41,7 @@ func SchedGatherer(rt *sched.Runtime) Gatherer {
 		return []Family{
 			scalar("sched_workers", "Worker goroutines owned by the scheduler runtime.", "gauge", float64(snap.Workers)),
 			scalar("sched_active_regions", "Indexed parallel regions currently executing.", "gauge", float64(snap.ActiveRegions)),
-			scalar("sched_attached_participants", "Temporarily attached non-worker participants.", "gauge", float64(snap.Attached)),
 			scalar("sched_range_steals_total", "Index-range steals inside parallel regions.", "counter", float64(snap.RangeSteals)),
-			scalar("sched_spawned_total", "Tasks spawned onto deques.", "counter", float64(snap.Spawned)),
-			scalar("sched_inlined_total", "Tasks reclaimed and run inline by their spawner.", "counter", float64(snap.Inlined)),
-			perWorker("sched_worker_deque_depth", "Tasks currently on each worker's deque.", "gauge",
-				func(w sched.WorkerSnapshot) float64 { return float64(w.DequeDepth) }, false),
 			perWorker("sched_worker_parked", "Whether each worker is parked (1) or running (0).", "gauge",
 				func(w sched.WorkerSnapshot) float64 {
 					if w.Parked {
@@ -55,8 +49,6 @@ func SchedGatherer(rt *sched.Runtime) Gatherer {
 					}
 					return 0
 				}, false),
-			perWorker("sched_worker_steals_total", "Task-deque steals performed, by thief.", "counter",
-				func(w sched.WorkerSnapshot) float64 { return float64(w.Steals) }, true),
 			perWorker("sched_worker_grain_claims_total", "Grain-aligned index chunks claimed, by participant.", "counter",
 				func(w sched.WorkerSnapshot) float64 { return float64(w.GrainClaims) }, true),
 			perWorker("sched_worker_parks_total", "Times each worker parked with no visible work.", "counter",

@@ -79,15 +79,17 @@ func (tc *ThreadContext) Single(f func()) error {
 	tc.singleCount++
 	tm := tc.team
 	tm.singleMu.Lock()
-	if tm.singleEpoch == nil {
-		tm.singleEpoch = make(map[int]bool)
-	}
-	claimed := tm.singleEpoch[epoch]
-	if !claimed {
-		tm.singleEpoch[epoch] = true
+	arrived := tm.singleArrivals[epoch]
+	if arrived+1 == tm.n {
+		delete(tm.singleArrivals, epoch)
+	} else {
+		if tm.singleArrivals == nil {
+			tm.singleArrivals = make(map[int]int)
+		}
+		tm.singleArrivals[epoch] = arrived + 1
 	}
 	tm.singleMu.Unlock()
-	if !claimed {
+	if arrived == 0 {
 		if tr := obs.Default(); tr != nil {
 			sp := tr.Span(obs.PIDOMP, tc.lane, "omp", "single").Trace(tc.trace)
 			f()
@@ -99,6 +101,10 @@ func (tc *ThreadContext) Single(f func()) error {
 	return tc.Barrier()
 }
 
+// sectionTicket is one Sections construct's entry: the next block to
+// hand out, and how many members have found none left.
+type sectionTicket struct{ next, done int }
+
 // Sections distributes the given blocks over the team: each block runs
 // exactly once, on whichever thread claims it first, followed by an
 // implicit barrier. Every team member must call Sections with the same
@@ -109,18 +115,19 @@ func (tc *ThreadContext) Sections(blocks ...func()) error {
 	tm := tc.team
 	for {
 		tm.sectionsMu.Lock()
-		if tm.sectionTickets == nil {
-			tm.sectionTickets = make(map[int]*int)
+		st := tm.sectionTickets[epoch]
+		if st == nil {
+			st = &sectionTicket{}
+			if tm.sectionTickets == nil {
+				tm.sectionTickets = make(map[int]*sectionTicket)
+			}
+			tm.sectionTickets[epoch] = st
 		}
-		next, ok := tm.sectionTickets[epoch]
-		if !ok {
-			v := 0
-			next = &v
-			tm.sectionTickets[epoch] = next
-		}
-		i := *next
+		i := st.next
 		if i < len(blocks) {
-			*next = i + 1
+			st.next++
+		} else if st.done++; st.done == tm.n {
+			delete(tm.sectionTickets, epoch)
 		}
 		tm.sectionsMu.Unlock()
 		if i >= len(blocks) {

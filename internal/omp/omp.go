@@ -102,7 +102,8 @@ func (e *RegionPanicError) Unwrap() error {
 // Parallel runs body on every member of a freshly forked team and joins
 // them all before returning — the fork-join patternlet. body receives the
 // thread's context (thread number, team size, and the work-sharing and
-// synchronization constructs).
+// synchronization constructs). As in OpenMP, every explicit task the
+// region created, awaited or not, has run when Parallel returns.
 //
 // If any team member panics, Parallel recovers the panic, lets the other
 // members finish, and returns a *RegionPanicError for the lowest-numbered
@@ -155,7 +156,9 @@ func Parallel(body func(tc *ThreadContext), opts ...Option) error {
 					tm.barrier.Break()
 				}
 			}()
-			body(&ThreadContext{tid: tid, team: tm, lane: lane, trace: tsp.TraceCtx()})
+			tc := &ThreadContext{tid: tid, team: tm, lane: lane, trace: tsp.TraceCtx()}
+			body(tc)
+			tc.drainTasks()
 		}(tid)
 	}
 	wg.Wait()
@@ -186,11 +189,14 @@ type team struct {
 	mu       sync.Mutex
 	critical map[string]*sync.Mutex
 
-	// single / sections bookkeeping, keyed by per-thread call epoch.
+	// single / sections / loop bookkeeping, keyed by per-thread call
+	// epoch. Each entry counts the members that have taken it, and the
+	// n-th deletes it, so the tables hold only constructs some member
+	// has yet to reach.
 	singleMu       sync.Mutex
-	singleEpoch    map[int]bool
+	singleArrivals map[int]int
 	sectionsMu     sync.Mutex
-	sectionTickets map[int]*int
+	sectionTickets map[int]*sectionTicket
 	loopMu         sync.Mutex
 	loops          map[int]*loop // work-sharing loops by epoch; see ThreadContext.nextLoop
 	tasks          *taskPool     // lazily created under mu by pool()

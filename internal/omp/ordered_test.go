@@ -167,3 +167,53 @@ func TestForOrderedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConstructTablesEmptyAfterRegionWork: the team's per-epoch tables
+// drop each For, ForOrdered, Single and Sections entry once every member
+// has taken it, so a long region does not accumulate them, and
+// ForOrdered still runs its ordered sections in order.
+func TestConstructTablesEmptyAfterRegionWork(t *testing.T) {
+	const rounds, n = 1000, 16
+	var order []int
+	var singles int
+	err := Parallel(func(tc *ThreadContext) {
+		for r := 0; r < rounds; r++ {
+			if err := tc.For(0, n, Dynamic{Chunk: 1}, func(int) {}); err != nil {
+				panic(err)
+			}
+			if err := tc.Single(func() { singles++ }); err != nil {
+				panic(err)
+			}
+		}
+		if err := tc.Sections(func() {}, func() {}, func() {}); err != nil {
+			panic(err)
+		}
+		err := tc.ForOrdered(0, n, Dynamic{Chunk: 2}, func(i int, ordered func(func())) {
+			ordered(func() { order = append(order, i) })
+		})
+		if err != nil {
+			panic(err)
+		}
+		tc.Master(func() {
+			tm := tc.team
+			if len(tm.loops) != 0 || len(tm.singleArrivals) != 0 || len(tm.sectionTickets) != 0 {
+				t.Errorf("tables hold %d loops, %d singles, %d sections after every member took them",
+					len(tm.loops), len(tm.singleArrivals), len(tm.sectionTickets))
+			}
+		})
+	}, WithNumThreads(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if singles != rounds {
+		t.Fatalf("singles ran %d times, want %d", singles, rounds)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("ordered sections ran out of order: %v", order)
+		}
+	}
+	if len(order) != n {
+		t.Fatalf("ordered sections ran %d times, want %d", len(order), n)
+	}
+}

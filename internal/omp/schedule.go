@@ -203,12 +203,13 @@ func (s Steal) dispatcher(count, threads int) (Dispatcher, error) {
 
 // loop is one work-sharing loop's entry in the team's loop table, keyed
 // by per-thread loop epoch: the dispatcher every member claims chunks
-// from, built once by whichever member arrives first, and ForOrdered's
-// turn, the next iteration (counted from lo) whose ordered section may
-// run.
+// from, built once by whichever member arrives first, the number of
+// members that have taken the entry, and ForOrdered's turn, the next
+// iteration (counted from lo) whose ordered section may run.
 type loop struct {
 	epoch int
 	next  Dispatcher
+	taken int // under team.loopMu
 	mu    sync.Mutex
 	cond  sync.Cond // on mu; signals turn advancing
 	turn  int
@@ -216,7 +217,8 @@ type loop struct {
 
 // nextLoop returns the entry of this thread's next work-sharing loop
 // and consumes its epoch, building the dispatcher if this thread is the
-// first to arrive.
+// first to arrive. The last member to arrive removes the entry from the
+// table; the members keep their pointer to it.
 func (tc *ThreadContext) nextLoop(lo, hi int, s Schedule) (*loop, error) {
 	if hi < lo {
 		return nil, fmt.Errorf("omp: for range [%d,%d) is inverted", lo, hi)
@@ -232,10 +234,16 @@ func (tc *ThreadContext) nextLoop(lo, hi int, s Schedule) (*loop, error) {
 		}
 		l = &loop{epoch: tc.loopCount, next: d}
 		l.cond.L = &l.mu
+	}
+	l.taken++
+	switch {
+	case l.taken == tm.n:
+		delete(tm.loops, l.epoch)
+	case !ok:
 		if tm.loops == nil {
 			tm.loops = make(map[int]*loop)
 		}
-		tm.loops[tc.loopCount] = l
+		tm.loops[l.epoch] = l
 	}
 	tc.loopCount++
 	return l, nil

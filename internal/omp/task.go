@@ -77,17 +77,44 @@ func (tc *ThreadContext) Taskwait() {
 	p := tc.team.pool()
 	p.mu.Lock()
 	for g.pending > 0 {
-		if len(p.queue) > 0 {
-			item := p.queue[0]
-			p.queue = p.queue[1:]
-			p.mu.Unlock()
-			tc.runTask(item)
-			p.mu.Lock()
-			continue
+		if !tc.runQueued(p) {
+			p.cond.Wait()
 		}
-		p.cond.Wait()
 	}
 	p.mu.Unlock()
+}
+
+// drainTasks runs queued tasks until the team's queue is empty; each
+// member calls it after its body returns, so every explicit task has run
+// when Parallel returns. A member may leave once it finds the queue
+// empty: a task can only be queued by a member still in its body or
+// running a task, and that member drains after it.
+func (tc *ThreadContext) drainTasks() {
+	tc.team.mu.Lock()
+	p := tc.team.tasks
+	tc.team.mu.Unlock()
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	for tc.runQueued(p) {
+	}
+	p.mu.Unlock()
+}
+
+// runQueued runs the task at the head of p's queue and reports whether
+// there was one. p.mu is held on entry and on return, but not while the
+// task runs.
+func (tc *ThreadContext) runQueued(p *taskPool) bool {
+	if len(p.queue) == 0 {
+		return false
+	}
+	item := p.queue[0]
+	p.queue = p.queue[1:]
+	p.mu.Unlock()
+	tc.runTask(item)
+	p.mu.Lock()
+	return true
 }
 
 // runTask executes one item with the thread's current group switched to

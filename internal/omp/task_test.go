@@ -117,6 +117,30 @@ func TestTaskwaitWithoutTasks(t *testing.T) {
 	}
 }
 
+// TestUnawaitedTasksRunBeforeRegionEnds: the end of a region is a task
+// scheduling point, so a task nobody awaits, and the child it creates
+// without awaiting, have both run when Parallel returns.
+func TestUnawaitedTasksRunBeforeRegionEnds(t *testing.T) {
+	var parent, child atomic.Bool
+	err := Parallel(func(tc *ThreadContext) {
+		tc.Master(func() {
+			tc.Task(func(tc *ThreadContext) {
+				parent.Store(true)
+				tc.Task(func(*ThreadContext) { child.Store(true) })
+			})
+		})
+	}, WithNumThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !parent.Load() {
+		t.Fatal("unawaited task never ran")
+	}
+	if !child.Load() {
+		t.Fatal("unawaited child of an unawaited task never ran")
+	}
+}
+
 func TestNilTaskIgnored(t *testing.T) {
 	err := Parallel(func(tc *ThreadContext) {
 		tc.Task(nil)

@@ -1,21 +1,23 @@
 package patternlets
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
 
 	"pblparallel/internal/sched"
 )
 
 // The divide-and-conquer patternlet: recursive quicksort where each
-// recursion forks its two halves as potentially-parallel tasks on the
-// work-stealing runtime. It teaches the spawn-or-inline discipline the
-// course's quicksort project needed — "spawn a goroutine if a worker
-// is free, otherwise recurse sequentially" — except the runtime makes
-// the decision per task: the child is pushed on the spawner's deque,
-// an idle worker may steal it, and if nobody does the spawner pops it
-// back and runs it inline for free.
+// recursion forks its two halves as a nested two-index region on the
+// work-stealing runtime, the same region that serves /v1/sweep and
+// /v1/cohort. It teaches the discipline the course's quicksort project
+// needed — "spawn a goroutine if a worker is free, otherwise recurse
+// sequentially" — except the runtime makes the decision per fork: the
+// caller sorts the left half, an idle worker may join the region and
+// take the right half, and if none does the caller sorts it too.
 
 // dcCutoff is the sequential leaf size; below it forking costs more
 // than sorting.
@@ -26,10 +28,10 @@ type DivideConquerReport struct {
 	N       int
 	Workers int
 	Sorted  bool
-	// Spawned counts forked child tasks, Inlined the ones the spawner
-	// ran itself because no worker stole them, Steals the ones that
-	// actually moved to another worker.
-	Spawned, Inlined, Steals int64
+	// Forks counts the two-half forks, Inlined the right halves the
+	// forking goroutine ran itself because no worker joined in time,
+	// Peer the ones a joined worker ran: Inlined + Peer == Forks.
+	Forks, Inlined, Peer int64
 }
 
 // DivideConquer sorts n pseudo-random (seed-deterministic) integers by
@@ -52,33 +54,47 @@ func DivideConquer(n, workers int, seed int64) (*DivideConquerReport, error) {
 	}
 	rt := sched.New(sched.WithWorkers(workers))
 	defer rt.Close()
-	rt.Do(func(tc *sched.TaskCtx) { quicksort(tc, data) })
-	s := rt.Stats()
+	q := &quicksorter{rt: rt}
+	q.sort(data)
 	return &DivideConquerReport{
 		N:       n,
 		Workers: workers,
 		Sorted:  sort.SliceIsSorted(data, func(i, j int) bool { return data[i] < data[j] }),
-		Spawned: s.Spawned,
-		Inlined: s.Inlined,
-		Steals:  s.Steals,
+		Forks:   q.forks.Load(),
+		Inlined: q.inlined.Load(),
+		Peer:    q.peer.Load(),
 	}, nil
 }
 
-// quicksort is the recursive kernel: partition, then Join the halves
-// as sibling tasks. Join guarantees both halves are done when it
-// returns, so the recursion is safe whether or not the spawned half
-// was stolen.
-func quicksort(tc *sched.TaskCtx, a []int64) {
+// quicksorter is the recursive kernel and the ledger of its forks.
+type quicksorter struct {
+	rt                   *sched.Runtime
+	forks, inlined, peer atomic.Int64
+}
+
+// sort partitions a, then forks the halves as indices 0 and 1 of one
+// region. The region returns only once both halves are sorted, so the
+// recursion is safe whichever goroutine ran the right half.
+func (q *quicksorter) sort(a []int64) {
 	if len(a) <= dcCutoff {
 		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 		return
 	}
 	p := partition(a)
 	left, right := a[:p], a[p+1:]
-	tc.Join(
-		func(c *sched.TaskCtx) { quicksort(c, left) },
-		func(c *sched.TaskCtx) { quicksort(c, right) },
-	)
+	q.forks.Add(1)
+	q.rt.ParallelIndexed(context.Background(), 2, 2, 1, func(i, slot int) {
+		if i == 0 {
+			q.sort(left)
+			return
+		}
+		if slot == 0 {
+			q.inlined.Add(1)
+		} else {
+			q.peer.Add(1)
+		}
+		q.sort(right)
+	})
 }
 
 // partition is Hoare-style median-of-three around a[hi], returning the
@@ -114,9 +130,9 @@ func demoDivideConquer(w io.Writer, nThreads int) error {
 	}
 	fmt.Fprintf(w, "quicksort of %d values on %d workers\n", rep.N, rep.Workers)
 	fmt.Fprintf(w, "sorted correctly:    %t\n", rep.Sorted)
-	fmt.Fprintf(w, "tasks spawned:       %d\n", rep.Spawned)
-	fmt.Fprintf(w, "run inline (cheap):  %d\n", rep.Inlined)
-	fmt.Fprintf(w, "stolen by idle peer: %d\n", rep.Spawned-rep.Inlined)
-	fmt.Fprintln(w, "lesson: fork both halves every time — the deque makes an unstolen task cost one push/pop, so throttling happens by itself")
+	fmt.Fprintf(w, "forks:               %d\n", rep.Forks)
+	fmt.Fprintf(w, "right half inline:   %d\n", rep.Inlined)
+	fmt.Fprintf(w, "right half on peer:  %d\n", rep.Peer)
+	fmt.Fprintln(w, "lesson: fork both halves every time — a free worker joins the fork and takes the right half, and when none is free the forking goroutine sorts it itself, so throttling happens by itself")
 	return nil
 }

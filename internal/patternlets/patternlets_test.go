@@ -372,7 +372,7 @@ func TestRegistryCoversAllAssignmentPrograms(t *testing.T) {
 }
 
 func TestDivideConquerSorts(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		rep, err := DivideConquer(100_000, workers, 7)
 		if err != nil {
 			t.Fatal(err)
@@ -380,11 +380,9 @@ func TestDivideConquerSorts(t *testing.T) {
 		if !rep.Sorted {
 			t.Fatalf("workers=%d: output not sorted", workers)
 		}
-		if rep.Spawned == 0 {
-			t.Fatalf("workers=%d: recursion never forked", workers)
-		}
-		if rep.Inlined > rep.Spawned {
-			t.Fatalf("workers=%d: inlined %d > spawned %d", workers, rep.Inlined, rep.Spawned)
+		if rep.Forks == 0 || rep.Inlined+rep.Peer != rep.Forks {
+			t.Fatalf("workers=%d: forks %d, inlined %d + peer %d, want a nonzero sum equal to forks",
+				workers, rep.Forks, rep.Inlined, rep.Peer)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func Registry() []Patternlet {
 		{"trapezoid", 4, "integration with the trapezoidal rule", demoTrapezoid},
 		{"barrier", 4, "coordination: synchronization with a barrier", demoBarrier},
 		{"masterworker", 4, "the master-worker implementation strategy", demoMasterWorker},
-		{"divideconquer", 5, "recursive quicksort on the work-stealing task runtime", demoDivideConquer},
+		{"divideconquer", 5, "recursive quicksort forking nested regions on the work-stealing runtime", demoDivideConquer},
 	}
 }
 

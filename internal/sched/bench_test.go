@@ -8,22 +8,6 @@ import (
 	"testing"
 )
 
-// BenchmarkDequeOwner is the owner fast path: push+pop with no
-// contention. This is the cost a Join pays when its child is not
-// stolen.
-func BenchmarkDequeOwner(b *testing.B) {
-	d := newDeque()
-	t := &task{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.push(t)
-		if d.pop() == nil {
-			b.Fatal("lost own task")
-		}
-	}
-}
-
 // BenchmarkIndexPoolNext is the uncontended chunk-claim cost — the
 // per-chunk overhead a region adds over a plain loop.
 func BenchmarkIndexPoolNext(b *testing.B) {

@@ -1,6 +1,6 @@
-// Package sched is the work-stealing task runtime shared by the
-// engine, the omp layer, and the HTTP daemon. One Runtime owns a
-// fixed set of worker goroutines; work reaches them three ways:
+// Package sched is the work-stealing runtime shared by the engine,
+// the omp layer, and the HTTP daemon. One Runtime owns a fixed set of
+// worker goroutines; work reaches them two ways:
 //
 //   - SubmitWait: jobs through a bounded admission queue (the HTTP
 //     daemon admits every computation with it).
@@ -8,9 +8,10 @@
 //     distributed through a range-stealing IndexPool. The caller
 //     always participates, so a region finishes even when every
 //     runtime worker is busy or the runtime is closed — workers are
-//     accelerators, never a liveness dependency.
-//   - Do / TaskCtx.Join: recursive fork-join task trees on per-worker
-//     Chase–Lev deques (LIFO owner pop, FIFO steal).
+//     accelerators, never a liveness dependency. Regions nest, so a
+//     fork-join of two halves is a two-index region: the caller runs
+//     index 0, an idle worker may join and take index 1, and if none
+//     does the caller runs it too.
 //
 // Determinism is by construction: a region's output slots are indexed
 // by i and each i's work is a pure function of i, so which worker
@@ -52,40 +53,13 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 // every SubmitWait that finds no idle capacity is shed immediately).
 func WithQueueDepth(n int) Option { return func(c *config) { c.queue = n } }
 
-// Stats is a point-in-time runtime snapshot. Queued and InFlight come
-// from one packed atomic word, so the pair is mutually consistent:
-// InFlight never reads above Workers and Queued never above QueueCap,
-// even while the hammer is running.
-type Stats struct {
-	Workers   int
-	QueueCap  int
-	Queued    int
-	InFlight  int
-	Submitted int64
-	Shed      int64
-	Completed int64
-	// Steals counts successful task-deque steals; RangeSteals counts
-	// index-range steals inside ParallelIndexed regions.
-	Steals      int64
-	RangeSteals int64
-	Spawned     int64
-	Inlined     int64
-}
-
-// worker is one runtime-owned execution lane. stats points at the
-// participant's counter block: runtime workers own a private block,
-// temporarily attached participants (Do callers) share the runtime's
-// external block so their counts survive detach.
+// worker is one runtime-owned execution lane with its own counter
+// block.
 type worker struct {
 	id     int
-	deque  *deque
 	parked atomic.Bool
 	wake   chan struct{}
-	stats  *workerStats
-}
-
-func newWorker(id int) *worker {
-	return &worker{id: id, deque: newDeque(), wake: make(chan struct{}, 1), stats: &workerStats{}}
+	stats  workerStats
 }
 
 // Runtime is the scheduler. The zero value is not usable; construct
@@ -94,9 +68,6 @@ func newWorker(id int) *worker {
 // optional runtime without nil checks.
 type Runtime struct {
 	workers []*worker
-	// all holds workers plus temporarily attached participants (Do
-	// callers); copy-on-write so thieves scan it without locks.
-	all atomic.Pointer[[]*worker]
 
 	submitq chan submission
 	// handoff is the unbuffered direct lane: when the queue is full —
@@ -111,10 +82,8 @@ type Runtime struct {
 	shed        PaddedInt64
 	completed   PaddedInt64
 	rangeSteals PaddedInt64
-	tempSeq     atomic.Int64
 	// external is the shared stat block of non-worker participants:
-	// attached Do callers and the calling goroutine of ParallelIndexed
-	// regions (slot 0).
+	// the calling goroutines of ParallelIndexed regions (slot 0).
 	external workerStats
 
 	// regions is the copy-on-write list of active indexed regions.
@@ -146,10 +115,8 @@ func New(opts ...Option) *Runtime {
 	}
 	r.workers = make([]*worker, cfg.workers)
 	for i := range r.workers {
-		r.workers[i] = newWorker(i)
+		r.workers[i] = &worker{id: i, wake: make(chan struct{}, 1)}
 	}
-	all := append([]*worker(nil), r.workers...)
-	r.all.Store(&all)
 	empty := []*region{}
 	r.regions.Store(&empty)
 	r.wg.Add(cfg.workers)
@@ -173,14 +140,14 @@ func Default() *Runtime {
 }
 
 // submission is a submitted job; done is closed once fn has returned
-// and been counted, so its waiter sees it completed in Stats.
+// and been counted, so its waiter sees it completed in Introspect.
 type submission struct {
 	fn   func()
 	done chan struct{}
 }
 
 // SubmitWait enqueues job and waits until it has run and been counted:
-// after a nil return, Stats and Introspect show it completed. Admission
+// after a nil return, Introspect shows it completed. Admission
 // never blocks: when the bounded queue is full the job is shed with
 // ErrQueueFull, and after Close it fails with ErrClosed. If ctx ends
 // first it returns ctx.Err(), and the job still runs — so an
@@ -235,8 +202,8 @@ func (r *Runtime) submit(job submission) error {
 
 // Close drains the queue — already-admitted jobs still run — waits
 // for in-flight work, and stops the workers. Further SubmitWaits fail
-// with ErrClosed; indexed regions and task trees keep working on the
-// caller's goroutine after Close.
+// with ErrClosed; indexed regions keep working on the caller's
+// goroutine after Close.
 func (r *Runtime) Close() {
 	if r == nil {
 		return
@@ -254,48 +221,12 @@ func (r *Runtime) Close() {
 	r.wg.Wait()
 }
 
-// Stats snapshots the runtime counters. Steals, Spawned, and Inlined
-// aggregate the per-worker stat blocks (plus the shared external block
-// of attached participants); Introspect exposes the same counters
-// without the folding.
-func (r *Runtime) Stats() Stats {
-	if r == nil {
-		return Stats{}
-	}
-	s := r.qstate.Load()
-	lo, hi := int(s&0xffffffff), int(s>>32)
-	rangeSteals := r.rangeSteals.Load()
-	for _, reg := range *r.regions.Load() {
-		rangeSteals += reg.pool.Steals()
-	}
-	st := Stats{
-		Workers:     len(r.workers),
-		QueueCap:    cap(r.submitq),
-		Queued:      hi,
-		InFlight:    lo,
-		Submitted:   r.submitted.Load(),
-		Shed:        r.shed.Load(),
-		Completed:   r.completed.Load(),
-		RangeSteals: rangeSteals,
-	}
-	for _, w := range r.workers {
-		st.Steals += w.stats.steals.Load()
-		st.Spawned += w.stats.spawned.Load()
-		st.Inlined += w.stats.inlined.Load()
-	}
-	st.Steals += r.external.steals.Load()
-	st.Spawned += r.external.spawned.Load()
-	st.Inlined += r.external.inlined.Load()
-	return st
-}
-
-// workerLoop is one worker's scheduling loop: own deque first (LIFO),
-// then region index work, then stealing from siblings, then the
-// submit queue, then park.
+// workerLoop is one worker's scheduling loop: region index work
+// first, then the submit queue, then park.
 func (r *Runtime) workerLoop(w *worker) {
 	defer r.wg.Done()
 	for {
-		if r.runOwn(w) || r.runRegion(w) || r.runStolen(w) {
+		if r.runRegion(w) {
 			continue
 		}
 		select {
@@ -314,7 +245,7 @@ func (r *Runtime) workerLoop(w *worker) {
 		// writes cost nothing while the worker has work.
 		w.parked.Store(true)
 		w.stats.parks.Add(1)
-		if r.workVisible(w) {
+		if r.workVisible() {
 			w.parked.Store(false)
 			w.stats.unparks.Add(1)
 			continue
@@ -339,7 +270,7 @@ func (r *Runtime) workerLoop(w *worker) {
 }
 
 // runQueued executes a job taken from the buffered queue: queued-1,
-// inflight+1 in one CAS so Stats never sees the job in both places or
+// inflight+1 in one CAS so Introspect never sees the job in both places or
 // neither.
 func (r *Runtime) runQueued(job submission) {
 	for {
@@ -366,40 +297,12 @@ func (r *Runtime) finishJob(job submission) {
 	job.fn()
 }
 
-func (r *Runtime) runOwn(w *worker) bool {
-	t := w.deque.pop()
-	if t == nil {
-		return false
-	}
-	t.run(&TaskCtx{rt: r, w: w})
-	return true
-}
-
-func (r *Runtime) runStolen(w *worker) bool {
-	all := *r.all.Load()
-	n := len(all)
-	// Start the victim scan at a per-worker offset so thieves spread
-	// across victims instead of all hammering worker 0.
-	for off := 0; off < n; off++ {
-		v := all[(w.id+1+off)%n]
-		if v == w {
-			continue
-		}
-		if t := v.deque.steal(); t != nil {
-			w.stats.steals.Add(1)
-			t.run(&TaskCtx{rt: r, w: w})
-			return true
-		}
-	}
-	return false
-}
-
 // runRegion contributes this worker to the oldest active region that
 // still has an open participant slot, working it until its index pool
 // is empty.
 func (r *Runtime) runRegion(w *worker) bool {
 	for _, reg := range *r.regions.Load() {
-		if reg.join(w.stats) {
+		if reg.join(&w.stats) {
 			return true
 		}
 	}
@@ -407,17 +310,12 @@ func (r *Runtime) runRegion(w *worker) bool {
 }
 
 // workVisible is the pre-park recheck: any work source non-empty?
-func (r *Runtime) workVisible(w *worker) bool {
-	if !w.deque.empty() || len(r.submitq) > 0 {
+func (r *Runtime) workVisible() bool {
+	if len(r.submitq) > 0 {
 		return true
 	}
 	for _, reg := range *r.regions.Load() {
 		if reg.open() {
-			return true
-		}
-	}
-	for _, v := range *r.all.Load() {
-		if v != w && !v.deque.empty() {
 			return true
 		}
 	}
@@ -443,37 +341,6 @@ func (r *Runtime) wakeAll() {
 		default:
 		}
 	}
-}
-
-// attach registers a non-worker participant (a Do caller) so workers
-// can steal from its deque; detach removes it.
-func (r *Runtime) attach(w *worker) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	old := *r.all.Load()
-	next := make([]*worker, 0, len(old)+1)
-	next = append(next, old...)
-	next = append(next, w)
-	r.all.Store(&next)
-	r.mu.Unlock()
-}
-
-func (r *Runtime) detach(w *worker) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	old := *r.all.Load()
-	next := make([]*worker, 0, len(old)-1)
-	for _, x := range old {
-		if x != w {
-			next = append(next, x)
-		}
-	}
-	r.all.Store(&next)
-	r.mu.Unlock()
 }
 
 func (r *Runtime) addRegion(reg *region) {

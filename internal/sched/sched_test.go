@@ -42,7 +42,7 @@ func TestSubmitRunsJobs(t *testing.T) {
 	if got := ran.Load(); got != 50 {
 		t.Fatalf("ran %d jobs, want 50", got)
 	}
-	st := r.Stats()
+	st := r.Introspect()
 	if st.Submitted != 50 || st.Completed != 50 || st.InFlight != 0 || st.Queued != 0 {
 		t.Fatalf("stats after close: %+v", st)
 	}
@@ -84,7 +84,7 @@ func TestSubmitWaitCtxEndsFirst(t *testing.T) {
 	close(release)
 	<-ran
 	r.Close()
-	if st := r.Stats(); st.Completed != 2 || st.Shed != 1 || st.InFlight != 0 || st.Queued != 0 {
+	if st := r.Introspect(); st.Completed != 2 || st.Shed != 1 || st.InFlight != 0 || st.Queued != 0 {
 		t.Fatalf("stats after close: %+v, want 2 completed, 1 shed", st)
 	}
 	if err := r.SubmitWait(context.Background(), func() {}); !errors.Is(err, ErrClosed) {
@@ -115,7 +115,7 @@ func TestSubmitShedsWhenFull(t *testing.T) {
 	if !shed {
 		t.Fatal("expected ErrQueueFull with worker blocked and queue occupied")
 	}
-	if got := r.Stats().Shed; got < 1 {
+	if got := r.Introspect().Shed; got < 1 {
 		t.Fatalf("shed count %d, want >= 1", got)
 	}
 	close(block)
@@ -146,11 +146,11 @@ func TestSubmitZeroQueueHandoff(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	<-started // the only worker is busy; there is no queue to fall back on
-	pre := r.Stats().Shed
+	pre := r.Introspect().Shed
 	if err := enqueue(r, func() {}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("enqueue with the worker busy = %v, want ErrQueueFull", err)
 	}
-	if st := r.Stats(); st.Shed != pre+1 || st.InFlight != 1 || st.Queued != 0 {
+	if st := r.Introspect(); st.Shed != pre+1 || st.InFlight != 1 || st.Queued != 0 {
 		t.Fatalf("stats: %+v (shed before: %d)", st, pre)
 	}
 	close(release)
@@ -217,7 +217,7 @@ func TestStatsConsistentUnderHammer(t *testing.T) {
 	}
 	deadline := time.Now().Add(200 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		st := r.Stats()
+		st := r.Introspect()
 		if st.InFlight < 0 || st.InFlight > workers {
 			t.Fatalf("InFlight %d outside [0, %d]", st.InFlight, workers)
 		}
@@ -377,17 +377,30 @@ func TestParallelIndexedNested(t *testing.T) {
 	}
 }
 
-// quicksort is the divide-and-conquer test body: Join-based with a
-// sequential cutoff.
-func quicksort(tc *TaskCtx, xs []float64) {
+// fork runs a and b as the two halves of a nested two-index region:
+// the caller takes index 0, and index 1 runs on a worker that joins or,
+// if none does, on the caller after a.
+func fork(r *Runtime, a, b func()) {
+	r.ParallelIndexed(context.Background(), 2, 2, 1, func(i, _ int) {
+		if i == 0 {
+			a()
+		} else {
+			b()
+		}
+	})
+}
+
+// quicksort is the divide-and-conquer test body: forks its halves
+// with a sequential cutoff.
+func quicksort(r *Runtime, xs []float64) {
 	if len(xs) <= 32 {
 		sort.Float64s(xs)
 		return
 	}
 	mid := partition(xs)
-	tc.Join(
-		func(tc *TaskCtx) { quicksort(tc, xs[:mid]) },
-		func(tc *TaskCtx) { quicksort(tc, xs[mid+1:]) },
+	fork(r,
+		func() { quicksort(r, xs[:mid]) },
+		func() { quicksort(r, xs[mid+1:]) },
 	)
 }
 
@@ -417,9 +430,9 @@ func testSlice(n int) []float64 {
 	return xs
 }
 
-// TestJoinQuicksort: the fork-join tree sorts correctly at several
-// worker counts — including on a nil runtime — and spawn bookkeeping
-// moves.
+// TestJoinQuicksort: the tree of nested two-index regions sorts
+// correctly at several worker counts, including on a nil runtime, and
+// every fork goes through a region's index pool.
 func TestJoinQuicksort(t *testing.T) {
 	want := testSlice(20000)
 	sort.Float64s(want)
@@ -429,15 +442,15 @@ func TestJoinQuicksort(t *testing.T) {
 		if workers > 0 {
 			r = New(WithWorkers(workers))
 		}
-		r.Do(func(tc *TaskCtx) { quicksort(tc, xs) })
+		quicksort(r, xs)
 		for i := range xs {
 			if xs[i] != want[i] {
 				t.Fatalf("workers=%d: sort mismatch at %d", workers, i)
 			}
 		}
 		if workers > 0 {
-			if st := r.Stats(); st.Spawned == 0 {
-				t.Errorf("workers=%d: no tasks spawned", workers)
+			if st := r.Introspect(); st.GrainClaims == 0 {
+				t.Errorf("workers=%d: no fork claimed a region index", workers)
 			}
 			r.Close()
 		}

@@ -2,15 +2,11 @@ package sched
 
 // workerStats is one participant's hot counter block. Every field is
 // cache-line padded: the counters are bumped from exactly one worker
-// goroutine on the scheduling fast paths (Join spawn/inline, steal,
-// chunk claim), and sharing a line between two workers — or between a
-// worker and the runtime's admission counters — would reintroduce the
-// false sharing the PR 6 contention pass removed (see
+// goroutine on the scheduling paths (park, unpark, chunk claim), and
+// sharing a line between two workers — or between a worker and the
+// runtime's admission counters — would reintroduce false sharing (see
 // BenchmarkCounterInc).
 type workerStats struct {
-	steals      PaddedInt64
-	spawned     PaddedInt64
-	inlined     PaddedInt64
 	parks       PaddedInt64
 	unparks     PaddedInt64
 	grainClaims PaddedInt64
@@ -19,26 +15,19 @@ type workerStats struct {
 // snapshot reads the block into the exported form.
 func (s *workerStats) snapshot() WorkerSnapshot {
 	return WorkerSnapshot{
-		Steals:      s.steals.Load(),
-		Spawned:     s.spawned.Load(),
-		Inlined:     s.inlined.Load(),
 		Parks:       s.parks.Load(),
 		Unparks:     s.unparks.Load(),
 		GrainClaims: s.grainClaims.Load(),
 	}
 }
 
-// WorkerSnapshot is one participant's introspection view: the live
-// deque depth plus the lifetime counters. External (non-worker)
-// participants — Do callers and region-calling goroutines — aggregate
-// into a single snapshot with ID -1 and no deque.
+// WorkerSnapshot is one participant's introspection view: the parked
+// flag plus the lifetime counters. External (non-worker) participants,
+// the goroutines that call ParallelIndexed, aggregate into a single
+// snapshot with ID -1.
 type WorkerSnapshot struct {
 	ID          int   `json:"id"`
-	DequeDepth  int   `json:"deque_depth"`
 	Parked      bool  `json:"parked"`
-	Steals      int64 `json:"steals"`
-	Spawned     int64 `json:"spawned"`
-	Inlined     int64 `json:"inlined"`
 	Parks       int64 `json:"parks"`
 	Unparks     int64 `json:"unparks"`
 	GrainClaims int64 `json:"grain_claims"`
@@ -46,28 +35,29 @@ type WorkerSnapshot struct {
 
 // Snapshot is the whole-runtime introspection document served by
 // GET /debug/sched: admission state, lifetime totals, and the
-// per-worker breakdown. Like Stats, Queued and InFlight come from one
-// packed atomic word so the pair is mutually consistent; the
-// per-worker counters are independently-read atomics, so across
-// workers the snapshot is approximate while work is in flight — fine
-// for the operator question it answers ("which worker is starving,
-// who is stealing from whom, how deep are the deques").
+// per-worker breakdown. Queued and InFlight come from one packed
+// atomic word, so the pair is mutually consistent: InFlight never
+// reads above Workers and Queued never above QueueCap. The per-worker
+// counters are independently-read atomics, so across workers the
+// snapshot is approximate while work is in flight — fine for the
+// operator question it answers ("which worker is starving, which
+// regions rebalance").
 type Snapshot struct {
-	Workers       int              `json:"workers"`
-	QueueCap      int              `json:"queue_cap"`
-	Queued        int              `json:"queued"`
-	InFlight      int              `json:"in_flight"`
-	Submitted     int64            `json:"submitted"`
-	Shed          int64            `json:"shed"`
-	Completed     int64            `json:"completed"`
+	Workers   int   `json:"workers"`
+	QueueCap  int   `json:"queue_cap"`
+	Queued    int   `json:"queued"`
+	InFlight  int   `json:"in_flight"`
+	Submitted int64 `json:"submitted"`
+	Shed      int64 `json:"shed"`
+	Completed int64 `json:"completed"`
+	// Steals is always 0: the only stealing is of index ranges inside
+	// regions, which RangeSteals counts. It stays in the wire form for
+	// readers that decode it.
 	Steals        int64            `json:"steals"`
 	RangeSteals   int64            `json:"range_steals"`
-	Spawned       int64            `json:"spawned"`
-	Inlined       int64            `json:"inlined"`
 	GrainClaims   int64            `json:"grain_claims"`
 	Parks         int64            `json:"parks"`
 	ActiveRegions int              `json:"active_regions"`
-	Attached      int              `json:"attached_participants"`
 	External      WorkerSnapshot   `json:"external"`
 	PerWorker     []WorkerSnapshot `json:"per_worker"`
 }
@@ -92,21 +82,14 @@ func (r *Runtime) Introspect() Snapshot {
 	for _, w := range r.workers {
 		ws := w.stats.snapshot()
 		ws.ID = w.id
-		ws.DequeDepth = int(w.deque.size())
 		ws.Parked = w.parked.Load()
 		snap.PerWorker = append(snap.PerWorker, ws)
-		snap.Steals += ws.Steals
-		snap.Spawned += ws.Spawned
-		snap.Inlined += ws.Inlined
 		snap.GrainClaims += ws.GrainClaims
 		snap.Parks += ws.Parks
 	}
 	ext := r.external.snapshot()
 	ext.ID = -1
 	snap.External = ext
-	snap.Steals += ext.Steals
-	snap.Spawned += ext.Spawned
-	snap.Inlined += ext.Inlined
 	snap.GrainClaims += ext.GrainClaims
 	snap.RangeSteals = r.rangeSteals.Load()
 	regions := *r.regions.Load()
@@ -114,6 +97,5 @@ func (r *Runtime) Introspect() Snapshot {
 	for _, reg := range regions {
 		snap.RangeSteals += reg.pool.Steals()
 	}
-	snap.Attached = len(*r.all.Load()) - len(r.workers)
 	return snap
 }

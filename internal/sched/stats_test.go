@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -53,36 +54,36 @@ func TestIntrospectGrainClaims(t *testing.T) {
 	}
 }
 
-// TestIntrospectJoinLedger asserts the fork-join ledger balances: every
-// spawned child is either popped back and inlined by its owner or
-// stolen and run by another participant, so spawned == inlined + steals
-// once the tree has quiesced.
-func TestIntrospectJoinLedger(t *testing.T) {
+// TestIntrospectForkLedger runs a depth-10 tree of forks, each a
+// nested two-index region: every leaf runs exactly once, and since a
+// fork's two indices are each claimed exactly once, by the caller or a
+// joined worker, the grain claims total two per fork.
+func TestIntrospectForkLedger(t *testing.T) {
 	r := New(WithWorkers(4))
 	defer r.Close()
-	var depth func(tc *TaskCtx, d int)
-	depth = func(tc *TaskCtx, d int) {
+	const depth = 10
+	leaves := make([]atomic.Int32, 1<<depth)
+	var forks atomic.Int64
+	var tree func(d, leaf int)
+	tree = func(d, leaf int) {
 		if d == 0 {
+			leaves[leaf].Add(1)
 			return
 		}
-		tc.Join(
-			func(tc *TaskCtx) { depth(tc, d-1) },
-			func(tc *TaskCtx) { depth(tc, d-1) },
-		)
+		forks.Add(1)
+		fork(r, func() { tree(d-1, 2*leaf) }, func() { tree(d-1, 2*leaf+1) })
 	}
-	r.Do(func(tc *TaskCtx) { depth(tc, 10) })
-	snap := r.Introspect()
-	if snap.Spawned == 0 {
-		t.Fatal("no spawns recorded for a depth-10 join tree")
+	tree(depth, 0)
+	for i := range leaves {
+		if got := leaves[i].Load(); got != 1 {
+			t.Fatalf("leaf %d ran %d times, want 1", i, got)
+		}
 	}
-	if snap.Spawned != snap.Inlined+snap.Steals {
-		t.Fatalf("ledger unbalanced: spawned %d != inlined %d + steals %d",
-			snap.Spawned, snap.Inlined, snap.Steals)
+	if got, want := forks.Load(), int64(1<<depth-1); got != want {
+		t.Fatalf("forks = %d, want %d", got, want)
 	}
-	// Stats must agree with Introspect on the folded totals.
-	st := r.Stats()
-	if st.Steals != snap.Steals || st.Spawned != snap.Spawned || st.Inlined != snap.Inlined {
-		t.Fatalf("Stats %+v disagrees with Introspect %+v", st, snap)
+	if snap := r.Introspect(); snap.GrainClaims != 2*forks.Load() {
+		t.Fatalf("grain claims = %d, want 2 × %d forks", snap.GrainClaims, forks.Load())
 	}
 }
 
@@ -111,9 +112,6 @@ func TestIntrospectShape(t *testing.T) {
 		if w.ID != i {
 			t.Fatalf("worker %d has id %d", i, w.ID)
 		}
-		if w.DequeDepth != 0 {
-			t.Fatalf("idle worker %d reports deque depth %d", i, w.DequeDepth)
-		}
 	}
 	if snap.External.ID != -1 {
 		t.Fatalf("external id = %d, want -1", snap.External.ID)
@@ -133,8 +131,8 @@ func TestIntrospectShape(t *testing.T) {
 
 // TestSubmitWaitCountsBeforeReturning repeats run-then-snapshot on one
 // worker with jobs that, like the daemon's, keep running briefly after
-// their result is set: once SubmitWait returns, Stats and Introspect
-// must already count the job as completed and no longer in flight.
+// their result is set: once SubmitWait returns, Introspect must
+// already count the job as completed and no longer in flight.
 func TestSubmitWaitCountsBeforeReturning(t *testing.T) {
 	r := New(WithWorkers(1), WithQueueDepth(1))
 	defer r.Close()
@@ -150,17 +148,14 @@ func TestSubmitWaitCountsBeforeReturning(t *testing.T) {
 		if result != i {
 			t.Fatalf("run %d: result %d not visible after SubmitWait", i, result)
 		}
-		if st := r.Stats(); st.Completed != i || st.InFlight != 0 {
-			t.Fatalf("run %d: Stats completed=%d inflight=%d right after SubmitWait, want %d/0", i, st.Completed, st.InFlight, i)
-		}
-		if snap := r.Introspect(); snap.Completed != i {
-			t.Fatalf("run %d: Introspect completed=%d right after SubmitWait, want %d", i, snap.Completed, i)
+		if st := r.Introspect(); st.Completed != i || st.InFlight != 0 {
+			t.Fatalf("run %d: Introspect completed=%d inflight=%d right after SubmitWait, want %d/0", i, st.Completed, st.InFlight, i)
 		}
 	}
 }
 
 // TestIntrospectConcurrent hammers Introspect from 8 goroutines while
-// regions and task trees churn — the race detector is the assertion.
+// regions and forks churn — the race detector is the assertion.
 func TestIntrospectConcurrent(t *testing.T) {
 	r := New(WithWorkers(4))
 	defer r.Close()
@@ -185,9 +180,7 @@ func TestIntrospectConcurrent(t *testing.T) {
 	}
 	for round := 0; round < 20; round++ {
 		r.ParallelIndexed(context.Background(), 512, 4, 8, func(i, slot int) {})
-		r.Do(func(tc *TaskCtx) {
-			tc.Join(func(*TaskCtx) {}, func(*TaskCtx) {})
-		})
+		fork(r, func() {}, func() {})
 	}
 	close(stop)
 	wg.Wait()

@@ -84,9 +84,8 @@ func (s *Server) handleDebugFlightrec(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDebugSched serves GET /debug/sched: a JSON introspection
-// snapshot of the pool's work-stealing scheduler — per-worker deque
-// depths, steal/spawn/inline ledgers, park counts, grain claims, and
-// the runtime-wide totals. Always available: the snapshot reads the
+// snapshot of the pool's work-stealing scheduler — per-worker parked
+// flags, park counts, grain claims, and the runtime-wide totals. Always available: the snapshot reads the
 // same padded atomics the hot paths write, so serving it never
 // perturbs them.
 func (s *Server) handleDebugSched(w http.ResponseWriter, _ *http.Request) {

@@ -106,11 +106,17 @@ type runParams struct {
 	// Seed overrides the study seed; 0 keeps the paper's.
 	Seed int64 `json:"seed"`
 	// Students overrides the cohort size; 0 keeps the paper's 124.
-	// Must be even and >= 10 (the derived female counts stay positive).
+	// Must be even, >= 10 (the derived female counts stay positive) and
+	// at most maxStudents.
 	Students int `json:"students"`
 	// Uncalibrated selects the ablation response model.
 	Uncalibrated bool `json:"uncalibrated"`
 }
+
+// maxStudents bounds the cohort a /v1/run or /v1/spring2019 request may
+// ask for: both generate one record per student up front, so the bound
+// caps what one request can allocate.
+const maxStudents = 1_000_000
 
 // normalizeRun resolves defaults into the paper's values and validates,
 // returning the resolved study config and the request's content address.
@@ -125,14 +131,12 @@ func normalizeRun(p runParams) (core.StudyConfig, Key, error) {
 	if p.Students == 0 {
 		p.Students = cfg.Cohort.NStudents
 	}
-	if p.Students%2 != 0 || p.Students < 10 {
-		return cfg, Key{}, fmt.Errorf("students %d: must be even and >= 10", p.Students)
+	if p.Students > maxStudents {
+		return cfg, Key{}, fmt.Errorf("students %d: must be at most %d", p.Students, maxStudents)
 	}
-	// The same derivation core.WithCohortSize applies: n/5 females
-	// overall, n/10 of them in section 1.
-	cfg.Cohort.NStudents = p.Students
-	cfg.Cohort.NFemale = p.Students / 5
-	cfg.Cohort.Section1Females = p.Students / 10
+	if err := core.ScaleCohort(&cfg.Cohort, p.Students); err != nil {
+		return cfg, Key{}, err
+	}
 	cfg.Calibrate = !p.Uncalibrated
 	return cfg, NewKey([]byte(fmt.Sprintf("run|seed=%d|students=%d|calibrated=%t", p.Seed, p.Students, cfg.Calibrate))), nil
 }
@@ -261,7 +265,7 @@ func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 
 // spring2019Params is the /v1/spring2019 query.
 type spring2019Params struct {
-	// N is the projected cohort size, in [10, 1000000].
+	// N is the projected cohort size, in [10, maxStudents].
 	N int `json:"n"`
 	// Seed roots the projection's draws.
 	Seed int64 `json:"seed"`
@@ -286,8 +290,8 @@ func (s *Server) handleSpring2019(w http.ResponseWriter, r *http.Request) {
 	if !decodeParams(w, r, &p) {
 		return
 	}
-	if p.N < 10 || p.N > 1_000_000 {
-		writeError(w, http.StatusBadRequest, "n %d outside [10, 1000000]", p.N)
+	if p.N < 10 || p.N > maxStudents {
+		writeError(w, http.StatusBadRequest, "n %d outside [10, %d]", p.N, maxStudents)
 		return
 	}
 	k := NewKey([]byte(fmt.Sprintf("spring2019|n=%d|seed=%d", p.N, p.Seed)))

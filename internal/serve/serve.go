@@ -210,8 +210,8 @@ func New(cfg Config) *Server {
 	s.queueWait = reg.HistogramVec("serve_queue_wait_seconds",
 		"Admission queue wait from SubmitWait to job start, by route.", "route")
 	reg.RegisterGatherer(obs.GathererFunc(s.gather))
-	// The scheduler exposes its work-stealing internals (deque
-	// depths, steal/park ledgers, grain claims) through the same registry.
+	// The scheduler exposes its work-stealing internals (parked flags,
+	// park ledgers, grain claims) through the same registry.
 	reg.RegisterGatherer(obs.SchedGatherer(s.rt))
 
 	// Every endpoint — v1, health, exposition, and the whole /debug/*
@@ -278,7 +278,7 @@ func (s *Server) routes() []route {
 // exposition. The serve_cache_* families are read from Cache.Stats at
 // scrape time, so /metrics and Stats can never disagree.
 func (s *Server) gather() []obs.Family {
-	ps, cs := s.rt.Stats(), s.cache.Stats()
+	ps, cs := s.rt.Introspect(), s.cache.Stats()
 	family := func(typ, name, help string, v float64) obs.Family {
 		return obs.Family{Name: name, Help: help, Type: typ,
 			Points: []obs.Point{{Value: v}}}
@@ -301,7 +301,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Stats bundles the server's ledgers for tests and the chaos report.
 type Stats struct {
-	Pool  sched.Stats
+	Pool  sched.Snapshot
 	Cache CacheStats
 	Store store.StatsSnapshot
 	Shed  int64
@@ -309,7 +309,7 @@ type Stats struct {
 
 // Stats snapshots the server.
 func (s *Server) Stats() Stats {
-	st := Stats{Pool: s.rt.Stats(), Cache: s.cache.Stats(), Shed: s.shed.Value()}
+	st := Stats{Pool: s.rt.Introspect(), Cache: s.cache.Stats(), Shed: s.shed.Value()}
 	if s.cfg.disk != nil {
 		st.Store = s.cfg.disk.Stats()
 	}
@@ -431,7 +431,7 @@ func (s *Server) retryAfter() int {
 	if est <= 0 {
 		est = time.Second
 	}
-	ps := s.rt.Stats()
+	ps := s.rt.Introspect()
 	backlog := float64(ps.Queued+ps.InFlight+1) / float64(ps.Workers)
 	secs := int(math.Ceil(est.Seconds() * backlog))
 	if secs < 1 {

@@ -540,6 +540,24 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestRunStudentsBounded: /v1/run refuses a cohort above maxStudents,
+// as a body and as a query, before computing anything, so one request
+// cannot make the daemon allocate an unbounded cohort.
+func TestRunStudentsBounded(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	over := maxStudents + 2
+	before := s.Stats().Cache.Computes
+	if resp, body := post(t, ts, "/v1/run", fmt.Sprintf(`{"students": %d}`, over), nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST students %d = %d (%s), want 400", over, resp.StatusCode, body)
+	}
+	if resp, body := get(t, ts, fmt.Sprintf("%s/v1/run?students=%d", ts.URL, over)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("GET students %d = %d (%s), want 400", over, resp.StatusCode, body)
+	}
+	if got := s.Stats().Cache.Computes; got != before {
+		t.Errorf("computes %d → %d: a refused request computed", before, got)
+	}
+}
+
 // TestQueryDecodesLikeBody: a GET's query reaches the same strict
 // decoder as a POST body. An unknown key or a value of the wrong JSON
 // type is a 400 rather than a silent default, and a valid query
